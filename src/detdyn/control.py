@@ -104,34 +104,70 @@ class Ellipse2D:
 
 
 def _cholesky_or_none(a: np.ndarray):
-    n = a.shape[0]
-    low = np.zeros((n, n))
-    for j in range(n):
-        d = a[j, j] - float(low[j, :j] @ low[j, :j])
-        if d <= 0.0:
-            return None
-        low[j, j] = math.sqrt(d)
-        for i in range(j + 1, n):
-            low[i, j] = (a[i, j] - float(low[i, :j] @ low[j, :j])) / low[j, j]
+    try:
+        return np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return None
+
+
+def _assert_spd(p: np.ndarray, tol: Tolerance, name: str = "P") -> np.ndarray:
+    """Cholesky factor of the symmetric part of P; NotPositiveDefinite
+    unless P is symmetric at tolerance and positive definite."""
+    if float(np.max(np.abs(p - p.T))) > tol.cutoff(p):
+        raise NotPositiveDefinite(f"{name} is not symmetric at tolerance")
+    low = _cholesky_or_none(0.5 * (p + p.T))
+    if low is None:
+        raise NotPositiveDefinite(f"{name} is not positive definite")
     return low
 
 
-def _assert_spd(p: np.ndarray, tol: Tolerance, name: str = "P") -> None:
-    if float(np.max(np.abs(p - p.T))) > tol.cutoff(p):
-        raise NotPositiveDefinite(f"{name} is not symmetric at tolerance")
-    if _cholesky_or_none(0.5 * (p + p.T)) is None:
-        raise NotPositiveDefinite(f"{name} is not positive definite")
+# Diagonal block size of the blocked forward substitution: LAPACK solves
+# on b x b blocks keep the triangular solve at O(n^2 + n b^2).
+_TRI_BLOCK = 32
+
+
+def _forward_solve(low: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x = low^{-1} b for lower-triangular low."""
+    x = np.array(b, dtype=float)
+    n = x.shape[0]
+    for s in range(0, n, _TRI_BLOCK):
+        e = min(s + _TRI_BLOCK, n)
+        x[s:e] = np.linalg.solve(low[s:e, s:e], x[s:e] - low[s:e, :s] @ x[:s])
+    return x
+
+
+def _cholesky_update(low: np.ndarray, u: np.ndarray) -> float:
+    """Overwrite low with the Cholesky factor of low low^T + u u^T and
+    return log(1 + u^T (low low^T)^{-1} u) for the factor on entry.
+
+    With p = low^{-1} u and s_k = 1 + p_1^2 + ... + p_k^2, the factor of
+    I + p p^T has diagonal sqrt(s_k / s_{k-1}) and entries
+    p_i p_k / sqrt(s_{k-1} s_k) below it, and low is multiplied by it
+    (Gill, Golub, Murray & Saunders 1974, method C1), in O(n^2). The log
+    comes back as the sum of log1p(t_k^2) with t_k^2 = p_k^2 / s_{k-1},
+    so small quadratic forms keep their relative accuracy.
+    """
+    p = _forward_solve(low, u)
+    p2 = p * p
+    s = np.concatenate(([1.0], 1.0 + np.cumsum(p2)))
+    # tail[:, k] = sum_{i > k} low[:, i] p_i; entries above the diagonal stay 0
+    lp = low * p
+    tail = np.zeros_like(low)
+    tail[:, :-1] = np.cumsum(lp[:, :0:-1], axis=1)[:, ::-1]
+    low[...] = low * np.sqrt(s[1:] / s[:-1]) + tail * (p / np.sqrt(s[1:] * s[:-1]))
+    return float(np.sum(np.log1p(p2 / s[:-1])))
 
 
 def covariance_trace(p, updates, tol: Tolerance = DEFAULT_TOL) -> CovarianceTrace:
     """Exact additive accounting of log det under rank-one covariance
     growth, with the x/(1+x) <= log(1+x) <= x sandwich bounds.
 
-    P_{i-1} is updated explicitly and refactorized every step, so the
-    per-step residual does not grow with the number of updates.
+    The Cholesky factor of P_{i-1} is carried through an O(n^2) rank-one
+    update each step; the update is backward stable, so the per-step
+    residual does not grow with the number of updates.
     """
     base = kernel.as_matrix(p, square=True, name="P")
-    _assert_spd(base, tol)
+    low = _assert_spd(base, tol)
     n = base.shape[0]
     us = [kernel.as_vector(u, dim=n, name="u_i") for u in updates]
     d0 = kernel.det(base, tol)
@@ -140,14 +176,11 @@ def covariance_trace(p, updates, tol: Tolerance = DEFAULT_TOL) -> CovarianceTrac
     logdets = [math.log(d0)]
     increments = []
     quad_forms = []
-    current = base.copy()
     for u in us:
-        x = float(u @ kernel.solve(current, u, tol))
-        quad_forms.append(x)
-        inc = math.log1p(x)
+        inc = _cholesky_update(low, u)
+        quad_forms.append(math.expm1(inc))
         increments.append(inc)
         logdets.append(logdets[-1] + inc)
-        current = current + np.outer(u, u)
     lower = sum(x / (1.0 + x) for x in quad_forms)
     upper = sum(quad_forms)
     return CovarianceTrace(
@@ -163,8 +196,9 @@ def info_filter_trace(p, measurements, tol: Tolerance = DEFAULT_TOL) -> InfoFilt
     """det(P_k) when P_k^{-1} = P^{-1} + sum v_i v_i^T.
 
     Each factor 1/(1 + v_i^T P_{i-1} v_i) is < 1 for nonzero v_i, so the
-    determinant sequence contracts monotonically. The information matrix
-    is maintained explicitly and inverted afresh each step.
+    determinant sequence contracts monotonically. The Cholesky factor of
+    the information matrix P^{-1} is carried through an O(n^2) rank-one
+    update each step, which also yields v_i^T P_{i-1} v_i.
     """
     base = kernel.as_matrix(p, square=True, name="P")
     _assert_spd(base, tol)
@@ -174,17 +208,18 @@ def info_filter_trace(p, measurements, tol: Tolerance = DEFAULT_TOL) -> InfoFilt
     if not d0 > 0.0:
         raise NotPositiveDefinite("det(P) is not positive")
     info = kernel.inverse(base, tol)
+    low = _cholesky_or_none(0.5 * (info + info.T))
+    if low is None:
+        raise NotPositiveDefinite("P^{-1} is not positive definite at working precision")
     dets = [d0]
     factors = []
     quad_forms = []
     for v in vs:
-        cov = kernel.inverse(info, tol)
-        q = float(v @ cov @ v)
+        q = math.expm1(_cholesky_update(low, v))
         quad_forms.append(q)
         f = 1.0 / (1.0 + q)
         factors.append(f)
         dets.append(dets[-1] * f)
-        info = info + np.outer(v, v)
     beta = min(quad_forms) if quad_forms else None
     bound = None
     if beta is not None and beta > 0.0:

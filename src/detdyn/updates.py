@@ -3,9 +3,13 @@
 The additive route (``det_rank_one``, ``det_sequence``) uses the adjugate
 identity det(H + u v^T) = det(H) + v^T adj(H) u, which holds with no
 invertibility assumption, so singular bases and singular intermediates
-are fine. The multiplicative route (``det_product``, ``logdet_sequence``)
-uses det(H + u v^T) = det(H) (1 + v^T H^{-1} u) and therefore requires
+are fine. ``det_sequence`` evaluates v^T adj(M) u as det(M) v^T M^{-1} u
+while the running matrix M is invertible at tolerance, and takes the
+adjugate only from the first singular intermediate on. The multiplicative
+route (``det_product``, ``logdet_sequence``) uses
+det(H + u v^T) = det(H) (1 + v^T H^{-1} u) and therefore requires
 nonsingular intermediates; violations are reported, never patched over.
+All three walk the same Sherman-Morrison update of M^{-1}, O(n^2) a step.
 """
 
 from __future__ import annotations
@@ -161,66 +165,86 @@ def det_rank_one(h, update) -> float:
     return kernel.det(a) + float(up.v @ kernel.adjugate(a) @ up.u)
 
 
-def det_sequence(h, seq: UpdateSequence) -> DetTrace:
-    """Run the additive recursion D_k = D_{k-1} + v_k^T adj(H + Delta_{k-1}) u_k.
+def _inverse_walk(a: np.ndarray, seq: UpdateSequence, tol: Tolerance):
+    """Walk M_k = H + Delta_k, yielding (update k, s_k, M_{k-1}) for
+    k = 1..r with s_k = v_k^T M_{k-1}^{-1} u_k.
 
-    The adjugate is recomputed from scratch each step (correctness over
-    speed at desk scale). Works for singular H and singular intermediates.
+    M^{-1} is carried by Sherman-Morrison with the denominator guard
+    |1 + s| >= tol.rel; below the guard a fresh LU refactorization is
+    attempted. From the first M_{k-1} that is singular at tolerance (the
+    base, or a refactorization that fails) on, s_k is None for every
+    remaining step: the walk never re-enters the inverse route.
     """
-    a = _check_base(h, seq)
-    current = a.copy()
-    d = kernel.det(a)
-    values = [d]
-    increments = []
-    for up in seq.updates:
-        inc = float(up.v @ kernel.adjugate(current) @ up.u)
-        d = d + inc
-        increments.append(inc)
-        values.append(d)
-        current = current + np.outer(up.u, up.v)
-    return DetTrace(values=tuple(values), increments=tuple(increments))
-
-
-def _multiplicative_walk(a: np.ndarray, seq: UpdateSequence, tol: Tolerance,
-                         require_positive: bool):
-    """Shared engine for det_product / logdet_sequence.
-
-    Maintains the running inverse by Sherman-Morrison with the denominator
-    guard |factor| >= tol.rel; below the guard a fresh LU refactorization
-    is attempted before declaring the intermediate singular.
-    """
-    n = a.shape[0]
     r = len(seq)
-    d = kernel.det(a, tol)
-    if require_positive and not d > 0.0:
-        raise NonPositiveDeterminant(0, d)
+    current = a
     minv = None
     if r > 0:
         try:
             minv = kernel.inverse(a, tol)
         except Singular:
-            raise IntermediateSingular(0) from None
-    dets = [d]
-    factors = []
-    delta = np.zeros((n, n))
+            pass
     for i, up in enumerate(seq.updates, start=1):
-        x = minv @ up.u
-        f = float(1.0 + up.v @ x)
-        factors.append(f)
-        d = d * f
-        dets.append(d)
-        if require_positive and not d > 0.0:
-            raise NonPositiveDeterminant(i, d)
-        delta = delta + np.outer(up.u, up.v)
-        if i < r:
+        s = None
+        if minv is not None:
+            x = minv @ up.u
+            s = float(up.v @ x)
+        yield up, s, current
+        current = current + np.outer(up.u, up.v)
+        if minv is not None and i < r:
+            f = 1.0 + s
             if abs(f) >= tol.rel:
                 vt_minv = up.v @ minv
                 minv = minv - np.outer(x, vt_minv) / f
             else:
                 try:
-                    minv = kernel.inverse(a + delta, tol)
+                    minv = kernel.inverse(current, tol)
                 except Singular:
-                    raise IntermediateSingular(i) from None
+                    minv = None
+
+
+def det_sequence(h, seq: UpdateSequence) -> DetTrace:
+    """Run the additive recursion D_k = D_{k-1} + v_k^T adj(H + Delta_{k-1}) u_k.
+
+    While H + Delta_{k-1} is invertible at tolerance the increment is
+    D_{k-1} v_k^T (H + Delta_{k-1})^{-1} u_k, read off the Sherman-Morrison
+    walk; from the first singular intermediate on, every remaining
+    increment takes the adjugate. Works for singular H and singular
+    intermediates.
+    """
+    a = _check_base(h, seq)
+    d = kernel.det(a)
+    values = [d]
+    increments = []
+    for up, s, current in _inverse_walk(a, seq, DEFAULT_TOL):
+        if s is None:
+            inc = float(up.v @ kernel.adjugate(current) @ up.u)
+        else:
+            inc = d * s
+        d = d + inc
+        increments.append(inc)
+        values.append(d)
+    return DetTrace(values=tuple(values), increments=tuple(increments))
+
+
+def _multiplicative_walk(a: np.ndarray, seq: UpdateSequence, tol: Tolerance,
+                         require_positive: bool):
+    """Determinants and factors 1 + s_k for det_product / logdet_sequence
+    along the Sherman-Morrison walk; a singular intermediate raises
+    IntermediateSingular."""
+    d = kernel.det(a, tol)
+    if require_positive and not d > 0.0:
+        raise NonPositiveDeterminant(0, d)
+    dets = [d]
+    factors = []
+    for i, (_, s, _) in enumerate(_inverse_walk(a, seq, tol)):
+        if s is None:
+            raise IntermediateSingular(i)
+        f = 1.0 + s
+        factors.append(f)
+        d = d * f
+        dets.append(d)
+        if require_positive and not d > 0.0:
+            raise NonPositiveDeterminant(i + 1, d)
     return dets, factors
 
 

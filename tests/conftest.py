@@ -60,6 +60,22 @@ def rhp_count(a: np.ndarray) -> int:
     return int(np.sum(np.linalg.eigvals(a).real >= 0.0))
 
 
+def count_calls(monkeypatch, name: str) -> list:
+    """Record the arguments of every call to ``detdyn.kernel.<name>`` made
+    through the module attribute, for the rest of the test."""
+    from detdyn import kernel
+
+    calls = []
+    orig = getattr(kernel, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(kernel, name, counted)
+    return calls
+
+
 # ---------------------------------------------------------------------------
 # Instance generators
 

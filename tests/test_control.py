@@ -21,9 +21,15 @@ from detdyn import (
     reach_ellipse,
 )
 
-from conftest import random_spd
+from conftest import count_calls, random_spd
 
 TOL9 = Tolerance(rel=1e-9)
+
+
+def stream_instance(rng, n: int, r: int, scale: float):
+    p = random_spd(rng, n)
+    return p, [scale * rng.standard_normal(n) for _ in range(r)]
+
 
 A_DEMO = np.array([[0.72, 0.55], [-0.18, 0.78]])
 B_DEMO = np.array([[1.0], [0.15]])
@@ -56,6 +62,12 @@ class TestCovarianceTrace:
             assert tr.lower_bound <= delta + 1e-10
             assert delta <= tr.upper_bound + 1e-10
 
+    def test_no_solve_in_the_loop(self, rng, monkeypatch):
+        solves = count_calls(monkeypatch, "solve")
+        p, us = stream_instance(rng, 6, 20, 1.0)
+        assert len(covariance_trace(p, us).increments) == 20
+        assert solves == []
+
     def test_not_positive_definite(self):
         with pytest.raises(NotPositiveDefinite):
             covariance_trace(np.diag([1.0, -1.0]), [])
@@ -76,6 +88,13 @@ class TestInfoFilterTrace:
         assert tr.beta == 0.0
         assert tr.geometric_bound is None
 
+    @pytest.mark.parametrize("r", [0, 1, 7, 30])
+    def test_one_inverse_whatever_r(self, rng, monkeypatch, r):
+        inverses = count_calls(monkeypatch, "inverse")
+        p, vs = stream_instance(rng, 5, r, 1.0)
+        assert len(info_filter_trace(p, vs).factors) == r
+        assert len(inverses) == 1
+
     def test_monotone_and_bounded_random(self, rng):
         for _ in range(25):
             n = 4
@@ -88,6 +107,39 @@ class TestInfoFilterTrace:
             info = inverse(p) + sum(np.outer(v, v) for v in vs)
             direct = det(inverse(info))
             assert abs(tr.dets[-1] - direct) <= 1e-8 * max(1.0, direct)
+
+
+@pytest.mark.parametrize("n", [8, 16, 32])
+@pytest.mark.parametrize("scale", [1.0, 100.0])
+def test_long_stream_logdet_drift(rng, n, scale):
+    """r = 1000: the carried factors stay at the log det of the final
+    matrix, taken afresh by numpy. The covariance increments are summed
+    exactly: rounding the running sum of log dets near 500 alone costs
+    about 1e-12 here."""
+    p, us = stream_instance(rng, n, 1000, scale)
+    outer = sum(np.outer(u, u) for u in us)
+    cov = covariance_trace(p, us)
+    sign, ref = np.linalg.slogdet(p + outer)
+    assert sign == 1.0
+    assert abs(math.fsum((cov.logdets[0],) + cov.increments) - ref) <= 1e-12
+    info = info_filter_trace(p, us)
+    sign, ref_info = np.linalg.slogdet(np.linalg.inv(p) + outer)
+    assert sign == 1.0
+    assert abs(math.log(info.dets[-1]) + ref_info) <= 1e-12
+
+
+def test_large_update_no_spurious_refusal():
+    # P_1 = diag(1 + 1e20, 1, 1) is SPD; a pivot test relative to its
+    # largest entry used to refuse it as singular
+    e1, e2 = np.eye(3)[:2]
+    us = [1e10 * e1, e2]
+    cov = covariance_trace(np.eye(3), us)
+    assert cov.logdets[0] == 0.0
+    assert cov.logdets[1:] == pytest.approx(
+        (math.log1p(1e20), math.log1p(1e20) + math.log(2.0)), rel=1e-14)
+    info = info_filter_trace(np.eye(3), us)
+    assert info.dets[0] == 1.0
+    assert info.dets[1:] == pytest.approx((1e-20, 5e-21), rel=1e-14)
 
 
 class TestBuildGramian:

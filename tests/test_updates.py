@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -17,6 +18,8 @@ from detdyn import (
     det_sequence,
     logdet_sequence,
 )
+
+from conftest import count_calls
 
 TOL9 = Tolerance(rel=1e-9)
 
@@ -101,6 +104,43 @@ class TestDetSequence:
         assert tr.values[0] == 0.0
         assert tr.values[1] == 0.0
         assert abs(tr.final - 4.0) <= 1e-12
+
+    def test_invertible_base_takes_no_adjugate(self, rng, monkeypatch):
+        adj = count_calls(monkeypatch, "adjugate")
+        h = rng.standard_normal((6, 6)) + 3.0 * np.eye(6)
+        tr = det_sequence(h, random_sequence(rng, 6, 12))
+        assert len(tr.increments) == 12
+        assert adj == []
+
+    def test_singular_base_takes_adjugate_every_step(self, monkeypatch):
+        # M_3 = I is invertible, yet the walk stays on the adjugate route
+        adj = count_calls(monkeypatch, "adjugate")
+        e = np.eye(4)
+        seq = UpdateSequence.symmetric([e[1], e[2], e[3], e[0]])
+        tr = det_sequence(np.diag([1.0, 0.0, 0.0, 0.0]), seq)
+        assert len(adj) == 4
+        assert tr.values == (0.0, 0.0, 0.0, 1.0, 2.0)
+
+    def test_singular_intermediate_switches_to_adjugate(self, monkeypatch):
+        # M_1 = diag(0, 1) is singular: steps 2 and 3 take the adjugate,
+        # step 3 although M_2 = I is invertible again
+        adj = count_calls(monkeypatch, "adjugate")
+        e1, e2 = np.eye(2)
+        seq = UpdateSequence.from_pairs([(e1, -e1), (e1, e1), (e2, e2)])
+        tr = det_sequence(np.eye(2), seq)
+        assert len(adj) == 2
+        assert tr.values == (1.0, 0.0, 1.0, 2.0)
+
+    def test_n64_final_against_mpmath(self, rng):
+        n = 64
+        h = rng.standard_normal((n, n))
+        pairs = [(rng.standard_normal(n), rng.standard_normal(n)) for _ in range(n)]
+        tr = det_sequence(h, UpdateSequence.from_pairs(pairs))
+        final = h + sum(np.outer(u, v) for u, v in pairs)
+        with mpmath.workdps(30):
+            ref = mpmath.det(mpmath.matrix(final.tolist()))
+            rel = abs((mpmath.mpf(tr.final) - ref) / ref)
+        assert rel <= 1e-9
 
     def test_order_changes_increments_not_total(self, rng):
         n, r = 4, 4
