@@ -103,22 +103,27 @@ class Ellipse2D:
     area: float
 
 
-def _cholesky_or_none(a: np.ndarray):
-    try:
-        return np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        return None
-
-
 def _assert_spd(p: np.ndarray, tol: Tolerance, name: str = "P") -> np.ndarray:
     """Cholesky factor of the symmetric part of P; NotPositiveDefinite
     unless P is symmetric at tolerance and positive definite."""
     if float(np.max(np.abs(p - p.T))) > tol.cutoff(p):
         raise NotPositiveDefinite(f"{name} is not symmetric at tolerance")
-    low = _cholesky_or_none(0.5 * (p + p.T))
-    if low is None:
-        raise NotPositiveDefinite(f"{name} is not positive definite")
-    return low
+    try:
+        return np.linalg.cholesky(0.5 * (p + p.T))
+    except np.linalg.LinAlgError:
+        raise NotPositiveDefinite(f"{name} is not positive definite") from None
+
+
+def _pivots(p: np.ndarray, low: np.ndarray) -> np.ndarray:
+    """Pivots d_i of P = low low^T, whose product is det P.
+
+    low_ii = sqrt(d_i), but squaring low_ii doubles the rounding of the
+    square root, so d_i is recomputed as P_ii - sum_{k<i} low_ik^2; a
+    pivot that cancellation leaves nonpositive falls back to low_ii^2.
+    """
+    off = np.tril(low, -1)
+    piv = np.diag(p) - np.sum(off * off, axis=1)
+    return np.where(piv > 0.0, piv, np.diag(low) ** 2)
 
 
 # Diagonal block size of the blocked forward substitution: LAPACK solves
@@ -164,23 +169,30 @@ def covariance_trace(p, updates, tol: Tolerance = DEFAULT_TOL) -> CovarianceTrac
 
     The Cholesky factor of P_{i-1} is carried through an O(n^2) rank-one
     update each step; the update is backward stable, so the per-step
-    residual does not grow with the number of updates.
+    residual does not grow with the number of updates. log det P is read
+    off the factor, and the log dets are a compensated (Neumaier) running
+    sum of the increments, so rounding does not build up over long streams.
     """
     base = kernel.as_matrix(p, square=True, name="P")
     low = _assert_spd(base, tol)
     n = base.shape[0]
     us = [kernel.as_vector(u, dim=n, name="u_i") for u in updates]
-    d0 = kernel.det(base, tol)
-    if not d0 > 0.0:
-        raise NotPositiveDefinite("det(P) is not positive")
-    logdets = [math.log(d0)]
+    total = math.fsum(np.log(_pivots(base, low)))
+    comp = 0.0
+    logdets = [total]
     increments = []
     quad_forms = []
     for u in us:
         inc = _cholesky_update(low, u)
         quad_forms.append(math.expm1(inc))
         increments.append(inc)
-        logdets.append(logdets[-1] + inc)
+        t = total + inc
+        if abs(total) >= abs(inc):
+            comp += (total - t) + inc
+        else:
+            comp += (inc - t) + total
+        total = t
+        logdets.append(total + comp)
     lower = sum(x / (1.0 + x) for x in quad_forms)
     upper = sum(quad_forms)
     return CovarianceTrace(
@@ -199,18 +211,18 @@ def info_filter_trace(p, measurements, tol: Tolerance = DEFAULT_TOL) -> InfoFilt
     determinant sequence contracts monotonically. The Cholesky factor of
     the information matrix P^{-1} is carried through an O(n^2) rank-one
     update each step, which also yields v_i^T P_{i-1} v_i.
+
+    With P = L L^T and J the reversal, J L^{-T} J is the lower Cholesky
+    factor of J P^{-1} J, so the information matrix is carried in reversed
+    coordinates, where each v_i enters as J v_i; only the triangular L is
+    inverted, never P.
     """
     base = kernel.as_matrix(p, square=True, name="P")
-    _assert_spd(base, tol)
+    low = _assert_spd(base, tol)
     n = base.shape[0]
-    vs = [kernel.as_vector(v, dim=n, name="v_i") for v in measurements]
-    d0 = kernel.det(base, tol)
-    if not d0 > 0.0:
-        raise NotPositiveDefinite("det(P) is not positive")
-    info = kernel.inverse(base, tol)
-    low = _cholesky_or_none(0.5 * (info + info.T))
-    if low is None:
-        raise NotPositiveDefinite("P^{-1} is not positive definite at working precision")
+    vs = [kernel.as_vector(v, dim=n, name="v_i")[::-1] for v in measurements]
+    d0 = float(np.prod(_pivots(base, low)))
+    low = np.tril(_forward_solve(low, np.eye(n)).T[::-1, ::-1])
     dets = [d0]
     factors = []
     quad_forms = []
@@ -268,8 +280,13 @@ def build_gramian(a, b, horizon: int) -> GramianBuild:
 #   u^T Wtil^{-1} u = a^T (eps I_k + M)^{-1} a + |b|^2 / eps
 # with a = Q^T u and b the orthogonal residual, and
 #   det(Wtil(eps)) = eps^{n-k} det(eps I_k + M).
-# This keeps every quantity accurate at eps near 1e-8 where a plain LU on
-# eps-conditioned matrices would lose most of its relative precision.
+# One symmetric eigendecomposition M = V diag(lambda) V^T per step serves
+# the whole schedule: a^T (eps I + M)^{-1} a = sum_j (v_j^T a)^2 / (lambda_j
+# + eps) and det(eps I + M) = prod_j (lambda_j + eps). M is a Gram block,
+# so eigenvalues that rounding pushes below zero are taken as zero. Small
+# k x k blocks keep every quantity accurate at eps near 1e-8, where a solve
+# on the eps-conditioned n x n matrix would lose most of its relative
+# precision.
 
 def _basis_walk(directions, n: int):
     """Per step: coordinates (a, beta) of u_l on the basis so far, plus
@@ -300,21 +317,16 @@ def _basis_walk(directions, n: int):
     return records, m
 
 
-def _factors_at_eps(records, eps: float) -> list:
-    out = []
-    for a, beta, m in records:
-        k = a.shape[0]
-        quad = beta * beta / eps
-        if k:
-            quad += float(a @ kernel.solve(m + eps * np.eye(k), a))
-        out.append(1.0 + quad)
-    return out
-
-
-def _structural_det(m_final: np.ndarray, n: int, eps: float) -> float:
-    k = m_final.shape[0]
-    small = kernel.det(m_final + eps * np.eye(k)) if k else 1.0
-    return eps ** (n - k) * small
+def _quad_forms(records, eps: np.ndarray) -> np.ndarray:
+    """quad[l, e] = u_l^T Wtil_{l-1}(eps_e)^{-1} u_l for every step l."""
+    quad = np.empty((len(records), eps.size))
+    for step, (a, beta, m) in enumerate(records):
+        quad[step] = beta * beta / eps
+        if a.size:
+            lam, vecs = np.linalg.eigh(m)
+            weights = (vecs.T @ a) ** 2
+            quad[step] += weights @ (1.0 / (np.maximum(lam, 0.0)[:, None] + eps))
+    return quad
 
 
 def growth_from_directions(directions, n: int, schedule=None,
@@ -337,16 +349,19 @@ def growth_from_directions(directions, n: int, schedule=None,
         w += np.outer(u, u)
     r = kernel.rank(w, tol)
     records, m_final = _basis_walk(dirs, n)
+    quad = _quad_forms(records, np.array(schedule))
+    lam_final = np.maximum(np.linalg.eigvalsh(m_final), 0.0)
+    k = lam_final.size
     factors_per_eps = []
     residuals = []
     norm_det = []
     fac_prod = []
-    for eps in schedule:
-        factors = _factors_at_eps(records, eps)
+    for e, eps in enumerate(schedule):
+        factors = (1.0 + quad[:, e]).tolist()
         prod = 1.0
         for f in factors:
             prod *= f
-        lhs = _structural_det(m_final, n, eps)
+        lhs = eps ** (n - k) * float(np.prod(lam_final + eps))
         rhs = eps ** n * prod
         residuals.append(abs(lhs - rhs) / max(abs(lhs), 1e-300))
         factors_per_eps.append(tuple(factors))
@@ -394,7 +409,7 @@ def reach_ellipse(w, tol: Tolerance = DEFAULT_TOL) -> Ellipse2D:
         raise DimensionMismatch(f"W must be 2x2, got {a.shape}")
     if float(np.max(np.abs(a - a.T))) > tol.cutoff(a):
         raise NotPSD("W is not symmetric at tolerance")
-    vals, vecs = kernel._jacobi_eigh(0.5 * (a + a.T))
+    vals, vecs = np.linalg.eigh(0.5 * (a + a.T))
     cut = tol.cutoff(a)
     if vals[0] < -cut:
         raise NotPSD(f"W has eigenvalue {vals[0]:.3e} below -tolerance")

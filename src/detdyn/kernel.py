@@ -1,12 +1,12 @@
 """Dense real linear-algebra kernel used by every other module.
 
-Everything is written against plain numpy arrays at desk scale (n up to
-roughly 16): LU with partial pivoting for determinants, solves and
-inverses; Gaussian elimination with full pivoting for rank decisions and
-full-rank factorizations; the Faddeev-LeVerrier recursion for adjugates
-and characteristic polynomials (inversion-free, so it stays valid for
-singular inputs); Durand-Kerner simultaneous root finding for general
-spectra and cyclic Jacobi sweeps for symmetric ones.
+Everything is written against plain numpy arrays: LU with partial
+pivoting for determinants, solves and inverses; Gaussian elimination with
+full pivoting for rank decisions and full-rank factorizations; the
+Faddeev-LeVerrier recursion for adjugates and characteristic polynomials
+(inversion-free, so it stays valid for singular inputs). Spectra come from
+numpy's LAPACK routines: ``eigvalsh`` for symmetric input and ``eigvals``
+for the rest, at any size.
 
 The internal ``_*_any`` helpers are dtype-generic and accept complex
 arrays; the public operations take real matrices.
@@ -27,10 +27,6 @@ from .errors import (
 )
 
 EPS = 2.0 ** -52
-
-# Faddeev-LeVerrier loses accuracy quickly with dimension; the eigensolver
-# refuses anything past this.
-DESK_SCALE_N = 16
 
 
 @dataclass(frozen=True)
@@ -80,7 +76,7 @@ class Spectrum:
     """Eigenvalue multiset (complex, with multiplicity) plus the route tag."""
 
     eigenvalues: tuple
-    source: str  # "general-rootfind" or "symmetric-jacobi"
+    source: str  # "general-geev" or "symmetric-syevd"
 
 
 def as_matrix(m, *, square: bool = False, name: str = "matrix",
@@ -243,124 +239,7 @@ def _polyval(coeffs, z):
 
 
 # ---------------------------------------------------------------------------
-# Eigenvalues: Durand-Kerner on the characteristic polynomial, cyclic Jacobi
-# for symmetric input
-
-def _durand_kerner(coeffs, max_iter: int = 500, step_tol: float = 1e-12):
-    """All roots of a monic real polynomial, simultaneously."""
-    d = len(coeffs) - 1
-    if d == 0:
-        return np.empty(0, dtype=complex)
-    if d == 1:
-        return np.array([-coeffs[1]], dtype=complex)
-    if d == 2:
-        b, c = float(coeffs[1]), float(coeffs[2])
-        disc = b * b - 4.0 * c
-        if disc >= 0.0:
-            sq = math.sqrt(disc)
-            q = -0.5 * (b + math.copysign(sq, b))
-            if q == 0.0:
-                return np.array([0.0 + 0.0j, 0.0 + 0.0j])
-            # c/q avoids cancellation in the smaller root
-            return np.array([complex(q), complex(c / q)])
-        re, im = -0.5 * b, 0.5 * math.sqrt(-disc)
-        return np.array([complex(re, im), complex(re, -im)])
-
-    radius = 1.0 + max(abs(c) for c in coeffs[1:])
-    k = np.arange(d)
-    z = radius ** ((k + 1.0) / (d + 1.0)) * np.exp(1j * (2.0 * np.pi * k / d + 0.25))
-    carr = np.asarray(coeffs, dtype=complex)
-    cabs = np.abs(carr)
-    for _ in range(max_iter):
-        pz = np.full(d, carr[0], dtype=complex)
-        floor = np.full(d, cabs[0])
-        zabs = np.abs(z)
-        for c, ca in zip(carr[1:], cabs[1:]):
-            pz = pz * z + c
-            floor = floor * zabs + ca
-        # residuals at the evaluation noise floor cannot be improved;
-        # this is the reachable stop for multiple roots, whose iterates
-        # only contract to within ~eps^(1/multiplicity)
-        if np.all(np.abs(pz) <= 8.0 * EPS * d * floor):
-            return z
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, 1.0)
-        denom = np.prod(diff, axis=1)
-        if np.any(denom == 0):
-            z = z * (1.0 + 1e-12 * (1 + k))
-            continue
-        delta = pz / denom
-        z = z - delta
-        if np.max(np.abs(delta)) <= step_tol * max(1.0, float(np.max(np.abs(z)))):
-            return z
-    raise RootFindDivergence(f"Durand-Kerner did not converge in {max_iter} iterations")
-
-
-def _pair_conjugates(roots: np.ndarray) -> list:
-    """Snap a real-polynomial root set onto exact conjugate pairs."""
-    rem = list(roots)
-    out = []
-    while rem:
-        z = rem.pop(0)
-        if abs(z.imag) <= 1e-8 * (1.0 + abs(z)):
-            out.append(complex(z.real, 0.0))
-            continue
-        best, bdist = None, math.inf
-        for j, w in enumerate(rem):
-            dd = abs(z - w.conjugate())
-            if dd < bdist:
-                best, bdist = j, dd
-        if best is None:
-            out.append(complex(z.real, 0.0))
-            continue
-        w = rem.pop(best)
-        avg = 0.5 * (z + w.conjugate())
-        out.append(avg)
-        out.append(avg.conjugate())
-    return out
-
-
-def _jacobi_eigh(a: np.ndarray, max_sweeps: int = 50):
-    """Cyclic Jacobi diagonalization of a symmetric matrix.
-
-    Returns (eigenvalues ascending, orthonormal eigenvector columns).
-    """
-    n = a.shape[0]
-    w = np.array(a, dtype=float, copy=True)
-    v = np.eye(n)
-    fro = math.sqrt(float(np.sum(a * a)))
-    if fro == 0.0:
-        return np.zeros(n), v
-    thresh = 4.0 * EPS * fro
-    for _ in range(max_sweeps):
-        off = math.sqrt(float(np.sum(np.tril(w, -1) ** 2) * 2.0))
-        if off <= thresh:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = w[p, q]
-                if abs(apq) <= 0.5 * EPS * (abs(w[p, p]) + abs(w[q, q])):
-                    w[p, q] = w[q, p] = 0.0
-                    continue
-                theta = (w[q, q] - w[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rp, rq = w[p, :].copy(), w[q, :].copy()
-                w[p, :] = c * rp - s * rq
-                w[q, :] = s * rp + c * rq
-                cp, cq = w[:, p].copy(), w[:, q].copy()
-                w[:, p] = c * cp - s * cq
-                w[:, q] = s * cp + c * cq
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    else:
-        raise RootFindDivergence(f"Jacobi did not converge in {max_sweeps} sweeps")
-    vals = np.diag(w).copy()
-    order = np.argsort(vals)
-    return vals[order], v[:, order]
-
+# Eigenvalues through LAPACK
 
 def _is_symmetric(a: np.ndarray, tol: Tolerance) -> bool:
     if a.shape[0] != a.shape[1]:
@@ -371,30 +250,24 @@ def _is_symmetric(a: np.ndarray, tol: Tolerance) -> bool:
 def eigenvalues(m, tol: Tolerance = DEFAULT_TOL) -> Spectrum:
     """Full spectrum with multiplicity.
 
-    Symmetric matrices route through Jacobi sweeps; everything else goes
-    through Durand-Kerner on the Faddeev-LeVerrier characteristic
-    polynomial (exactly-zero trailing coefficients are deflated first).
-    Sorted by descending real part, then descending imaginary part.
+    Matrices symmetric at tolerance go to LAPACK ``syevd`` (through
+    ``np.linalg.eigvalsh`` on the symmetric part); everything else goes to
+    ``geev`` (``np.linalg.eigvals``), whose complex eigenvalues of a real
+    matrix come in exact conjugate pairs. Sorted by descending real part,
+    then descending imaginary part.
     """
     a = as_matrix(m, square=True)
-    n = a.shape[0]
-    if n > DESK_SCALE_N:
-        raise ValueError(f"eigenvalues limited to n <= {DESK_SCALE_N}, got {n}")
-    if _is_symmetric(a, tol):
-        vals, _ = _jacobi_eigh(a)
-        eigs = [complex(x, 0.0) for x in vals]
-        source = "symmetric-jacobi"
-    else:
-        coeffs = list(charpoly(a).coeffs)
-        nzero = 0
-        while len(coeffs) > 1 and coeffs[-1] == 0.0:
-            coeffs.pop()
-            nzero += 1
-        roots = _durand_kerner(tuple(coeffs))
-        eigs = _pair_conjugates(roots) + [complex(0.0, 0.0)] * nzero
-        source = "general-rootfind"
-    eigs.sort(key=lambda z: (-z.real, -z.imag))
-    return Spectrum(eigenvalues=tuple(complex(z) for z in eigs), source=source)
+    try:
+        if _is_symmetric(a, tol):
+            vals = np.linalg.eigvalsh(0.5 * (a + a.T))
+            source = "symmetric-syevd"
+        else:
+            vals = np.linalg.eigvals(a)
+            source = "general-geev"
+    except np.linalg.LinAlgError as exc:
+        raise RootFindDivergence(f"LAPACK eigensolver failed: {exc}") from exc
+    eigs = sorted((complex(z) for z in vals), key=lambda z: (-z.real, -z.imag))
+    return Spectrum(eigenvalues=tuple(eigs), source=source)
 
 
 # ---------------------------------------------------------------------------

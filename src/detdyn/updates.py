@@ -310,7 +310,7 @@ def contribution_analysis(seq: UpdateSequence,
     steps = []
     for up in seq.updates:
         q = float(up.u @ kernel.solve(acc, up.u, tol))
-        lam, vecs = kernel._jacobi_eigh(acc)
+        lam, vecs = np.linalg.eigh(acc)
         alpha = vecs.T @ up.u
         weights = alpha * alpha / lam
         steps.append(ContributionStep(

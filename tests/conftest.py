@@ -198,6 +198,39 @@ def random_hurwitz(rng: np.random.Generator, n: int,
     return m - (alpha + margin) * np.eye(n)
 
 
+def _near_identity(rng: np.random.Generator, n: int) -> np.ndarray:
+    return np.eye(n) + rng.standard_normal((n, n)) / (2.0 * np.sqrt(n))
+
+
+def scaled_index1(rng: np.random.Generator, n: int, nu: int, c: float):
+    """H = c S blkdiag(J, 0) S^{-1} with S = I + G / (2 sqrt n) and
+    J = G' / sqrt(n - nu) + 2 I, the benchmark's index-1 construction.
+    Returns (H, J); pdet(H) = c^(n - nu) det(J)."""
+    q = n - nu
+    j = rng.standard_normal((q, q)) / np.sqrt(q) + 2.0 * np.eye(q)
+    core = np.zeros((n, n))
+    core[:q, :q] = j
+    s = _near_identity(rng, n)
+    return c * (s @ core @ np.linalg.inv(s)), j
+
+
+def scaled_unstable(rng: np.random.Generator, n: int, c: float) -> np.ndarray:
+    """A = c S T S^{-1}, T block upper triangular with 2x2 diagonal blocks
+    whose eigenvalues have real parts in [-2, -0.2], except one block in
+    [0.2, 2]: the benchmark's non-Hurwitz construction (n even)."""
+    block = np.arange(n) // 2
+    above = block[:, None] < block[None, :]
+    t = np.zeros((n, n))
+    t[above] = 0.5 * rng.standard_normal(int(above.sum())) / np.sqrt(n)
+    bad = int(rng.integers(n // 2))
+    for k in range(n // 2):
+        sig = rng.uniform(0.2, 2.0) * (1.0 if k == bad else -1.0)
+        om = rng.uniform(0.1, 2.0)
+        t[2 * k:2 * k + 2, 2 * k:2 * k + 2] = [[sig, om], [-om, sig]]
+    s = _near_identity(rng, n)
+    return c * (s @ t @ np.linalg.inv(s))
+
+
 def random_spd(rng: np.random.Generator, n: int) -> np.ndarray:
     g = rng.standard_normal((n, n))
     return g @ g.T + 0.5 * np.eye(n)

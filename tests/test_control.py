@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -89,11 +90,12 @@ class TestInfoFilterTrace:
         assert tr.geometric_bound is None
 
     @pytest.mark.parametrize("r", [0, 1, 7, 30])
-    def test_one_inverse_whatever_r(self, rng, monkeypatch, r):
+    def test_no_inverse_whatever_r(self, rng, monkeypatch, r):
         inverses = count_calls(monkeypatch, "inverse")
+        dets = count_calls(monkeypatch, "det")
         p, vs = stream_instance(rng, 5, r, 1.0)
         assert len(info_filter_trace(p, vs).factors) == r
-        assert len(inverses) == 1
+        assert inverses == [] and dets == []
 
     def test_monotone_and_bounded_random(self, rng):
         for _ in range(25):
@@ -128,6 +130,76 @@ def test_long_stream_logdet_drift(rng, n, scale):
     assert abs(math.log(info.dets[-1]) + ref_info) <= 1e-12
 
 
+def test_long_stream_running_logdet():
+    """r = 1000, n = 32, update scale 100: the reported final log det, not
+    a recomputed sum of the increments, matches numpy's slogdet."""
+    for seed in range(20):
+        p, us = stream_instance(np.random.default_rng(seed), 32, 1000, 100.0)
+        cov = covariance_trace(p, us)
+        sign, ref = np.linalg.slogdet(p + sum(np.outer(u, u) for u in us))
+        assert sign == 1.0
+        assert abs(cov.logdets[-1] - ref) <= 1e-12
+
+
+def test_graded_base_no_refusal():
+    # LU pivot 1 sits below the n eps max|P| cutoff; the factor gives
+    # log det P = 2 (log 1e10 + log 1)
+    p = np.diag([1e20, 1.0])
+    cov = covariance_trace(p, [np.ones(2)])
+    assert cov.logdets[0] == pytest.approx(46.051701859880914, rel=1e-15)
+    assert cov.logdets[1] == pytest.approx(math.log(2e20 + 1.0), rel=1e-15)
+    info = info_filter_trace(p, [np.ones(2)])
+    assert info.dets[0] == 1e20
+    # P_1^{-1} = diag(1e-20, 1) + 1 1^T has det 1 + 2e-20
+    assert info.dets[1] == pytest.approx(1.0 / (1.0 + 2e-20), rel=1e-15)
+
+
+def test_graded_spd_batch(rng):
+    """P = D A D with A SPD and D a power-of-two grading from 1 down to
+    2^-29, so P's eigenvalues reach below 1e-16 of its largest. Cholesky
+    is exact under the scaling, so both traces must accept P and read its
+    log det to working accuracy; the reference is 30-digit mpmath."""
+    for _ in range(40):
+        n = int(rng.integers(2, 9))
+        d = 2.0 ** -np.sort(rng.integers(0, 30, size=n))
+        d[0], d[-1] = 1.0, 2.0 ** -29
+        p = d[:, None] * random_spd(rng, n) * d[None, :]
+        assert np.min(np.diag(p)) / np.max(np.diag(p)) <= 1e-16
+        with mpmath.workdps(30):
+            ref = mpmath.log(mpmath.det(mpmath.matrix(p.tolist())))
+        vs = [rng.standard_normal(n) for _ in range(3)]
+        cov = covariance_trace(p, vs)
+        assert abs(cov.logdets[0] - float(ref)) <= 1e-12 * max(1.0, abs(float(ref)))
+        info = info_filter_trace(p, vs)
+        assert abs(info.dets[0] / float(mpmath.exp(ref)) - 1.0) <= 1e-12
+        direct = -np.linalg.slogdet(np.linalg.inv(p) + sum(np.outer(v, v) for v in vs))[1]
+        assert math.log(info.dets[-1]) == pytest.approx(direct, rel=1e-9)
+
+
+def test_ill_conditioned_spd_probes_accepted():
+    """Q diag(lam) Q^T with eigenvalues log-uniform down to 1e-17 of the
+    largest: every probe that LAPACK's Cholesky accepts, both traces
+    accept too, with a finite log det and a positive det."""
+    rng = np.random.default_rng(3)
+    accepted = 0
+    for _ in range(3000):
+        n = int(rng.integers(2, 9))
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        lam = 10.0 ** rng.uniform(-17.0, 0.0, size=n)
+        lam[0] = 1.0
+        p = (q * lam) @ q.T
+        p = 0.5 * (p + p.T)
+        try:
+            np.linalg.cholesky(p)
+        except np.linalg.LinAlgError:
+            continue
+        accepted += 1
+        v = [np.ones(n)]
+        assert math.isfinite(covariance_trace(p, v).logdets[0])
+        assert info_filter_trace(p, v).dets[0] > 0.0
+    assert accepted > 2800
+
+
 def test_large_update_no_spurious_refusal():
     # P_1 = diag(1 + 1e20, 1, 1) is SPD; a pivot test relative to its
     # largest entry used to refuse it as singular
@@ -140,6 +212,16 @@ def test_large_update_no_spurious_refusal():
     info = info_filter_trace(np.eye(3), us)
     assert info.dets[0] == 1.0
     assert info.dets[1:] == pytest.approx((1e-20, 5e-21), rel=1e-14)
+
+
+def test_growth_takes_no_solve_or_det(rng, monkeypatch):
+    solves = count_calls(monkeypatch, "solve")
+    dets = count_calls(monkeypatch, "det")
+    a = 0.5 * rng.standard_normal((4, 4))
+    g = build_gramian(a, rng.standard_normal((4, 1)), 6)
+    grown = gramian_pdet_growth(g, tol=TOL9)
+    assert grown.rank_r == 4
+    assert solves == [] and dets == []
 
 
 class TestBuildGramian:

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -23,6 +24,7 @@ from conftest import (
     random_index1,
     random_orthogonal,
     random_unimodular_int,
+    scaled_index1,
 )
 
 TOL9 = Tolerance(rel=1e-9)
@@ -140,6 +142,18 @@ class TestPdet:
             b = pdet(h, TOL9, method="eigenproduct")
             assert a.nullity == b.nullity == nu
             assert abs(a.value - b.value) <= 1e-7 * max(1.0, abs(a.value))
+
+    @pytest.mark.parametrize("nu, c", [(4, 455.0), (1, 67.6)])
+    def test_eigenproduct_n16_large_scale(self, nu, c):
+        # scales at which root finding on the characteristic polynomial
+        # diverges for n = 16
+        for seed in range(1, 6):
+            h, j = scaled_index1(np.random.default_rng(seed), 16, nu, c)
+            with mpmath.workdps(30):
+                ref = mpmath.det(mpmath.matrix(j.tolist())) * mpmath.mpf(c) ** (16 - nu)
+            res = pdet(h, TOL9, method="eigenproduct")
+            assert res.nullity == nu
+            assert abs(res.value - ref) <= 1e-12 * abs(ref)
 
 
 class TestCompatibility:

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -16,9 +17,10 @@ from detdyn import (
     inverse,
     rank,
 )
-from detdyn.errors import Singular
+from detdyn.errors import RootFindDivergence, Singular
+from detdyn.kernel import EPS
 
-from conftest import cofactor_adjugate, cofactor_det, random_orthogonal
+from conftest import cofactor_adjugate, cofactor_det, count_calls, random_orthogonal
 
 TOL9 = Tolerance(rel=1e-9)
 
@@ -142,7 +144,7 @@ class TestCharPoly:
 class TestEigenvalues:
     def test_diagonal(self):
         spec = eigenvalues(np.diag([-1.0, -2.0, 0.0]))
-        assert spec.source == "symmetric-jacobi"
+        assert spec.source == "symmetric-syevd"
         got = sorted(z.real for z in spec.eigenvalues)
         assert np.allclose(got, [-2.0, -1.0, 0.0], atol=1e-12)
 
@@ -154,7 +156,7 @@ class TestEigenvalues:
 
     def test_rotation_generator(self):
         spec = eigenvalues(np.array([[0.0, -1.0], [1.0, 0.0]]))
-        assert spec.source == "general-rootfind"
+        assert spec.source == "general-geev"
         assert set(spec.eigenvalues) == {1j, -1j}
 
     def test_conjugate_pairs(self, rng):
@@ -175,9 +177,91 @@ class TestEigenvalues:
             assert abs(prod.real - d) <= 1e-7 * max(1.0, abs(d))
             assert abs(prod.imag) <= 1e-7 * max(1.0, abs(d))
 
-    def test_desk_scale_bound(self):
-        with pytest.raises(ValueError):
-            eigenvalues(np.eye(17))
+    def test_no_size_cap(self, rng):
+        for n in (17, 64):
+            spec = eigenvalues(np.eye(n))
+            assert spec.eigenvalues == (1.0,) * n
+            a = rng.standard_normal((n, n))
+            assert len(eigenvalues(a).eigenvalues) == n
+
+    def test_symmetric_n64_exact_spectrum(self, rng):
+        q = signed_hadamard(rng, 64)
+        d = rng.integers(-64, 65, size=64) / 8.0
+        a = exact_similarity(q, np.diag(d))
+        spec = eigenvalues(a)
+        assert spec.source == "symmetric-syevd"
+        assert all(z.imag == 0.0 for z in spec.eigenvalues)
+        got = np.array([z.real for z in spec.eigenvalues])
+        assert np.max(np.abs(got - np.sort(d)[::-1])) <= 64 * EPS * np.max(np.abs(d))
+
+    def test_general_n64_exact_spectrum(self, rng):
+        # block upper triangular T: rotation blocks [[x, y], [-y, x]] give
+        # x +- iy, triangular blocks their diagonal; all 64 are distinct
+        n = 64
+        q = signed_hadamard(rng, n)
+        block = np.arange(n) // 2
+        t = np.zeros((n, n))
+        above = block[:, None] < block[None, :]
+        t[above] = rng.integers(-2, 3, size=int(above.sum())) / 16.0
+        diag = rng.permutation(np.arange(-32, 32)) / 4.0
+        ref = []
+        for k in range(n // 2):
+            x = diag[k]
+            if k % 2 == 0:
+                y = (k // 2 % 4 + 1) / 4.0
+                t[2 * k:2 * k + 2, 2 * k:2 * k + 2] = [[x, y], [-y, x]]
+                ref += [complex(x, y), complex(x, -y)]
+            else:
+                t[2 * k:2 * k + 2, 2 * k:2 * k + 2] = [[x, 0.5], [0.0, diag[32 + k]]]
+                ref += [complex(x), complex(diag[32 + k])]
+        spec = eigenvalues(exact_similarity(q, t))
+        assert spec.source == "general-geev"
+        ref.sort(key=lambda z: (-z.real, -z.imag))
+        err = max(abs(z - w) for z, w in zip(spec.eigenvalues, ref))
+        assert err <= 1e-12 * max(abs(z) for z in ref)
+        for z in spec.eigenvalues:
+            if z.imag != 0.0:
+                assert z.conjugate() in spec.eigenvalues
+
+    def test_no_charpoly(self, rng, monkeypatch):
+        calls = count_calls(monkeypatch, "charpoly")
+        eigenvalues(rng.standard_normal((6, 6)))
+        eigenvalues(np.eye(6))
+        assert calls == []
+
+    def test_lapack_failure_is_root_find_divergence(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("no convergence")
+
+        monkeypatch.setattr(np.linalg, "eigvals", fail)
+        with pytest.raises(RootFindDivergence):
+            eigenvalues(np.array([[0.0, -1.0], [1.0, 0.0]]))
+
+
+def signed_hadamard(rng, n: int) -> np.ndarray:
+    """Sylvester Hadamard matrix with randomly signed and permuted rows,
+    over sqrt(n): orthogonal, and exactly representable for n = 4^k."""
+    h = np.ones((1, 1))
+    while h.shape[0] < n:
+        h = np.block([[h, h], [h, -h]])
+    signs = rng.choice([-1.0, 1.0], size=n)
+    return signs[:, None] * h[rng.permutation(n)] / np.sqrt(n)
+
+
+def exact_similarity(q: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Q T Q^T in floating point, confirmed with 30-digit mpmath to equal
+    the exact product with Q Q^T = I exactly, so its spectrum is T's."""
+    a = q @ t @ q.T
+    n = q.shape[0]
+    with mpmath.workdps(30):
+        qm = mpmath.matrix(q.tolist())
+        exact = qm * mpmath.matrix(t.tolist()) * qm.T
+        gram = qm * qm.T
+        for i in range(n):
+            for j in range(n):
+                assert exact[i, j] == a[i, j]
+                assert gram[i, j] == (1 if i == j else 0)
+    return a
 
 
 class TestRank:

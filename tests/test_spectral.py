@@ -13,7 +13,7 @@ from detdyn import (
 )
 from detdyn.kernel import _det_any
 
-from conftest import random_hurwitz, rhp_count
+from conftest import random_hurwitz, rhp_count, scaled_unstable
 
 TOL9 = Tolerance(rel=1e-9)
 
@@ -171,6 +171,14 @@ class TestStabilityPreserved:
     def test_base_not_hurwitz(self):
         with pytest.raises(BaseNotHurwitz):
             stability_preserved(np.diag([1.0, -1.0]), np.zeros(2), np.zeros(2))
+
+    def test_base_not_hurwitz_n16_large_scale(self):
+        # a scale at which root finding on the characteristic polynomial
+        # diverges for n = 16
+        for seed in range(1, 6):
+            a = scaled_unstable(np.random.default_rng(seed), 16, 455.0)
+            with pytest.raises(BaseNotHurwitz):
+                stability_preserved(a, np.zeros(16), np.zeros(16), tol=TOL9)
 
     def test_eigenvalue_on_contour(self):
         # A + uv^T = diag(0, -2): f(0) = 0 exactly
