@@ -61,7 +61,7 @@ def group_inverse(h, tol: Tolerance = DEFAULT_TOL) -> GroupInverseResult:
     """Group inverse via H = C F, H^D = C (F C)^{-2} F.
 
     A nonsingular H returns its plain inverse (nu = 0); the zero matrix
-    returns H^D = 0 with P0 = I. F C singular at tolerance means the zero
+    returns H^D = 0 with P0 = I. F C singular at H's cutoff means the zero
     eigenvalue is not semisimple and raises IndexGreaterThanOne.
     """
     a = kernel.as_matrix(h, square=True, name="H")
@@ -73,19 +73,14 @@ def group_inverse(h, tol: Tolerance = DEFAULT_TOL) -> GroupInverseResult:
             h_drazin=np.zeros((n, n)), projector=np.eye(n), rank_q=0, nullity_nu=n
         )
     if r == n:
-        try:
-            hd = kernel.inverse(a, tol)
-        except Singular:
-            # complete pivoting saw full rank but partial pivoting
-            # disagrees at tolerance; fall back to the factorized route
-            hd = None
-        if hd is not None:
-            return GroupInverseResult(
-                h_drazin=hd, projector=np.eye(n) - a @ hd, rank_q=n, nullity_nu=0
-            )
-    fc = f @ c
+        hd = kernel.inverse(a, tol)
+        return GroupInverseResult(
+            h_drazin=hd, projector=np.eye(n) - a @ hd, rank_q=n, nullity_nu=0
+        )
+    # F C carries the nonzero eigenvalues of H, so its singularity is
+    # judged on H's scale: its own cutoff would pass a 1x1 rounding residue
     try:
-        g = kernel.inverse(fc, tol)
+        g = kernel.inverse(f @ c, Tolerance(rel=tol.rel, abs=tol.cutoff(a)))
     except Singular:
         raise IndexGreaterThanOne(
             "F C singular at tolerance: zero eigenvalue is not semisimple"
@@ -232,7 +227,7 @@ def regularized_limit(h, u, v, schedule=None,
     Converged means the last two values agree to 1e-6 relative. The
     determinant evaluations use machine tolerance regardless of ``tol``
     (the caller tolerance governs rank and compatibility decisions only;
-    a loose pivot cutoff would zero the eps-sized pivots being measured).
+    a loose cutoff would zero the eps-sized singular values being measured).
     """
     a = kernel.as_matrix(h, square=True, name="H")
     n = a.shape[0]

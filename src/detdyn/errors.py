@@ -35,7 +35,7 @@ class DimensionMismatch(InputError):
 
 
 class Singular(InputError):
-    """A pivot fell below tolerance where an inverse was required."""
+    """An inverse was required of a matrix singular at tolerance."""
 
 
 class RootFindDivergence(InputError):

@@ -1,42 +1,42 @@
-"""Dense real linear-algebra kernel used by every other module.
+"""Dense linear-algebra kernel used by every other module, on numpy's LAPACK.
 
-Everything is written against plain numpy arrays: LU with partial
-pivoting for determinants, solves and inverses; Gaussian elimination with
-full pivoting for rank decisions and full-rank factorizations; the
-Faddeev-LeVerrier recursion for adjugates and characteristic polynomials
-(inversion-free, so it stays valid for singular inputs). Spectra come from
-numpy's LAPACK routines: ``eigvalsh`` for symmetric input and ``eigvals``
-for the rest, at any size.
+One quantity decides every singular-at-tolerance and rank question: the
+singular values from ``np.linalg.svd(..., compute_uv=False)``, read
+against ``Tolerance.cutoff``. When the smallest is not above the cutoff,
+``det`` returns exactly 0.0 and ``solve`` and ``inverse`` raise
+``Singular``; otherwise their values come from LAPACK's LU (``det``,
+``solve``, ``inv``). ``rank`` and ``full_rank_factorization`` count the
+same values above the cutoff. The adjugate is det(A) A^{-1} for A
+invertible at tolerance and the SVD form of G. W. Stewart ("On the
+adjugate matrix", LAA 283, 1998) otherwise, so it stays valid for
+singular input at any size. Faddeev-LeVerrier is kept only in
+``charpoly``, where its exactness on integer input is the point. Spectra
+come from ``eigvalsh`` for symmetric input and ``eigvals`` for the rest.
 
-The internal ``_*_any`` helpers are dtype-generic and accept complex
-arrays; the public operations take real matrices.
+``as_matrix`` keeps complex input complex, so ``det``, ``solve``,
+``inverse`` and ``adjugate`` also serve the resolvent evaluations at
+complex lambda; the other operations take real matrices.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    NonSquare,
-    RootFindDivergence,
-    Singular,
-)
+from .errors import DimensionMismatch, NonSquare, RootFindDivergence, Singular
 
 EPS = 2.0 ** -52
 
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Thresholds for pivot, rank and nullity decisions.
+    """Thresholds for singularity, rank and nullity decisions.
 
     ``rel`` is a dimensionless multiplier: the effective cutoff for a
     matrix M is ``max(abs, rel * n * max|M_ij|)`` with n the larger
-    dimension. The defaults reproduce the classic n*eps*scale pivot test
-    with a denormal-proof absolute floor.
+    dimension. The defaults reproduce the classic n*eps*scale test with
+    a denormal-proof absolute floor.
     """
 
     rel: float = EPS
@@ -81,8 +81,10 @@ class Spectrum:
 
 def as_matrix(m, *, square: bool = False, name: str = "matrix",
               min_cols: int = 1) -> np.ndarray:
-    """Validate and convert to a float 2-d array with finite entries."""
-    a = np.asarray(m, dtype=float)
+    """Validate and convert to a 2-d float array (complex input stays
+    complex) with finite entries."""
+    a = np.asarray(m)
+    a = a.astype(complex if np.iscomplexobj(a) else float, copy=False)
     if a.ndim != 2:
         raise DimensionMismatch(f"{name} must be 2-d, got ndim={a.ndim}")
     if a.shape[0] < 1 or a.shape[1] < min_cols:
@@ -108,127 +110,89 @@ def as_vector(v, *, dim: int | None = None, name: str = "vector") -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# LU with partial pivoting (dtype-generic)
+# Determinant, solve, inverse and adjugate
 
-def _lu(a: np.ndarray):
-    """Return (lu, perm, sign, min_pivot) with rows permuted in place.
-
-    ``lu`` stores multipliers below the diagonal and U on and above it;
-    ``perm[k]`` is the original row now sitting at position k.
-    """
-    lu = np.array(a, copy=True)
-    n = lu.shape[0]
-    perm = np.arange(n)
-    sign = 1.0
-    min_pivot = math.inf
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(lu[k:, k])))
-        if p != k:
-            lu[[k, p]] = lu[[p, k]]
-            perm[[k, p]] = perm[[p, k]]
-            sign = -sign
-        pivot = lu[k, k]
-        apiv = abs(pivot)
-        if apiv < min_pivot:
-            min_pivot = apiv
-        if apiv != 0.0:
-            mult = lu[k + 1:, k] / pivot
-            lu[k + 1:, k] = mult
-            lu[k + 1:, k + 1:] -= np.outer(mult, lu[k, k + 1:])
-    return lu, perm, sign, min_pivot
+def _singular_values(a: np.ndarray) -> np.ndarray:
+    """Descending singular values, behind every singular-at-tolerance and
+    rank decision."""
+    return np.linalg.svd(a, compute_uv=False)
 
 
-def _lu_solve(lu: np.ndarray, perm: np.ndarray, b: np.ndarray) -> np.ndarray:
-    n = lu.shape[0]
-    x = np.array(b[perm], dtype=np.result_type(lu.dtype, b.dtype), copy=True)
-    for k in range(1, n):
-        x[k] -= lu[k, :k] @ x[:k]
-    for k in range(n - 1, -1, -1):
-        x[k] -= lu[k, k + 1:] @ x[k + 1:]
-        x[k] /= lu[k, k]
-    return x
-
-
-def _det_any(a: np.ndarray, tol: Tolerance = DEFAULT_TOL):
-    cutoff = tol.cutoff(a)
-    lu, _, sign, min_pivot = _lu(a)
-    if min_pivot < cutoff:
-        return 0.0 if not np.iscomplexobj(a) else complex(0.0)
-    prod = sign
-    for k in range(lu.shape[0]):
-        prod = prod * lu[k, k]
-    return prod
-
-
-def _solve_any(a: np.ndarray, b: np.ndarray, tol: Tolerance = DEFAULT_TOL):
-    lu, perm, _, min_pivot = _lu(a)
-    if min_pivot < tol.cutoff(a):
-        raise Singular(f"pivot {min_pivot:.3e} below cutoff {tol.cutoff(a):.3e}")
-    return _lu_solve(lu, perm, b)
+def _nonsingular(a: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """``a`` itself, or Singular when its smallest singular value is not
+    above the cutoff."""
+    s, cut = float(_singular_values(a)[-1]), tol.cutoff(a)
+    if not s > cut:
+        raise Singular(f"smallest singular value {s:.3e} below cutoff {cut:.3e}")
+    return a
 
 
 def det(m, tol: Tolerance = DEFAULT_TOL) -> float:
-    """Determinant by LU with partial pivoting.
+    """Determinant from LAPACK's LU.
 
-    Reports exactly 0.0 whenever a pivot falls below tolerance, so sign
-    noise never leaks out of a numerically singular matrix.
+    Reports exactly 0.0 whenever the matrix is singular at tolerance, so
+    sign noise never leaks out of a numerically singular matrix.
     """
     a = as_matrix(m, square=True)
-    return float(_det_any(a, tol))
+    try:
+        return np.linalg.det(_nonsingular(a, tol)).item()
+    except Singular:
+        return a.dtype.type(0).item()
 
 
 def solve(m, b, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Solve M x = b (b a vector or matrix of columns)."""
-    a = as_matrix(m, square=True)
-    rhs = np.asarray(b, dtype=float)
-    return _solve_any(a, rhs, tol)
+    a = _nonsingular(as_matrix(m, square=True), tol)
+    return np.linalg.solve(a, np.asarray(b))
 
 
 def inverse(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    a = as_matrix(m, square=True)
-    return _solve_any(a, np.eye(a.shape[0]), tol)
-
-
-# ---------------------------------------------------------------------------
-# Faddeev-LeVerrier: characteristic polynomial and adjugate without inversion
-
-def _faddeev_leverrier(a: np.ndarray):
-    """Return (coeffs c_0..c_n of det(lambda*I - A), adj(A)).
-
-    The recursion N_k = A N_{k-1} + c_{k-1} I, c_k = -tr(A N_k)/k never
-    divides by a pivot, so it is defined for singular A. For n = 1 the
-    adjugate is the 1x1 identity.
-    """
-    n = a.shape[0]
-    coeffs = np.empty(n + 1, dtype=a.dtype)
-    coeffs[0] = 1.0
-    nk = np.zeros_like(a)
-    eye = np.eye(n, dtype=a.dtype)
-    for k in range(1, n + 1):
-        nk = a @ nk + coeffs[k - 1] * eye
-        coeffs[k] = -np.trace(a @ nk) / k
-    adj = nk if (n - 1) % 2 == 0 else -nk
-    return coeffs, adj
-
-
-def charpoly(m) -> CharPoly:
-    """Monic characteristic polynomial det(lambda*I - M)."""
-    a = as_matrix(m, square=True)
-    coeffs, _ = _faddeev_leverrier(a)
-    return CharPoly(degree=a.shape[0], coeffs=tuple(float(c) for c in coeffs))
+    return np.linalg.inv(_nonsingular(as_matrix(m, square=True), tol))
 
 
 def adjugate(m) -> np.ndarray:
-    """Adjugate via Faddeev-LeVerrier; satisfies M adj(M) = det(M) I
-    for every square M, singular ones included."""
+    """Adjugate; satisfies M adj(M) = adj(M) M = det(M) I for every square
+    M, singular ones included.
+
+    M invertible at the default tolerance gives det(M) M^{-1}. Otherwise,
+    with M = U S V^H, adj(M) = det(U) det(V^H) V adj(S) U^H where adj(S)
+    is diagonal with entries prod_{j != k} s_j. The 1x1 adjugate is [[1]].
+    """
     a = as_matrix(m, square=True)
-    _, adj = _faddeev_leverrier(a)
-    return adj
+    if a.shape[0] == 1:
+        return np.ones_like(a)
+    try:
+        inv = np.linalg.inv(_nonsingular(a, DEFAULT_TOL))
+        return np.linalg.det(a) * inv
+    except Singular:
+        pass
+    u, s, vh = np.linalg.svd(a)
+    one = np.ones(1)
+    before = np.concatenate((one, np.cumprod(s[:-1])))
+    after = np.concatenate((np.cumprod(s[:0:-1])[::-1], one))
+    v_adj_s = vh.conj().T * (before * after)
+    return np.linalg.det(u) * np.linalg.det(vh) * v_adj_s @ u.conj().T
 
 
-def _adjugate_any(a: np.ndarray) -> np.ndarray:
-    _, adj = _faddeev_leverrier(a)
-    return adj
+# ---------------------------------------------------------------------------
+# Characteristic polynomial (Faddeev-LeVerrier)
+
+def charpoly(m) -> CharPoly:
+    """Monic characteristic polynomial det(lambda*I - M).
+
+    The Faddeev-LeVerrier recursion N_k = A N_{k-1} + c_{k-1} I,
+    c_k = -tr(A N_k)/k never divides by a pivot and is exact on small
+    integer input; it degrades with n beyond about 16.
+    """
+    a = as_matrix(m, square=True)
+    n = a.shape[0]
+    coeffs = [1.0]
+    nk = np.zeros_like(a)
+    eye = np.eye(n)
+    for k in range(1, n + 1):
+        nk = a @ nk + coeffs[-1] * eye
+        coeffs.append(float(-np.trace(a @ nk) / k))
+    return CharPoly(degree=n, coeffs=tuple(coeffs))
 
 
 def _polyval(coeffs, z):
@@ -271,65 +235,25 @@ def eigenvalues(m, tol: Tolerance = DEFAULT_TOL) -> Spectrum:
 
 
 # ---------------------------------------------------------------------------
-# Rank and full-rank factorization via complete pivoting
+# Rank and full-rank factorization from the singular values
 
-def _full_pivot_lu(a: np.ndarray, cutoff: float):
-    """P A Q = L U with complete pivoting.
-
-    Returns (L n x r unit-lower-trapezoidal, U r x m upper-trapezoidal,
-    rperm, cperm, r) where rperm[k]/cperm[k] give the original row/column
-    now at position k. Pivots are compared against ``cutoff`` computed
-    from the original matrix scale.
-    """
-    work = np.array(a, dtype=float, copy=True)
-    nr, nc = work.shape
-    rperm = np.arange(nr)
-    cperm = np.arange(nc)
-    r = 0
-    for k in range(min(nr, nc)):
-        sub = np.abs(work[k:, k:])
-        flat = int(np.argmax(sub))
-        pi, pj = divmod(flat, sub.shape[1])
-        if sub[pi, pj] <= cutoff:
-            break
-        pi += k
-        pj += k
-        if pi != k:
-            work[[k, pi]] = work[[pi, k]]
-            rperm[[k, pi]] = rperm[[pi, k]]
-        if pj != k:
-            work[:, [k, pj]] = work[:, [pj, k]]
-            cperm[[k, pj]] = cperm[[pj, k]]
-        r += 1
-        pivot = work[k, k]
-        mult = work[k + 1:, k] / pivot
-        work[k + 1:, k] = mult
-        work[k + 1:, k + 1:] -= np.outer(mult, work[k, k + 1:])
-    lower = np.tril(work[:, :r], -1)[:, :r] + np.eye(nr, r)
-    upper = np.triu(work[:r, :])
-    return lower, upper, rperm, cperm, r
+def _rank(a: np.ndarray, tol: Tolerance) -> int:
+    return int(np.count_nonzero(_singular_values(a) > tol.cutoff(a)))
 
 
 def rank(m, tol: Tolerance = DEFAULT_TOL) -> int:
-    """Number of complete-pivoting pivots above tol relative to the
-    matrix scale. Accepts rectangular input."""
-    a = as_matrix(m)
-    if float(np.max(np.abs(a))) == 0.0:
-        return 0
-    _, _, _, _, r = _full_pivot_lu(a, tol.cutoff(a))
-    return r
+    """Number of singular values above the cutoff. Accepts rectangular
+    input."""
+    return _rank(as_matrix(m), tol)
 
 
 def full_rank_factorization(m, tol: Tolerance = DEFAULT_TOL):
-    """M = C F with C (n x r) of full column rank and F (r x n) of full
-    row rank, r = rank(M). r = 0 yields empty factors."""
+    """M = C F with C = U_r S_r (n x r, full column rank) and F = V_r^T
+    (r x n, orthonormal rows), r = rank(M). r = 0 yields empty factors.
+
+    r counts the singular values that ``inverse`` tests, not the full
+    SVD's (which can differ in the last bits): r = n means invertible."""
     a = as_matrix(m, square=True)
-    n = a.shape[0]
-    if float(np.max(np.abs(a))) == 0.0:
-        return np.zeros((n, 0)), np.zeros((0, n))
-    lower, upper, rperm, cperm, r = _full_pivot_lu(a, tol.cutoff(a))
-    c = np.zeros((n, r))
-    c[rperm, :] = lower
-    f = np.zeros((r, n))
-    f[:, cperm] = upper
-    return c, f
+    r = _rank(a, tol)
+    u, s, vh = np.linalg.svd(a)
+    return u[:, :r] * s[:r], vh[:r]

@@ -1,8 +1,9 @@
 """Characteristic polynomials under finite-rank perturbations, the secular
 eigenvalue-shift function, and a contour-based stability certificate.
 
-Complex arithmetic is promoted locally (resolvent solves and adjugates at
-complex lambda); the public matrix type stays real.
+Complex arithmetic is promoted locally: the resolvent determinants, solves
+and adjugates at complex lambda go through the same kernel operations as
+real input. The public matrix type stays real.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .errors import (
     ContourTooCoarse,
     EigenvalueOnContour,
     ResolventSingular,
+    Singular,
 )
 from .kernel import DEFAULT_TOL, Tolerance
 from .updates import UpdateSequence, _check_base
@@ -68,10 +70,10 @@ def charpoly_perturbed_eval(a, seq: UpdateSequence, lam) -> complex:
     z = complex(lam)
     eye = np.eye(n, dtype=complex)
     m = z * eye - base
-    acc = complex(kernel._det_any(m))
+    acc = complex(kernel.det(m))
     delta = np.zeros((n, n), dtype=complex)
     for up in seq.updates:
-        adj = kernel._adjugate_any(z * eye - base - delta)
+        adj = kernel.adjugate(z * eye - base - delta)
         acc -= complex(up.v @ adj @ up.u)
         delta = delta + np.outer(up.u, up.v)
     return acc
@@ -90,15 +92,15 @@ def secular_value(a, delta_prev: UpdateSequence, u, v, lam,
     vv = kernel.as_vector(v, dim=n, name="v")
     z = complex(lam)
     m = z * np.eye(n, dtype=complex) - base - delta_prev.total()
-    lu, perm, _, min_pivot = kernel._lu(m)
-    cut = tol.cutoff(m)
-    if min_pivot < cut:
+    try:
+        x = kernel.solve(m, uu, tol)
+    except Singular:
         raise ResolventSingular(
             f"lambda = {z} is an eigenvalue of the prefix matrix at tolerance"
-        )
-    x = kernel._lu_solve(lu, perm, uu.astype(complex))
+        ) from None
     scale = float(np.max(np.abs(m)))
-    flag = min_pivot < math.sqrt(tol.rel) * max(1.0, scale)
+    sigma_min = float(kernel._singular_values(m)[-1])
+    flag = sigma_min < math.sqrt(tol.rel) * max(1.0, scale)
     return SecularEvaluation(lam=z, value=complex(1.0 - vv @ x),
                              resolvent_cond_flag=flag)
 

@@ -170,9 +170,9 @@ def _inverse_walk(a: np.ndarray, seq: UpdateSequence, tol: Tolerance):
     k = 1..r with s_k = v_k^T M_{k-1}^{-1} u_k.
 
     M^{-1} is carried by Sherman-Morrison with the denominator guard
-    |1 + s| >= tol.rel; below the guard a fresh LU refactorization is
+    |1 + s| >= tol.rel; below the guard a fresh inverse of M_k is
     attempted. From the first M_{k-1} that is singular at tolerance (the
-    base, or a refactorization that fails) on, s_k is None for every
+    base, or a fresh inverse that fails) on, s_k is None for every
     remaining step: the walk never re-enters the inverse route.
     """
     r = len(seq)

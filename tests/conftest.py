@@ -1,12 +1,14 @@
 """Shared generators and independent oracles for the test suite.
 
 Oracles here deliberately avoid the package's own code paths: cofactor
-expansion for determinants and adjugates, numpy's eigensolver for
-spectra. Instance generators are deterministic given their rng.
+expansion for determinants and adjugates, 30-digit mpmath determinants,
+numpy's eigensolver for spectra. Instance generators are deterministic
+given their rng.
 """
 
 from __future__ import annotations
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -43,6 +45,14 @@ def cofactor_adjugate(a: np.ndarray) -> np.ndarray:
             minor = np.delete(np.delete(a, i, axis=0), j, axis=1)
             cof[i, j] = (-1.0) ** (i + j) * cofactor_det(minor)
     return cof.T
+
+
+def mp_det(a: np.ndarray):
+    """det(a) at 30 digits with mpmath; complex input gives a complex
+    result, real input a float."""
+    with mpmath.workdps(30):
+        d = mpmath.det(mpmath.matrix(a.tolist()))
+    return complex(d) if np.iscomplexobj(a) else float(d)
 
 
 def np_eigvals(a: np.ndarray) -> np.ndarray:

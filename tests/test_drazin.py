@@ -62,6 +62,16 @@ class TestGroupInverse:
         with pytest.raises(IndexGreaterThanOne):
             group_inverse(np.array([[0.0, 1.0], [0.0, 0.0]]), TOL9)
 
+    def test_random_nilpotent_raises(self):
+        # F C is 1x1 here; judged on its own scale, the rounding residue
+        # of S J2 S^-1 would pass as a nonzero eigenvalue
+        rng = np.random.default_rng(1)
+        j2 = np.array([[0.0, 1.0], [0.0, 0.0]])
+        for _ in range(150):
+            s = rng.standard_normal((2, 2))
+            with pytest.raises(IndexGreaterThanOne):
+                group_inverse(s @ j2 @ np.linalg.inv(s), TOL9)
+
     def test_axioms_on_random_constructions(self, rng):
         for _ in range(100):
             n = int(rng.integers(2, 9))

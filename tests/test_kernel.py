@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import mpmath
 import numpy as np
 import pytest
@@ -23,6 +26,10 @@ from detdyn.kernel import EPS
 from conftest import cofactor_adjugate, cofactor_det, count_calls, random_orthogonal
 
 TOL9 = Tolerance(rel=1e-9)
+
+# rank 4, yet every partial-pivoting LU pivot clears the n eps max|a| cutoff
+RANK4 = np.array([[-1, -6, -4, -10, 2], [-10, 0, -5, -1, 10], [12, 0, 6, 1, -6],
+                  [3, 6, 11, 6, 2], [3, -2, 3, -5, 4]], dtype=float)
 
 small_entries = st.floats(min_value=-3.0, max_value=3.0,
                           allow_nan=False, allow_infinity=False, width=64)
@@ -56,6 +63,9 @@ class TestDet:
         with pytest.raises(ValueError):
             det(np.array([[1.0, np.nan], [0.0, 1.0]]))
 
+    def test_rank_deficient_integer_is_exact_zero(self):
+        assert det(RANK4) == 0.0
+
 
 class TestInverse:
     def test_scaled_identity(self):
@@ -74,6 +84,10 @@ class TestInverse:
     def test_singular_raises(self):
         with pytest.raises(Singular):
             inverse(np.diag([1.0, 0.0]))
+
+    def test_rank_deficient_integer_raises(self):
+        with pytest.raises(Singular):
+            inverse(RANK4)
 
 
 class TestAdjugate:
@@ -100,6 +114,20 @@ class TestAdjugate:
             ref = cofactor_adjugate(a)
             scale = max(1e-2, float(np.max(np.abs(ref))))
             assert np.max(np.abs(got - ref)) <= 1e-10 * scale
+
+    def test_n64_rank_deficient_exact(self, rng):
+        # A = Q diag(d) Q^T with d_k = 0 has adj(A) = (prod_{j != k} d_j) q_k q_k^T
+        for _ in range(2):
+            n = 64
+            q = signed_hadamard(rng, n)
+            d = rng.integers(1, 17, size=n) * rng.choice([-1.0, 1.0], size=n) / 8.0
+            k = int(rng.integers(n))
+            d[k] = 0.0
+            a = exact_similarity(q, np.diag(d))
+            prod = math.prod(Fraction(x) for j, x in enumerate(d) if j != k)
+            ref = float(prod) * np.outer(q[:, k], q[:, k])
+            err = np.max(np.abs(adjugate(a) - ref)) / np.max(np.abs(ref))
+            assert err <= 1e-12
 
     @given(square_matrices(max_n=5))
     def test_fundamental_identity(self, a):

@@ -11,9 +11,8 @@ from detdyn import (
     secular_value,
     stability_preserved,
 )
-from detdyn.kernel import _det_any
 
-from conftest import random_hurwitz, rhp_count, scaled_unstable
+from conftest import mp_det, random_hurwitz, rhp_count, scaled_unstable
 
 TOL9 = Tolerance(rel=1e-9)
 
@@ -23,7 +22,7 @@ EMPTY2 = UpdateSequence(base_dim=2)
 def direct_perturbed_det(a, seq, lam):
     n = a.shape[0]
     m = complex(lam) * np.eye(n, dtype=complex) - a - seq.total()
-    return complex(_det_any(m))
+    return mp_det(m)
 
 
 class TestCharpolyPerturbedEval:
@@ -77,6 +76,14 @@ class TestSecularValue:
         a = np.diag([-1.0, -2.0])
         with pytest.raises(ResolventSingular):
             secular_value(a, EMPTY2, np.ones(2), np.ones(2), -1.0, TOL9)
+
+    def test_cond_flag_reads_smallest_singular_value(self):
+        # lambda I - A = [[1, 1e4], [0, 1]]: both LU pivots are 1, but
+        # sigma_min ~ 1e-4 sits below sqrt(eps) * max|.| ~ 1.5e-4
+        u, v = np.ones(2), np.ones(2)
+        skewed = np.array([[-1.0, -1e4], [0.0, -1.0]])
+        assert secular_value(skewed, EMPTY2, u, v, 0.0).resolvent_cond_flag
+        assert not secular_value(np.diag([-1.0, -2.0]), EMPTY2, u, v, 0.0).resolvent_cond_flag
 
     def test_vanishes_at_oracle_eigenvalues(self, rng):
         for _ in range(25):

@@ -12,14 +12,14 @@ from detdyn import (
     Tolerance,
     UpdateSequence,
     contribution_analysis,
-    det,
     det_product,
     det_rank_one,
     det_sequence,
     logdet_sequence,
 )
 
-from conftest import count_calls
+from conftest import count_calls, mp_det
+from test_kernel import RANK4
 
 TOL9 = Tolerance(rel=1e-9)
 
@@ -52,7 +52,7 @@ class TestDetRankOne:
                 h = rng.uniform(-1, 1, (n, n))
             u = rng.uniform(-1, 1, n)
             v = rng.uniform(-1, 1, n)
-            direct = det(h + np.outer(u, v))
+            direct = mp_det(h + np.outer(u, v))
             assert abs(det_rank_one(h, (u, v)) - direct) <= 1e-9 * max(1.0, abs(direct))
 
     def test_dimension_mismatch(self):
@@ -90,8 +90,20 @@ class TestDetSequence:
             n = int(rng.integers(2, 7))
             h = rng.standard_normal((n, n))
             seq = random_sequence(rng, n, 5)
-            direct = det(h + seq.total())
+            direct = mp_det(h + seq.total())
             assert abs(det_sequence(h, seq).final - direct) <= 1e-9 * max(1.0, abs(direct))
+
+    def test_rank_deficient_integer_base(self):
+        # rank-4 H whose LU pivots all clear the cutoff: det(H) is 0 and
+        # the walk must take the adjugate, not a spurious inverse
+        seq = UpdateSequence.from_pairs([
+            ([2, -2, -2, -1, -2], [2, 2, 0, -2, -2]),
+            ([-1, 0, 1, 0, -1], [-2, 1, 1, -2, -2]),
+            ([0, -1, 2, 0, 0], [0, 1, 0, -2, 1]),
+        ])
+        got = det_sequence(RANK4, seq).values
+        for g, ref in zip(got, (0, -9984, 53584, 42860), strict=True):
+            assert abs(g - ref) <= 1e-9 * max(1.0, abs(ref))
 
     def test_singular_base_and_intermediates(self):
         # base singular, first update keeps it singular, still exact
@@ -168,7 +180,7 @@ class TestDetProduct:
                 [rng.standard_normal(n) for _ in range(int(rng.integers(1, 6)))]
             )
             lp = det_product(np.eye(n), seq, TOL9)
-            direct = det(np.eye(n) + seq.total())
+            direct = mp_det(np.eye(n) + seq.total())
             assert abs(lp.final_det - direct) <= 1e-9 * max(1.0, abs(direct))
 
     def test_intermediate_singular_reported(self):
@@ -230,7 +242,7 @@ class TestLogDetSequence:
                 [rng.standard_normal(n) for _ in range(int(rng.integers(1, 6)))]
             )
             tr = logdet_sequence(h, seq, TOL9)
-            direct = math.log(det(h + seq.total()))
+            direct = math.log(mp_det(h + seq.total()))
             assert abs(tr.final_logdet - direct) <= 1e-8
 
     def test_nonpositive_base(self):
@@ -285,7 +297,7 @@ class TestContributionAnalysis:
         seq = UpdateSequence.symmetric(us)
         steps = contribution_analysis(seq)
         total = sum(s.log_increment for s in steps)
-        direct = math.log(det(np.eye(3) + seq.total()))
+        direct = math.log(mp_det(np.eye(3) + seq.total()))
         assert abs(total - direct) <= 1e-10
 
     def test_asymmetric_rejected(self):
