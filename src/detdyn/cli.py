@@ -604,7 +604,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", help="write the report here instead of stdout")
         sp.add_argument("--svg", help="SVG output path (ellipse-plot)")
         sp.add_argument("--eps-min", type=float,
-                        help="rebuild the default geometric schedule down to this")
+                        help="absolute eps schedule 1e-1 down to this (default: "
+                             "relative to the smallest retained eigenvalue)")
         sp.add_argument("--seed", type=int, help="override the scenario seed")
         sp.add_argument("--tol-rel", type=float,
                         help="relative tolerance (beats scenario and "

@@ -12,17 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel
-from .errors import (
-    DimensionMismatch,
-    NotConverged,
-    NotPositiveDefinite,
-    NotPSD,
-    ScheduleTooShort,
-)
-from .drazin import default_eps_schedule
+from .drazin import _eps_schedule, _require_settled
+from .errors import DimensionMismatch, NotConverged, NotPositiveDefinite, NotPSD
 from .kernel import DEFAULT_TOL, EPS, Tolerance
-
-_CONV_REL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -73,11 +65,13 @@ class GramianBuild:
 class GramianGrowth:
     """Regularized growth diagnostics.
 
-    For each eps the per-step factors 1 + u_l^T Wtil_{l-1}(eps)^{-1} u_l
-    are recorded together with the relative residual of the product
-    identity det(Wtil(eps)) = eps^n prod(factors). pdet_estimate comes
-    from the normalized limit eps^{-(n-r)} det(eps I + W) at the smallest
-    eps; factor_product_values hold the equivalent eps^r prod(factors) route.
+    pdet_estimate is the closed form: the product of the r largest
+    eigenvalues of the Gram block of W on the span of the directions. For
+    each eps the per-step factors 1 + u_l^T Wtil_{l-1}(eps)^{-1} u_l are
+    recorded together with the relative residual of the product identity
+    det(Wtil(eps)) = eps^n prod(factors); normalized_det_values hold the
+    limit eps^{-(n-r)} det(eps I + W) and factor_product_values the
+    equivalent eps^r prod(factors), the sweep that confirms the estimate.
     """
 
     eps_schedule: tuple
@@ -333,63 +327,44 @@ def growth_from_directions(directions, n: int, schedule=None,
                            tol: Tolerance = DEFAULT_TOL,
                            raise_on_diverge: bool = True) -> GramianGrowth:
     """Regularized pseudodeterminant growth for an arbitrary ordered
-    direction list (the Gramian is their outer-product sum)."""
+    direction list (the Gramian is their outer-product sum).
+
+    The default schedule is default_eps_schedule() scaled by the smallest
+    retained eigenvalue; an explicit schedule is taken as absolute eps
+    values. With ``raise_on_diverge``, NotConverged is raised unless both
+    sweep routes lie within 1e-6 relative of pdet_estimate at the smallest
+    eps. A basis walk that kept fewer than r directions always raises it.
+    """
     dirs = [kernel.as_vector(u, dim=n, name="direction") for u in directions]
-    if schedule is None:
-        schedule = default_eps_schedule()
-    schedule = [float(e) for e in schedule]
-    if len(schedule) < 3:
-        raise ScheduleTooShort(f"need at least 3 epsilons, got {len(schedule)}")
-    if any(e <= 0 for e in schedule) or any(
-        y >= x for x, y in zip(schedule, schedule[1:])
-    ):
-        raise ValueError("schedule must be strictly decreasing and positive")
     w = np.zeros((n, n))
     for u in dirs:
         w += np.outer(u, u)
     r = kernel.rank(w, tol)
     records, m_final = _basis_walk(dirs, n)
-    quad = _quad_forms(records, np.array(schedule))
     lam_final = np.maximum(np.linalg.eigvalsh(m_final), 0.0)
     k = lam_final.size
-    factors_per_eps = []
-    residuals = []
-    norm_det = []
-    fac_prod = []
-    for e, eps in enumerate(schedule):
-        factors = (1.0 + quad[:, e]).tolist()
-        prod = 1.0
-        for f in factors:
-            prod *= f
-        lhs = eps ** (n - k) * float(np.prod(lam_final + eps))
-        rhs = eps ** n * prod
-        residuals.append(abs(lhs - rhs) / max(abs(lhs), 1e-300))
-        factors_per_eps.append(tuple(factors))
-        norm_det.append(lhs / eps ** (n - r))
-        fac_prod.append(eps ** r * prod)
-    d1 = abs(norm_det[-1] - norm_det[-2])
-    d0 = abs(norm_det[-2] - norm_det[-3])
-    scale = max(abs(norm_det[-1]), 1e-300)
-    if d1 == 0.0:
-        converged = True
-    elif d0 > d1:
-        rho = d1 / d0
-        converged = d1 * rho / (1.0 - rho) <= _CONV_REL * scale
-    else:
-        converged = d1 <= _CONV_REL * scale
-    routes_agree = abs(fac_prod[-1] - norm_det[-1]) <= _CONV_REL * scale
-    if raise_on_diverge and not (converged and routes_agree):
-        raise NotConverged(
-            "regularized pseudodeterminant did not settle on this schedule",
-            tuple(zip(schedule, norm_det)),
-        )
-    pdet_est = norm_det[-1]
+    if k < r:
+        raise NotConverged(f"the basis walk kept {k} directions, rank is {r}", ())
+    retained = lam_final[k - r:]
+    schedule = _eps_schedule(
+        schedule, max(float(retained[0]), tol.cutoff(w)) if r else 1.0)
+    eps = np.array(schedule)
+    factors = 1.0 + _quad_forms(records, eps)
+    prod = np.prod(factors, axis=0)
+    lhs = eps ** (n - k) * np.prod(lam_final[:, None] + eps, axis=0)
+    residuals = np.abs(lhs - eps ** n * prod) / np.maximum(np.abs(lhs), 1e-300)
+    norm_det = tuple((lhs / eps ** (n - r)).tolist())
+    fac_prod = tuple((eps ** r * prod).tolist())
+    pdet_est = float(np.prod(retained))
+    if raise_on_diverge:
+        _require_settled(pdet_est, (norm_det[-1], fac_prod[-1]),
+                         tuple(zip(schedule, norm_det)))
     return GramianGrowth(
-        eps_schedule=tuple(schedule),
-        factors_per_eps=tuple(factors_per_eps),
-        identity_residuals=tuple(residuals),
-        normalized_det_values=tuple(norm_det),
-        factor_product_values=tuple(fac_prod),
+        eps_schedule=schedule,
+        factors_per_eps=tuple(map(tuple, factors.T.tolist())),
+        identity_residuals=tuple(residuals.tolist()),
+        normalized_det_values=norm_det,
+        factor_product_values=fac_prod,
         rank_r=r,
         pdet_estimate=pdet_est,
         log_pdet=math.log(pdet_est) if pdet_est > 0.0 else None,
@@ -477,18 +452,17 @@ def perturbed_gramian_experiment(g: GramianBuild, noise_scale: float,
 
     Trial t draws from a child seed (seed, t), so runs are reproducible
     and trials are independent. noise_scale = 0 reproduces the nominal
-    directions exactly.
+    directions exactly. The schedule is resolved once by the nominal run
+    and every trial uses it, so eps_reference names one eps.
     """
     if noise_scale < 0.0:
         raise ValueError("noise_scale must be >= 0")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     n = g.w.shape[0]
-    if schedule is None:
-        schedule = default_eps_schedule()
-    schedule = tuple(float(e) for e in schedule)
     nominal = growth_from_directions(g.directions, n, schedule, tol,
                                      raise_on_diverge=False)
+    schedule = nominal.eps_schedule
     norms = [math.sqrt(float(u @ u)) for u in g.directions]
     family_scale = max(norms, default=0.0)
     per_trial = []

@@ -21,7 +21,6 @@ from .errors import (
     DimensionMismatch,
     IndexGreaterThanOne,
     NotConverged,
-    NullityMismatch,
     ScheduleTooShort,
     Singular,
 )
@@ -64,23 +63,29 @@ def group_inverse(h, tol: Tolerance = DEFAULT_TOL) -> GroupInverseResult:
     returns H^D = 0 with P0 = I. F C singular at H's cutoff means the zero
     eigenvalue is not semisimple and raises IndexGreaterThanOne.
     """
-    a = kernel.as_matrix(h, square=True, name="H")
+    return _group_inverse(kernel.as_matrix(h, square=True, name="H"), tol)[0]
+
+
+def _group_inverse(a: np.ndarray, tol: Tolerance):
+    """group_inverse of a validated H, plus F C: for index 1 its spectrum
+    is the nonzero spectrum of H, so det(F C) = pdet(H)."""
     n = a.shape[0]
     c, f = kernel.full_rank_factorization(a, tol)
-    r = c.shape[1]
+    fc = f @ c
+    r = fc.shape[0]
     if r == 0:
         return GroupInverseResult(
             h_drazin=np.zeros((n, n)), projector=np.eye(n), rank_q=0, nullity_nu=n
-        )
+        ), fc
     if r == n:
         hd = kernel.inverse(a, tol)
         return GroupInverseResult(
             h_drazin=hd, projector=np.eye(n) - a @ hd, rank_q=n, nullity_nu=0
-        )
+        ), fc
     # F C carries the nonzero eigenvalues of H, so its singularity is
     # judged on H's scale: its own cutoff would pass a 1x1 rounding residue
     try:
-        g = kernel.inverse(f @ c, Tolerance(rel=tol.rel, abs=tol.cutoff(a)))
+        g = kernel.inverse(fc, Tolerance(rel=tol.rel, abs=tol.cutoff(a)))
     except Singular:
         raise IndexGreaterThanOne(
             "F C singular at tolerance: zero eigenvalue is not semisimple"
@@ -91,7 +96,7 @@ def group_inverse(h, tol: Tolerance = DEFAULT_TOL) -> GroupInverseResult:
         projector=np.eye(n) - a @ hd,
         rank_q=r,
         nullity_nu=n - r,
-    )
+    ), fc
 
 
 def spectral_projector(h, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -99,45 +104,42 @@ def spectral_projector(h, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     return group_inverse(h, tol).projector
 
 
+_UNDEFINED = "no nonzero eigenvalue detected, pseudodeterminant undefined"
+
+
 def pdet(h, tol: Tolerance = DEFAULT_TOL, method: str = "charpoly") -> PdetResult:
     """Pseudodeterminant: product of all nonzero eigenvalues.
 
-    The primary route reads it off the characteristic polynomial: with nu
-    trailing coefficients below tolerance and c_{n-nu} above it, the value
-    is (-1)^{n-nu} c_{n-nu}. The cross-check route multiplies the
-    eigenvalues whose magnitude clears sqrt(tol.rel) times the spectral
-    scale (multiple zero roots of a perturbed polynomial drift like
-    noise^(1/nu), hence the square root).
+    The primary route reads it off the characteristic polynomial of H/s,
+    s = max|H|, so the nullity decision does not depend on the scale of H:
+    with nu trailing coefficients below tolerance and c_{n-nu} above it,
+    the value is (-1)^{n-nu} s^{n-nu} c_{n-nu}. The cross-check route
+    multiplies the eigenvalues whose magnitude clears sqrt(tol.rel) times
+    the spectral radius (multiple zero roots of a perturbed polynomial
+    drift like noise^(1/nu), hence the square root).
     """
     a = kernel.as_matrix(h, square=True, name="H")
     n = a.shape[0]
     if method == "charpoly":
-        coeffs = np.asarray(kernel.charpoly(a).coeffs)
+        s = float(np.max(np.abs(a))) or 1.0
+        coeffs = np.asarray(kernel.charpoly(a / s).coeffs)
         cut = tol.cutoff(coeffs)
         nu = 0
         while nu < n and abs(coeffs[n - nu]) <= cut:
             nu += 1
         if nu >= n:
-            raise AllCoefficientsBelowTolerance(
-                "no nonzero eigenvalue detected, pseudodeterminant undefined"
-            )
-        value = float(coeffs[n - nu])
+            raise AllCoefficientsBelowTolerance(_UNDEFINED)
+        value = float(coeffs[n - nu] * np.float64(s) ** (n - nu))
         if (n - nu) % 2 == 1:
             value = -value
         return PdetResult(value=value, nullity=nu, method="charpoly")
     if method == "eigenproduct":
         eigs = kernel.eigenvalues(a, tol).eigenvalues
-        scale = max(abs(z) for z in eigs)
-        cut = math.sqrt(tol.rel) * max(1.0, scale)
+        cut = math.sqrt(tol.rel) * max(abs(z) for z in eigs)
         kept = [z for z in eigs if abs(z) > cut]
         if not kept:
-            raise AllCoefficientsBelowTolerance(
-                "no nonzero eigenvalue detected, pseudodeterminant undefined"
-            )
-        prod = complex(1.0)
-        for z in kept:
-            prod *= z
-        return PdetResult(value=float(prod.real), nullity=n - len(kept),
+            raise AllCoefficientsBelowTolerance(_UNDEFINED)
+        return PdetResult(value=float(math.prod(kept).real), nullity=n - len(kept),
                           method="eigenproduct")
     raise ValueError(f"unknown pdet method {method!r}")
 
@@ -174,9 +176,10 @@ def compatibility_check(h, u, v, tol: Tolerance = DEFAULT_TOL) -> CompatibilityR
     return _compatibility(gi, uu, vv, tol)
 
 
-def pdet_lemma(h, u, v, tol: Tolerance = DEFAULT_TOL) -> float:
-    """pdet(H + U V^T) = pdet(H) det(I_r + V^T H^D U) for index-1 H with
-    U, V compatible with the nullspace (P0 U = 0, V^T P0 = 0)."""
+def _lemma(h, u, v, tol: Tolerance):
+    """The validated prologue of both lemma routes: (H, H + U V^T, nu,
+    the closed form pdet(H) det(I_r + V^T H^D U)), with pdet(H) = det(F C)
+    from the group inverse's own factorization."""
     a = kernel.as_matrix(h, square=True, name="H")
     n = a.shape[0]
     uu = _as_factor(u, n, "U")
@@ -185,24 +188,31 @@ def pdet_lemma(h, u, v, tol: Tolerance = DEFAULT_TOL) -> float:
         raise DimensionMismatch(
             f"U has {uu.shape[1]} columns, V has {vv.shape[1]}"
         )
-    gi = group_inverse(a, tol)
+    gi, fc = _group_inverse(a, tol)
     report = _compatibility(gi, uu, vv, tol)
     if not report.passed:
         raise CompatibilityViolated(report)
-    base = pdet(a, tol)
-    if base.nullity != gi.nullity_nu:
-        raise NullityMismatch(
-            f"coefficient nullity {base.nullity} != rank nullity {gi.nullity_nu}"
-        )
+    if gi.rank_q == 0:
+        raise AllCoefficientsBelowTolerance(_UNDEFINED)
+    value = float(np.linalg.det(fc))
     r = uu.shape[1]
-    if r == 0:
-        return base.value
-    core = np.eye(r) + vv.T @ gi.h_drazin @ uu
-    return base.value * kernel.det(core, tol)
+    if r:
+        value *= kernel.det(np.eye(r) + vv.T @ gi.h_drazin @ uu, tol)
+    return a, a + uu @ vv.T, gi.nullity_nu, value
+
+
+def pdet_lemma(h, u, v, tol: Tolerance = DEFAULT_TOL) -> float:
+    """pdet(H + U V^T) = pdet(H) det(I_r + V^T H^D U) for index-1 H with
+    U, V compatible with the nullspace (P0 U = 0, V^T P0 = 0)."""
+    return _lemma(h, u, v, tol)[3]
 
 
 @dataclass(frozen=True)
 class RegularizedLimitResult:
+    """estimate is the closed form pdet(H) det(I_r + V^T H^D U); per_eps
+    is the eps sweep that confirms it, converged always True (a sweep
+    that does not settle raises NotConverged)."""
+
     estimate: float
     per_eps: tuple  # (eps, eps^{-nu} det(H + eps I + U V^T)) pairs
     converged: bool
@@ -219,51 +229,61 @@ def default_eps_schedule(eps_max: float = 1e-1, eps_min: float = 1e-8,
     return tuple(out)
 
 
-def regularized_limit(h, u, v, schedule=None,
-                      tol: Tolerance = DEFAULT_TOL) -> RegularizedLimitResult:
-    """Evaluate eps^{-nu} det(H + eps I + U V^T) along a decreasing
-    schedule; the limit equals pdet(H) det(I_r + V^T H^D U).
+# ---------------------------------------------------------------------------
+# The eps-limit engine shared with control's Gramian growth: one schedule
+# rule and one convergence rule against a closed form.
 
-    Converged means the last two values agree to 1e-6 relative. The
-    determinant evaluations use machine tolerance regardless of ``tol``
-    (the caller tolerance governs rank and compatibility decisions only;
-    a loose cutoff would zero the eps-sized singular values being measured).
-    """
-    a = kernel.as_matrix(h, square=True, name="H")
-    n = a.shape[0]
-    uu = _as_factor(u, n, "U")
-    vv = _as_factor(v, n, "V")
+_CONV_REL = 1e-6
+
+
+def _eps_schedule(schedule, smallest: float) -> tuple:
+    """A caller's schedule, validated and taken as absolute, or the
+    default schedule scaled by ``smallest``, the smallest retained
+    eigenvalue magnitude: the first-order error of the sweep is about
+    eps / smallest, so the scaled schedule ends near 1e-8 relative at
+    any matrix scale."""
     if schedule is None:
-        schedule = default_eps_schedule()
-    schedule = [float(e) for e in schedule]
+        return tuple(smallest * e for e in default_eps_schedule())
+    schedule = tuple(float(e) for e in schedule)
     if len(schedule) < 3:
         raise ScheduleTooShort(f"need at least 3 epsilons, got {len(schedule)}")
     if any(e <= 0 for e in schedule) or any(
-        b >= a_ for a_, b in zip(schedule, schedule[1:])
+        y >= x for x, y in zip(schedule, schedule[1:])
     ):
         raise ValueError("schedule must be strictly decreasing and positive")
-    gi = group_inverse(a, tol)
-    report = _compatibility(gi, uu, vv, tol)
-    if not report.passed:
-        raise CompatibilityViolated(report)
-    nu = gi.nullity_nu
-    base = pdet(a, tol)
-    if base.nullity != nu:
-        raise NullityMismatch(
-            f"coefficient nullity {base.nullity} != rank nullity {nu}"
-        )
-    uvt = uu @ vv.T if uu.size else np.zeros((n, n))
-    eye = np.eye(n)
-    per_eps = []
-    for eps in schedule:
-        val = kernel.det(a + eps * eye + uvt) / eps ** nu
-        per_eps.append((eps, val))
-    last, prev = per_eps[-1][1], per_eps[-2][1]
-    converged = abs(last - prev) <= 1e-6 * max(abs(last), 1e-300)
-    if not converged:
+    return schedule
+
+
+def _require_settled(closed: float, finals, per_eps) -> None:
+    """NotConverged, carrying the sweep, unless every smallest-eps value
+    in ``finals`` lies within _CONV_REL of the closed form."""
+    gap = max(abs(x - closed) for x in finals)
+    if not gap <= _CONV_REL * max(abs(closed), 1e-300):
         raise NotConverged(
-            f"last two regularized values differ by {abs(last - prev):.3e}",
+            f"smallest-eps value is {gap:.3e} from the closed form {closed:.6e}",
             per_eps,
         )
-    return RegularizedLimitResult(estimate=last, per_eps=tuple(per_eps),
+
+
+def regularized_limit(h, u, v, schedule=None,
+                      tol: Tolerance = DEFAULT_TOL) -> RegularizedLimitResult:
+    """The closed form pdet(H) det(I_r + V^T H^D U), confirmed by
+    eps^{-nu} det(H + eps I + U V^T) along a decreasing schedule.
+
+    The default schedule is default_eps_schedule() scaled by the smallest
+    of the n - nu largest eigenvalue magnitudes of H + U V^T (never below
+    H's cutoff); an explicit one is taken as absolute. NotConverged is
+    raised unless the smallest-eps value lies within 1e-6 relative of the
+    closed form. The determinants use machine tolerance regardless of
+    ``tol``, which governs rank and compatibility decisions only (a loose
+    cutoff would zero the eps-sized singular values being measured).
+    """
+    a, m, nu, estimate = _lemma(h, u, v, tol)
+    mags = np.sort(np.abs(kernel.eigenvalues(m).eigenvalues))
+    schedule = _eps_schedule(schedule, max(float(mags[nu]), tol.cutoff(a)))
+    eye = np.eye(a.shape[0])
+    per_eps = tuple((eps, kernel.det(m + eps * eye) / eps ** nu)
+                    for eps in schedule)
+    _require_settled(estimate, (per_eps[-1][1],), per_eps)
+    return RegularizedLimitResult(estimate=estimate, per_eps=per_eps,
                                   converged=True)

@@ -67,7 +67,8 @@ class ContourTooCoarse(InputError):
 
 
 class NullityMismatch(InputError):
-    """Coefficient-based and rank-based nullity estimates disagree."""
+    """Coefficient-based and rank-based nullity estimates disagree. The
+    lemma routes take the nullity from one rank decision and never raise it."""
 
 
 class ParseError(InputError):

@@ -1,10 +1,14 @@
+import math
+
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from detdyn import (
     AllCoefficientsBelowTolerance,
     CompatibilityViolated,
+    DimensionMismatch,
     IndexGreaterThanOne,
     NotConverged,
     ScheduleTooShort,
@@ -19,6 +23,8 @@ from detdyn import (
 )
 
 from conftest import (
+    count_calls,
+    exact_index1,
     exact_lemma_instance,
     np_pdet,
     random_index1,
@@ -141,8 +147,6 @@ class TestPdet:
             pdet(np.array([[0.0, 1.0], [0.0, 0.0]]), TOL9)
 
     def test_charpoly_vs_eigenproduct(self, rng):
-        from conftest import exact_index1
-
         for _ in range(60):
             q = int(rng.integers(1, 5))
             nu = int(rng.integers(1, 4))
@@ -164,6 +168,21 @@ class TestPdet:
             res = pdet(h, TOL9, method="eigenproduct")
             assert res.nullity == nu
             assert abs(res.value - ref) <= 1e-12 * abs(ref)
+
+    @pytest.mark.parametrize("n", [8, 12, 16])
+    @pytest.mark.parametrize("c", [1e-3, 1e-2, 0.5])
+    def test_small_scale_nullity(self, n, c):
+        # below scale 1 the monic c_0 = 1 dominated the raw coefficients'
+        # cutoff while c_{n-nu} shrank like c^(n-nu), so the charpoly
+        # route overcounted the nullity
+        for nu in (1, 2, 3):
+            h, j = scaled_index1(np.random.default_rng(nu), n, nu, c)
+            with mpmath.workdps(30):
+                ref = mpmath.det(mpmath.matrix(j.tolist())) * mpmath.mpf(c) ** (n - nu)
+            for method in ("charpoly", "eigenproduct"):
+                res = pdet(h, TOL9, method=method)
+                assert res.nullity == nu
+                assert abs(res.value - ref) <= 1e-9 * abs(ref)
 
 
 class TestCompatibility:
@@ -211,6 +230,21 @@ class TestPdetLemma:
         with pytest.raises(IndexGreaterThanOne):
             pdet_lemma(n, np.zeros(2), np.zeros(2), TOL9)
 
+    @pytest.mark.parametrize("route", [pdet_lemma, regularized_limit])
+    def test_column_count_mismatch(self, route):
+        u = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+        v = np.array([[0.25], [0.7], [0.0]])
+        with pytest.raises(DimensionMismatch):
+            route(A_SING, u, v, tol=TOL9)
+
+    @pytest.mark.parametrize("route", [pdet_lemma, regularized_limit])
+    def test_one_factorization_no_charpoly(self, route, monkeypatch):
+        charpolys = count_calls(monkeypatch, "charpoly")
+        factorizations = count_calls(monkeypatch, "full_rank_factorization")
+        route(A_SING, np.array([1.0, 0.0, 0.0]), np.array([0.25, 0.7, 0.0]), tol=TOL9)
+        assert charpolys == []
+        assert len(factorizations) == 1
+
     def test_matches_independent_pdet(self, rng):
         for _ in range(60):
             n = int(rng.integers(3, 8))
@@ -252,6 +286,18 @@ class TestRegularizedLimit:
         errs = [abs(val - target) for _, val in res.per_eps[-4:]]
         assert all(b <= a * 1.01 for a, b in zip(errs, errs[1:]))
 
+    @pytest.mark.parametrize("c", [1e-2, 1e-4])
+    @pytest.mark.parametrize("lam", [1.0, 1e-1, 1e-2, 1e-3])
+    def test_small_scale_converges(self, c, lam):
+        # an absolute schedule ending at eps = 1e-8 left a first-order error
+        # eps / (c lam) far above the 1e-6 gate at these scales
+        u = math.sqrt(c) * np.array([1.0, 0.0, 0.0])
+        v = math.sqrt(c) * np.array([0.25, 0.7, 0.0])
+        res = regularized_limit(c * np.diag([lam, 1.0, 0.0]), u, v, tol=TOL9)
+        target = c * c * lam * (1.0 + 0.25 / lam)
+        assert abs(res.estimate - target) <= 1e-12 * target
+        assert abs(res.per_eps[-1][1] - target) <= 1e-6 * target
+
     def test_schedule_too_short(self):
         u = np.zeros((3, 1))
         with pytest.raises(ScheduleTooShort):
@@ -274,3 +320,80 @@ class TestRegularizedLimit:
         assert len(sched) == 8
         assert sched[0] == 1e-1
         assert abs(sched[-1] - 1e-8) <= 1e-22
+
+
+def lemma_case(seed: int):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 7))
+    q = int(rng.integers(2, min(4, n - 1) + 1))
+    h, u, v, _ = exact_lemma_instance(rng, n, q, int(rng.integers(1, 4)))
+    return rng, h, u, v, q
+
+
+seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
+scales = st.floats(min_value=-4.0, max_value=4.0).map(lambda x: 10.0 ** x)
+
+
+class TestScaleAndSimilarity:
+    @settings(max_examples=40)
+    @given(seeds, scales)
+    def test_pdet_scales_by_c_to_the_q(self, seed, c):
+        _, h, _, _, q = lemma_case(seed)
+        for method in ("charpoly", "eigenproduct"):
+            base = pdet(h, TOL9, method=method)
+            scaled = pdet(c * h, TOL9, method=method)
+            assert scaled.nullity == base.nullity == h.shape[0] - q
+            assert abs(scaled.value - c ** q * base.value) <= 1e-9 * abs(c ** q * base.value)
+
+    @settings(max_examples=40)
+    @given(seeds, scales)
+    def test_lemma_routes_scale_by_c_to_the_q(self, seed, c):
+        _, h, u, v, q = lemma_case(seed)
+        base = pdet_lemma(h, u, v, TOL9)
+        want = c ** q * base
+        root = math.sqrt(c)
+        assert abs(pdet_lemma(c * h, root * u, root * v, TOL9) - want) <= 1e-9 * abs(want)
+        res = regularized_limit(c * h, root * u, root * v, tol=TOL9)
+        assert abs(res.estimate - want) <= 1e-9 * abs(want)
+
+    @settings(max_examples=40)
+    @given(seeds, scales)
+    def test_similarity_invariance(self, seed, c):
+        # H -> S H S^-1 with U -> S U and V -> S^-T V leaves pdet(H),
+        # its nullity and pdet(H + U V^T) unchanged, at any scale of H
+        rng, h, u, v, q = lemma_case(seed)
+        h, root = c * h, math.sqrt(c)
+        u, v = root * u, root * v
+        n = h.shape[0]
+        s = random_orthogonal(rng, n) + 0.1 * rng.standard_normal((n, n))
+        s_inv = np.linalg.inv(s)
+        hs, us, vs = s @ h @ s_inv, s @ u, s_inv.T @ v
+        for method in ("charpoly", "eigenproduct"):
+            base = pdet(h, TOL9, method=method)
+            moved = pdet(hs, TOL9, method=method)
+            assert moved.nullity == base.nullity == n - q
+            assert abs(moved.value - base.value) <= 1e-8 * abs(base.value)
+        want = pdet_lemma(h, u, v, TOL9)
+        assert abs(pdet_lemma(hs, us, vs, TOL9) - want) <= 1e-8 * abs(want)
+        res = regularized_limit(hs, us, vs, tol=TOL9)
+        assert abs(res.estimate - want) <= 1e-8 * abs(want)
+
+    def test_ill_conditioned_similarity_not_converged(self):
+        # a similarity with cond(S) of 73 on top of the instance's own: the
+        # closed form stays invariant, but the smallest-eps value carries a
+        # rounding error of about nu u cond(S) |H + U V^T| / eps, so the
+        # sweep errors fall with eps and then grow again past the 1e-6 gate
+        rng, h, u, v, _ = lemma_case(4266521501)
+        c = 27.213667020821156
+        h, u, v = c * h, math.sqrt(c) * u, math.sqrt(c) * v
+        n = h.shape[0]
+        s = np.eye(n) + rng.standard_normal((n, n)) / (2.0 * np.sqrt(n))
+        s_inv = np.linalg.inv(s)
+        hs, us, vs = s @ h @ s_inv, s @ u, s_inv.T @ v
+        want = pdet_lemma(h, u, v, TOL9)
+        assert abs(pdet_lemma(hs, us, vs, TOL9) - want) <= 1e-12 * abs(want)
+        with pytest.raises(NotConverged) as exc:
+            regularized_limit(hs, us, vs, tol=TOL9)
+        errs = [abs(val - want) / abs(want) for _, val in exc.value.per_eps]
+        assert errs[-1] > 1e-6
+        assert errs[-1] > 10.0 * min(errs)
