@@ -256,8 +256,9 @@ def _eps_schedule(schedule, smallest: float) -> tuple:
 
 def _require_settled(closed: float, finals, per_eps) -> None:
     """NotConverged, carrying the sweep, unless every smallest-eps value
-    in ``finals`` lies within _CONV_REL of the closed form."""
-    gap = max(abs(x - closed) for x in finals)
+    in ``finals`` lies within _CONV_REL of the closed form; a NaN or inf
+    among them fails, since numpy's max propagates it."""
+    gap = float(np.max(np.abs(np.subtract(finals, closed))))
     if not gap <= _CONV_REL * max(abs(closed), 1e-300):
         raise NotConverged(
             f"smallest-eps value is {gap:.3e} from the closed form {closed:.6e}",
@@ -274,7 +275,8 @@ def regularized_limit(h, u, v, schedule=None,
     of the n - nu largest eigenvalue magnitudes of H + U V^T (never below
     H's cutoff); an explicit one is taken as absolute. NotConverged is
     raised unless the smallest-eps value lies within 1e-6 relative of the
-    closed form. The determinants use machine tolerance regardless of
+    closed form, or as soon as eps ** nu underflows to zero, with the sweep
+    up to there. The determinants use machine tolerance regardless of
     ``tol``, which governs rank and compatibility decisions only (a loose
     cutoff would zero the eps-sized singular values being measured).
     """
@@ -282,8 +284,11 @@ def regularized_limit(h, u, v, schedule=None,
     mags = np.sort(np.abs(kernel.eigenvalues(m).eigenvalues))
     schedule = _eps_schedule(schedule, max(float(mags[nu]), tol.cutoff(a)))
     eye = np.eye(a.shape[0])
-    per_eps = tuple((eps, kernel.det(m + eps * eye) / eps ** nu)
-                    for eps in schedule)
+    per_eps = ()
+    for eps in schedule:
+        if eps ** nu == 0.0:
+            raise NotConverged(f"eps ** {nu} underflows at eps = {eps:.3e}", per_eps)
+        per_eps += ((eps, kernel.det(m + eps * eye) / eps ** nu),)
     _require_settled(estimate, (per_eps[-1][1],), per_eps)
     return RegularizedLimitResult(estimate=estimate, per_eps=per_eps,
                                   converged=True)

@@ -4,12 +4,15 @@ The additive route (``det_rank_one``, ``det_sequence``) uses the adjugate
 identity det(H + u v^T) = det(H) + v^T adj(H) u, which holds with no
 invertibility assumption, so singular bases and singular intermediates
 are fine. ``det_sequence`` evaluates v^T adj(M) u as det(M) v^T M^{-1} u
-while the running matrix M is invertible at tolerance, and takes the
-adjugate only from the first singular intermediate on. The multiplicative
-route (``det_product``, ``logdet_sequence``) uses
+while the running matrix M is safely invertible. Where M has rank n-1 it
+reads the adjugate off the inverse of the bordered matrix
+B = [[M, b], [c^T, 0]] by Jacobi's identity, and it returns to M^{-1} once
+M is invertible again; only below rank n-1 does a step take an SVD. The
+multiplicative route (``det_product``, ``logdet_sequence``) uses
 det(H + u v^T) = det(H) (1 + v^T H^{-1} u) and therefore requires
 nonsingular intermediates; violations are reported, never patched over.
-All three walk the same Sherman-Morrison update of M^{-1}, O(n^2) a step.
+All three walk one Sherman-Morrison update, of M^{-1} or of B^{-1}, O(n^2)
+a step.
 """
 
 from __future__ import annotations
@@ -165,61 +168,156 @@ def det_rank_one(h, update) -> float:
     return kernel.det(a) + float(up.v @ kernel.adjugate(a) @ up.u)
 
 
-def _inverse_walk(a: np.ndarray, seq: UpdateSequence, tol: Tolerance):
-    """Walk M_k = H + Delta_k, yielding (update k, s_k, M_{k-1}) for
-    k = 1..r with s_k = v_k^T M_{k-1}^{-1} u_k.
+def _base(a: np.ndarray, tol: Tolerance):
+    """(det H, H^{-1}), or (0.0, None) when H is singular at tolerance:
+    the same singular-value test ``kernel.det`` reports 0.0 on."""
+    try:
+        minv = kernel.inverse(a, tol)
+    except Singular:
+        return 0.0, None
+    return kernel.det(a, tol), minv
 
-    M^{-1} is carried by Sherman-Morrison with the denominator guard
-    |1 + s| >= tol.rel; below the guard a fresh inverse of M_k is
-    attempted. From the first M_{k-1} that is singular at tolerance (the
-    base, or a fresh inverse that fails) on, s_k is None for every
-    remaining step: the walk never re-enters the inverse route.
+
+def _refresh(m: np.ndarray, tol: Tolerance):
+    """A walk frame (inv, det_b, svd) for M from one full SVD. A singular
+    value counts only above cutoff / sqrt(tol.rel), the level at which an
+    inverse still carries about half the digits:
+    - sigma_n counts: inv = M^{-1};
+    - only sigma_{n-1} counts: inv = B^{-1} for the bordered
+      B = [[M, s_1 u_n], [s_1 v_n^T, 0]] in closed form, det_b = det B;
+      cond(B) = s_1 / s_{n-1} at any scale;
+    - otherwise svd = (det(U) det(V^T), U, S, V^T) for a Stewart step.
     """
-    r = len(seq)
+    u, s, vh = np.linalg.svd(m)
+    floor = tol.cutoff(m) / math.sqrt(tol.rel)
+    if s[-1] > floor:
+        return (vh.T / s) @ u.T, None, None
+    n = s.size
+    sign = np.linalg.det(u) * np.linalg.det(vh)
+    if n == 1 or not s[-2] > floor:
+        return None, None, (sign, u, s, vh)
+    s1 = s[0]
+    binv = np.empty((n + 1, n + 1))
+    binv[:n, :n] = (vh[:-1].T / s[:-1]) @ u[:, :-1].T
+    binv[:n, n] = vh[-1] / s1
+    binv[n, :n] = u[:, -1] / s1
+    binv[n, n] = -s[-1] / (s1 * s1)
+    return binv, -sign * np.prod(s[:-1]) * s1 * s1, None
+
+
+def _read(frame, up: RankOneUpdate, n: int):
+    """(x, s, t) for one update on a walk frame: x = inv [u; 0] and
+    s = [v; 0]^T x for the Sherman-Morrison step, and t = v^T adj(M) u
+    on the bordered and Stewart frames (None on the plain one)."""
+    inv, det_b, svd = frame
+    if inv is None:
+        return None, None, None if svd is None else _stewart_increment(svd, up)
+    x = inv[:, :n] @ up.u
+    s = float(up.v @ x[:n])
+    if det_b is None:
+        return x, s, None
+    # Jacobi: adj(M) = det B (tau P - q r^T) for B^{-1} = [[P, q], [r^T, tau]]
+    return x, s, float(det_b * (inv[n, n] * s - (up.v @ inv[:n, n]) * x[n]))
+
+
+def _stewart_increment(svd, up: RankOneUpdate) -> float:
+    """v^T adj(M) u from M = U S V^T (Stewart's form), in O(n^2):
+    adj(M) = det(U) det(V^T) V adj(S) U^T, adj(S)_kk = prod_{j != k} s_j."""
+    sign, u, s, vh = svd
+    one = np.ones(1)
+    adj_s = (np.concatenate((one, np.cumprod(s[:-1])))
+             * np.concatenate((np.cumprod(s[:0:-1])[::-1], one)))
+    return float(sign * ((vh @ up.v) * adj_s @ (u.T @ up.u)))
+
+
+def _inverse_walk(a: np.ndarray, seq: UpdateSequence, tol: Tolerance,
+                  minv, adjugate: bool = False):
+    """Walk M_k = H + Delta_k from M_0^{-1} = ``minv`` (None when H is
+    singular at tolerance), yielding (update k, s_k, t_k) for k = 1..r.
+
+    On the plain frame s_k = v_k^T M_{k-1}^{-1} u_k and t_k is None. M^{-1}
+    is carried by Sherman-Morrison under the guard
+    tol.rel <= |1 + s| <= 1 / sqrt(tol.rel); outside it a fresh inverse of
+    M_k is attempted. Without ``adjugate`` a singular M_{k-1} gives
+    s_k = t_k = None, and the walk stays there.
+
+    With ``adjugate`` the walk also yields t_k = v_k^T adj(M_{k-1}) u_k
+    (s_k None) wherever M_{k-1}^{-1} is not to be trusted, from the frame
+    ``_refresh`` picks by one SVD:
+    - rank n-1: the bordered B^{-1} = [[P, q], [r^T, tau]], carried by the
+      same Sherman-Morrison step on B + [u; 0][v; 0]^T, with det B carried
+      as a product; t_k = det B (tau v^T P u - (v^T q)(r^T u)) is O(n^2)
+      and free of any division by det M. Once the Schur candidate
+      M^{-1} = P - q r^T / tau has 1 / ||.||_F above the refresh's floor,
+      a lower bound on sigma_min(M), the walk takes one LU inverse and
+      returns to the plain frame.
+    - rank below n-1: the Stewart form of adj(M) from that SVD, and a
+      refresh at the next step.
+    A failed guard on the bordered frame refreshes. So does
+    |s_k| > 1 / sqrt(tol.rel) on either frame before t_k or D_{k-1} s_k is
+    formed: such an s_k says M_{k-1} is nearly singular along u_k and v_k,
+    where the product would multiply D_{k-1}'s rounding by |s_k|.
+    """
+    n, r = a.shape[0], len(seq)
+    root = math.sqrt(tol.rel)
     current = a
-    minv = None
-    if r > 0:
-        try:
-            minv = kernel.inverse(a, tol)
-        except Singular:
-            pass
+    frame = (minv, None, None)
+    if adjugate and minv is None and r:
+        frame = _refresh(a, tol)
     for i, up in enumerate(seq.updates, start=1):
-        s = None
-        if minv is not None:
-            x = minv @ up.u
-            s = float(up.v @ x)
-        yield up, s, current
+        x, s, t = _read(frame, up, n)
+        if adjugate and s is not None and abs(s) * root > 1.0:
+            frame = _refresh(current, tol)
+            x, s, t = _read(frame, up, n)
+        inv, det_b, _ = frame
+        yield up, (s if det_b is None else None), t
+        if i == r:
+            return
         current = current + np.outer(up.u, up.v)
-        if minv is not None and i < r:
+        if s is not None and tol.rel <= abs(1.0 + s) <= 1.0 / root:
             f = 1.0 + s
-            if abs(f) >= tol.rel:
-                vt_minv = up.v @ minv
-                minv = minv - np.outer(x, vt_minv) / f
-            else:
-                try:
-                    minv = kernel.inverse(current, tol)
-                except Singular:
-                    minv = None
+            vt_inv = up.v @ inv[:n]
+            inv = inv - np.outer(x, vt_inv) / f
+            if det_b is None:
+                frame = (inv, None, None)
+                continue
+            frame = (inv, det_b * f, None)
+            tau = inv[n, n]
+            adj = tau * inv[:n, :n] - np.outer(inv[:n, n], inv[n, :n])
+            if not np.linalg.norm(adj) * tol.cutoff(current) < abs(tau) * root:
+                continue
+            try:
+                frame = (np.linalg.inv(current), None, None)
+                continue
+            except np.linalg.LinAlgError:
+                pass
+        elif s is not None and det_b is None:
+            try:
+                frame = (kernel.inverse(current, tol), None, None)
+                continue
+            except Singular:
+                frame = (None, None, None)
+        if adjugate:
+            frame = _refresh(current, tol)
 
 
 def det_sequence(h, seq: UpdateSequence) -> DetTrace:
     """Run the additive recursion D_k = D_{k-1} + v_k^T adj(H + Delta_{k-1}) u_k.
 
-    While H + Delta_{k-1} is invertible at tolerance the increment is
+    While H + Delta_{k-1} is safely invertible the increment is
     D_{k-1} v_k^T (H + Delta_{k-1})^{-1} u_k, read off the Sherman-Morrison
-    walk; from the first singular intermediate on, every remaining
-    increment takes the adjugate. Works for singular H and singular
-    intermediates.
+    walk. At a singular or nearly singular intermediate of rank n-1 the
+    walk carries a bordered inverse instead and reads the adjugate off it,
+    O(n^2) a step, and returns to the plain inverse once the matrix is
+    invertible again; below rank n-1 each step takes one SVD. Works for
+    singular H and singular intermediates.
     """
     a = _check_base(h, seq)
-    d = kernel.det(a)
+    d, minv = _base(a, DEFAULT_TOL)
     values = [d]
     increments = []
-    for up, s, current in _inverse_walk(a, seq, DEFAULT_TOL):
-        if s is None:
-            inc = float(up.v @ kernel.adjugate(current) @ up.u)
-        else:
-            inc = d * s
+    for up, s, t in _inverse_walk(a, seq, DEFAULT_TOL, minv, adjugate=True):
+        inc = d * s if t is None else t
         d = d + inc
         increments.append(inc)
         values.append(d)
@@ -231,12 +329,12 @@ def _multiplicative_walk(a: np.ndarray, seq: UpdateSequence, tol: Tolerance,
     """Determinants and factors 1 + s_k for det_product / logdet_sequence
     along the Sherman-Morrison walk; a singular intermediate raises
     IntermediateSingular."""
-    d = kernel.det(a, tol)
+    d, minv = _base(a, tol)
     if require_positive and not d > 0.0:
         raise NonPositiveDeterminant(0, d)
     dets = [d]
     factors = []
-    for i, (_, s, _) in enumerate(_inverse_walk(a, seq, tol)):
+    for i, (_, s, _) in enumerate(_inverse_walk(a, seq, tol, minv)):
         if s is None:
             raise IntermediateSingular(i)
         f = 1.0 + s

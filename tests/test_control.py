@@ -358,6 +358,16 @@ def test_generic_stable_growth(n):
         assert abs(growth.pdet_estimate - ref) <= 1e-10 * ref
 
 
+def test_overflowing_factor_product_not_converged():
+    # n = 32, horizon 32: eps^r times the product of the factors overflows
+    # to inf * 0 = NaN in factor_product_values, which the gate must refuse
+    rng = np.random.default_rng(0)
+    a = 0.9 * rng.standard_normal((32, 32)) / np.sqrt(32)
+    g = build_gramian(a, rng.standard_normal((32, 2)), 32)
+    with np.errstate(all="ignore"), pytest.raises(NotConverged):
+        gramian_pdet_growth(g)
+
+
 class TestReachEllipse:
     def test_scaled_identity_circle(self):
         e = reach_ellipse(0.25 * np.eye(2))

@@ -21,6 +21,7 @@ from detdyn import (
     regularized_limit,
     spectral_projector,
 )
+from detdyn.drazin import _require_settled
 
 from conftest import (
     count_calls,
@@ -314,6 +315,21 @@ class TestRegularizedLimit:
         u = np.array([0.0, 0.0, 1.0])
         with pytest.raises(CompatibilityViolated):
             regularized_limit(A_SING, u, u, tol=TOL9)
+
+    def test_eps_power_underflow_not_converged(self):
+        # nu = 15 on a scaled schedule down to eps = 1e-22: eps ** 15
+        # underflows to 0.0 before the sweep ends
+        h = np.diag([1.0, 1e-14] + [0.0] * 15)
+        u = np.zeros((17, 1))
+        with pytest.raises(NotConverged) as exc:
+            regularized_limit(h, u, u)
+        assert all(eps ** 15 > 0.0 for eps, _ in exc.value.per_eps)
+
+    def test_settle_gate_fails_on_nan(self):
+        with pytest.raises(NotConverged):
+            _require_settled(1.0, (1.0, math.nan), ())
+        with pytest.raises(NotConverged):
+            _require_settled(1.0, (math.inf,), ())
 
     def test_default_schedule_shape(self):
         sched = default_eps_schedule()

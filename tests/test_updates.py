@@ -1,8 +1,11 @@
 import math
+import sys
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from detdyn import (
     DimensionMismatch,
@@ -16,12 +19,46 @@ from detdyn import (
     det_rank_one,
     det_sequence,
     logdet_sequence,
+    updates,
 )
 
 from conftest import count_calls, mp_det
 from test_kernel import RANK4
 
 TOL9 = Tolerance(rel=1e-9)
+
+
+def record_refreshes(monkeypatch) -> list:
+    """The frame each SVD refresh of the det_sequence walk picks, in order:
+    "plain", "bordered" (rank n-1) or "stewart" (rank below n-1)."""
+    frames = []
+    orig = updates._refresh
+
+    def recorded(m, tol):
+        inv, det_b, _ = frame = orig(m, tol)
+        frames.append("stewart" if inv is None else "plain" if det_b is None
+                      else "bordered")
+        return frame
+
+    monkeypatch.setattr(updates, "_refresh", recorded)
+    return frames
+
+
+def count_factorizations(monkeypatch) -> list:
+    """(module, name) of every np.linalg.svd and np.linalg.inv call made
+    from detdyn.updates or detdyn.kernel, for the rest of the test."""
+    calls = []
+    for name in ("svd", "inv"):
+        orig = getattr(np.linalg, name)
+
+        def counted(*args, _orig=orig, _name=name, **kwargs):
+            caller = sys._getframe(1).f_globals.get("__name__")
+            if caller in ("detdyn.updates", "detdyn.kernel"):
+                calls.append((caller, _name))
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
 
 
 def random_sequence(rng, n, r):
@@ -125,22 +162,33 @@ class TestDetSequence:
         assert adj == []
 
     def test_singular_base_takes_adjugate_every_step(self, monkeypatch):
-        # M_3 = I is invertible, yet the walk stays on the adjugate route
+        # M_0 and M_1 have rank n-3 and n-2: one SVD each for the Stewart
+        # step; M_2 has rank n-1 and gets the bordered frame; M_3 = I
+        # re-enters the plain route through one LU inverse
         adj = count_calls(monkeypatch, "adjugate")
+        frames = record_refreshes(monkeypatch)
+        lapack = count_factorizations(monkeypatch)
         e = np.eye(4)
         seq = UpdateSequence.symmetric([e[1], e[2], e[3], e[0]])
         tr = det_sequence(np.diag([1.0, 0.0, 0.0, 0.0]), seq)
-        assert len(adj) == 4
+        assert adj == []
+        assert frames == ["stewart", "stewart", "bordered"]
+        assert lapack.count(("detdyn.updates", "inv")) == 1
         assert tr.values == (0.0, 0.0, 0.0, 1.0, 2.0)
 
     def test_singular_intermediate_switches_to_adjugate(self, monkeypatch):
-        # M_1 = diag(0, 1) is singular: steps 2 and 3 take the adjugate,
-        # step 3 although M_2 = I is invertible again
+        # M_1 = diag(0, 1) has rank n-1: the failed guard refreshes to the
+        # bordered frame, with no Stewart step, and M_2 = I re-enters the
+        # plain route through one LU inverse
         adj = count_calls(monkeypatch, "adjugate")
+        frames = record_refreshes(monkeypatch)
+        lapack = count_factorizations(monkeypatch)
         e1, e2 = np.eye(2)
         seq = UpdateSequence.from_pairs([(e1, -e1), (e1, e1), (e2, e2)])
         tr = det_sequence(np.eye(2), seq)
-        assert len(adj) == 2
+        assert adj == []
+        assert frames == ["bordered"]
+        assert lapack.count(("detdyn.updates", "inv")) == 1
         assert tr.values == (1.0, 0.0, 1.0, 2.0)
 
     def test_n64_final_against_mpmath(self, rng):
@@ -164,6 +212,88 @@ class TestDetSequence:
         assert not np.allclose(fwd.increments, rev.increments[::-1]) or not np.allclose(
             fwd.increments, rev.increments
         )
+
+
+def deficient_stream(rng, n, defect, r, k_fix, c=1.0):
+    """c (X - X Z Z^T) with Z an n x defect orthonormal block, so the base
+    has rank n - defect, and r updates c a w^T. Updates before k_fix keep
+    w orthogonal to Z, so the rank stays; the one at k_fix adds Z's first
+    column to w, which restores one rank."""
+    z = np.linalg.qr(rng.standard_normal((n, defect)))[0]
+    x = np.eye(n) + rng.standard_normal((n, n)) / np.sqrt(n)
+    h = c * (x - x @ z @ z.T)
+    pairs = []
+    for k in range(r):
+        w = rng.standard_normal(n) / np.sqrt(n)
+        if k < k_fix:
+            w = w - z @ (z.T @ w)
+        elif k == k_fix:
+            w = w + z[:, 0]
+        pairs.append((c * rng.standard_normal(n) / np.sqrt(n), w))
+    return h, UpdateSequence.from_pairs(pairs)
+
+
+def running_matrices(h, seq):
+    mats = [h]
+    for up in seq.updates:
+        mats.append(mats[-1] + np.outer(up.u, up.v))
+    return mats
+
+
+def hadamard(m) -> float:
+    return float(np.prod(np.linalg.norm(m, axis=0)))
+
+
+class TestSingularWalk:
+    """The rank-(n-1) bordered frame, its return to the plain route and
+    the Stewart step below rank n-1, against 30-digit mpmath."""
+
+    # a uniform scale c moves det(M_k) by c^n; at n = 64 and c = 1e6 or
+    # 1e-6 it leaves float range, so the scaled walks run at n = 32
+    @pytest.mark.parametrize("n, c", [(64, 1.0), (32, 1e-6), (32, 1e6)])
+    def test_rank_deficient_base_turns_nonsingular(self, n, c, monkeypatch):
+        frames = record_refreshes(monkeypatch)
+        k_fix = n // 2
+        h, seq = deficient_stream(np.random.default_rng(64), n, 1, n, k_fix, c)
+        tr = det_sequence(h, seq)
+        mats = running_matrices(h, seq)
+        assert frames == ["bordered"]
+        for k in range(k_fix + 1):
+            assert abs(tr.values[k]) <= 1e-9 * hadamard(mats[k])
+        for k in (k_fix + 1, n):
+            ref = mp_det(mats[k])
+            assert abs(tr.values[k] - ref) <= 1e-9 * abs(ref)
+
+    def test_singular_start_factorizes_at_most_three_times(self, monkeypatch):
+        # kernel.inverse's singular-value test on the base, one SVD refresh
+        # to the bordered frame, one LU inverse on the return: a walk that
+        # took an O(n^3) step per singular intermediate fails here
+        n = 64
+        h, seq = deficient_stream(np.random.default_rng(64), n, 1, n, n // 2)
+        lapack = count_factorizations(monkeypatch)
+        det_sequence(h, seq)
+        assert len(lapack) <= 3
+
+    def test_rank_n_minus_2_base_takes_stewart_step(self, monkeypatch):
+        frames = record_refreshes(monkeypatch)
+        n = 8
+        h, seq = deficient_stream(np.random.default_rng(8), n, 2, 5, 0)
+        tr = det_sequence(h, seq)
+        assert frames == ["stewart", "bordered"]
+        for val, m in zip(tr.values, running_matrices(h, seq)):
+            assert abs(val - mp_det(m)) <= 1e-12 * hadamard(m)
+
+    # the example's M_0 and M_4 have sigma_min a hair above the n = 2
+    # cutoff: a walk that trusts their inverses is off by 0.1 Hadamard
+    @given(n=st.integers(2, 8), defect=st.integers(1, 7), r=st.integers(1, 8),
+           k_fix=st.integers(0, 8), seed=st.integers(0, 2**32 - 1))
+    @example(n=2, defect=1, r=6, k_fix=4, seed=0)
+    def test_rank_deficient_walk_against_mpmath(self, n, defect, r, k_fix, seed):
+        defect, k_fix = min(defect, n - 1), min(k_fix, r)
+        h, seq = deficient_stream(np.random.default_rng(seed), n, defect, r, k_fix)
+        tr = det_sequence(h, seq)
+        for val, m in zip(tr.values, running_matrices(h, seq), strict=True):
+            assert abs(val - mp_det(m)) <= 1e-9 * hadamard(m)
 
 
 class TestDetProduct:
