@@ -7,9 +7,9 @@ text, deterministic byte-for-byte for a fixed scenario and seed, with
 every floating-point value printed at 17 significant digits so that an
 echoed matrix reparses to the exact same bits.
 
-Exit codes: 0 success, 1 input or parse errors, 2 violated mathematical
-hypotheses (singular intermediate, nonpositive determinant, index > 1,
-failed compatibility, and kin).
+Exit codes: 0 success, 1 input, parse or usage errors, 2 violated
+mathematical hypotheses (singular intermediate, nonpositive determinant,
+index > 1, failed compatibility, and kin).
 """
 
 from __future__ import annotations
@@ -592,8 +592,17 @@ def emit_ellipse_svg(g: control.GramianBuild, eps: float, out_path) -> list:
 # ---------------------------------------------------------------------------
 # Entry point
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, the input-error code: argparse's own 2 is the
+    violated-hypothesis code here. Subparsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="detdyn",
         description="determinant dynamics under rank-one updates",
     )

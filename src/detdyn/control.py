@@ -13,8 +13,8 @@ import numpy as np
 
 from . import kernel
 from .drazin import _eps_schedule, _require_settled
-from .errors import DimensionMismatch, NotConverged, NotPositiveDefinite, NotPSD
-from .kernel import DEFAULT_TOL, EPS, Tolerance
+from .errors import DimensionMismatch, NotPositiveDefinite, NotPSD
+from .kernel import DEFAULT_TOL, Tolerance
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,8 @@ class GramianGrowth:
     """Regularized growth diagnostics.
 
     pdet_estimate is the closed form: the product of the r largest
-    eigenvalues of the Gram block of W on the span of the directions. For
+    eigenvalues of W, the squared singular values of the directions, r
+    counting those above the tolerance cutoff of W. For
     each eps the per-step factors 1 + u_l^T Wtil_{l-1}(eps)^{-1} u_l are
     recorded together with the relative residual of the product identity
     det(Wtil(eps)) = eps^n prod(factors); normalized_det_values hold the
@@ -267,60 +268,43 @@ def build_gramian(a, b, horizon: int) -> GramianBuild:
 
 
 # ---------------------------------------------------------------------------
-# Regularized growth through an incrementally built orthonormal basis.
+# Regularized growth from one Householder QR of the directions.
 #
-# Wtil_{l-1}(eps) = eps I + Q M Q^T with Q an orthonormal basis of
-# span(u_1..u_{l-1}) and M = Q^T W_{l-1} Q, so
-#   u^T Wtil^{-1} u = a^T (eps I_k + M)^{-1} a + |b|^2 / eps
-# with a = Q^T u and b the orthogonal residual, and
-#   det(Wtil(eps)) = eps^{n-k} det(eps I_k + M).
-# One symmetric eigendecomposition M = V diag(lambda) V^T per step serves
-# the whole schedule: a^T (eps I + M)^{-1} a = sum_j (v_j^T a)^2 / (lambda_j
-# + eps) and det(eps I + M) = prod_j (lambda_j + eps). M is a Gram block,
-# so eigenvalues that rounding pushes below zero are taken as zero. Small
-# k x k blocks keep every quantity accurate at eps near 1e-8, where a solve
-# on the eps-conditioned n x n matrix would lose most of its relative
-# precision.
+# With X = [u_1 .. u_L] = Q R, Q orthonormal n x k and k = min(n, L), every
+# u_l = Q r_l and W_{l-1} = Q G_l Q^T with G_l = sum_{j<l} r_j r_j^T, so
+#   u_l^T (eps I + W_{l-1})^{-1} u_l = sum_i (v_i^T r_l)^2 / (lambda_i + eps)
+#   det(eps I + W) = eps^{n-k} prod_i (sigma_i(X)^2 + eps)
+# for G_l = V diag(lambda) V^T: one decomposition per step serves the whole
+# schedule, and the weight on the null space of G_l is the squared distance
+# of u_l from the span so far, with no cutoff. Small k x k blocks keep every
+# quantity accurate at eps near 1e-8, where a solve on the eps-conditioned
+# n x n matrix would lose most of its relative precision.
 
-def _basis_walk(directions, n: int):
-    """Per step: coordinates (a, beta) of u_l on the basis so far, plus
-    the small Gram block M before the step. Returns (records, M_final)."""
-    q = np.zeros((n, 0))
-    m = np.zeros((0, 0))
-    records = []
-    for u in directions:
-        a = q.T @ u
-        b = u - q @ a
-        a2 = q.T @ b
-        b = b - q @ a2
-        a = a + a2
-        beta = math.sqrt(float(b @ b))
-        records.append((a.copy(), beta, m.copy()))
-        unorm = math.sqrt(float(u @ u))
-        k = q.shape[1]
-        if beta > 32.0 * EPS * unorm and k < n:
-            q = np.hstack([q, (b / beta).reshape(-1, 1)])
-            grown = np.zeros((k + 1, k + 1))
-            grown[:k, :k] = m + np.outer(a, a)
-            grown[:k, k] = beta * a
-            grown[k, :k] = beta * a
-            grown[k, k] = beta * beta
-            m = grown
-        else:
-            m = m + np.outer(a, a)
-    return records, m
+def _gram_spectra(cols: np.ndarray):
+    """(lambda, V) of every G_l for the rows r_l of ``cols``, from the
+    singular values of a square root [T | r_s .. r_{l-1}], T T^T = G_s.
 
-
-def _quad_forms(records, eps: np.ndarray) -> np.ndarray:
-    """quad[l, e] = u_l^T Wtil_{l-1}(eps_e)^{-1} u_l for every step l."""
-    quad = np.empty((len(records), eps.size))
-    for step, (a, beta, m) in enumerate(records):
-        quad[step] = beta * beta / eps
-        if a.size:
-            lam, vecs = np.linalg.eigh(m)
-            weights = (vecs.T @ a) ** 2
-            quad[step] += weights @ (1.0 / (np.maximum(lam, 0.0)[:, None] + eps))
-    return quad
+    An eigensolver on G_l itself would put the eigenvalue of order
+    (eps |u|)^2 that an exactly repeated direction leaves anywhere within
+    eps |G_l|, far above the smallest eps of a scaled schedule. The steps
+    go in blocks of k, one batched SVD each, and one QR carries T to the
+    next block, so no square root is wider than 2k at any L.
+    """
+    steps, k = cols.shape
+    size = max(k, 1)
+    root = np.zeros((k, 0))
+    lam, vecs = [np.zeros((0, k))], [np.zeros((0, k, k))]
+    for s in range(0, steps, size):
+        if s:
+            root = np.linalg.qr(np.vstack([root.T, cols[s - size:s]]), mode="r").T
+        block = cols[s:s + size]
+        masked = block.T * np.tri(len(block), k=-1)[:, None, :]
+        stack = np.concatenate(
+            [np.broadcast_to(root, (len(block),) + root.shape), masked], axis=2)
+        u, sv, _ = np.linalg.svd(stack, full_matrices=False)
+        lam.append(sv * sv)
+        vecs.append(u)
+    return np.concatenate(lam), np.concatenate(vecs)
 
 
 def growth_from_directions(directions, n: int, schedule=None,
@@ -329,33 +313,31 @@ def growth_from_directions(directions, n: int, schedule=None,
     """Regularized pseudodeterminant growth for an arbitrary ordered
     direction list (the Gramian is their outer-product sum).
 
-    The default schedule is default_eps_schedule() scaled by the smallest
-    retained eigenvalue; an explicit schedule is taken as absolute eps
-    values. With ``raise_on_diverge``, NotConverged is raised unless both
-    sweep routes lie within 1e-6 relative of pdet_estimate at the smallest
-    eps. A basis walk that kept fewer than r directions always raises it.
+    The spectrum of W is the squared singular values of the directions;
+    r counts those above ``tol.cutoff(W)``. The default schedule is
+    default_eps_schedule() scaled by the smallest retained eigenvalue; an
+    explicit schedule is taken as absolute eps values. With
+    ``raise_on_diverge``, NotConverged is raised unless both sweep routes
+    lie within 1e-6 relative of pdet_estimate at the smallest eps.
     """
-    dirs = [kernel.as_vector(u, dim=n, name="direction") for u in directions]
-    w = np.zeros((n, n))
-    for u in dirs:
-        w += np.outer(u, u)
-    r = kernel.rank(w, tol)
-    records, m_final = _basis_walk(dirs, n)
-    lam_final = np.maximum(np.linalg.eigvalsh(m_final), 0.0)
-    k = lam_final.size
-    if k < r:
-        raise NotConverged(f"the basis walk kept {k} directions, rank is {r}", ())
-    retained = lam_final[k - r:]
-    schedule = _eps_schedule(
-        schedule, max(float(retained[0]), tol.cutoff(w)) if r else 1.0)
+    x = np.array([kernel.as_vector(u, dim=n, name="direction")
+                  for u in directions]).reshape(-1, n).T
+    cols = np.linalg.qr(x, mode="r").T
+    s2 = np.linalg.svd(x, compute_uv=False) ** 2
+    cut = tol.cutoff(x @ x.T)
+    r = int(np.count_nonzero(s2 > cut))
+    k = s2.size
+    schedule = _eps_schedule(schedule, max(float(s2[r - 1]), cut) if r else 1.0)
     eps = np.array(schedule)
-    factors = 1.0 + _quad_forms(records, eps)
+    lam, vecs = _gram_spectra(cols)
+    weights = np.einsum("lji,lj->li", vecs, cols) ** 2
+    factors = 1.0 + np.einsum("li,lie->le", weights, 1.0 / (lam[:, :, None] + eps))
     prod = np.prod(factors, axis=0)
-    lhs = eps ** (n - k) * np.prod(lam_final[:, None] + eps, axis=0)
+    lhs = eps ** (n - k) * np.prod(s2[:, None] + eps, axis=0)
     residuals = np.abs(lhs - eps ** n * prod) / np.maximum(np.abs(lhs), 1e-300)
     norm_det = tuple((lhs / eps ** (n - r)).tolist())
     fac_prod = tuple((eps ** r * prod).tolist())
-    pdet_est = float(np.prod(retained))
+    pdet_est = float(np.prod(s2[:r]))
     if raise_on_diverge:
         _require_settled(pdet_est, (norm_det[-1], fac_prod[-1]),
                          tuple(zip(schedule, norm_det)))

@@ -68,7 +68,7 @@ class CharPoly:
     coeffs: tuple
 
     def __call__(self, lam):
-        return _polyval(self.coeffs, lam)
+        return np.polyval(self.coeffs, lam)
 
 
 @dataclass(frozen=True)
@@ -118,13 +118,13 @@ def _singular_values(a: np.ndarray) -> np.ndarray:
     return np.linalg.svd(a, compute_uv=False)
 
 
-def _nonsingular(a: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """``a`` itself, or Singular when its smallest singular value is not
+def _nonsingular(a: np.ndarray, tol: Tolerance) -> float:
+    """The smallest singular value of ``a``, or Singular when it is not
     above the cutoff."""
     s, cut = float(_singular_values(a)[-1]), tol.cutoff(a)
     if not s > cut:
         raise Singular(f"smallest singular value {s:.3e} below cutoff {cut:.3e}")
-    return a
+    return s
 
 
 def det(m, tol: Tolerance = DEFAULT_TOL) -> float:
@@ -135,19 +135,23 @@ def det(m, tol: Tolerance = DEFAULT_TOL) -> float:
     """
     a = as_matrix(m, square=True)
     try:
-        return np.linalg.det(_nonsingular(a, tol)).item()
+        _nonsingular(a, tol)
     except Singular:
         return a.dtype.type(0).item()
+    return np.linalg.det(a).item()
 
 
 def solve(m, b, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Solve M x = b (b a vector or matrix of columns)."""
-    a = _nonsingular(as_matrix(m, square=True), tol)
+    a = as_matrix(m, square=True)
+    _nonsingular(a, tol)
     return np.linalg.solve(a, np.asarray(b))
 
 
 def inverse(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    return np.linalg.inv(_nonsingular(as_matrix(m, square=True), tol))
+    a = as_matrix(m, square=True)
+    _nonsingular(a, tol)
+    return np.linalg.inv(a)
 
 
 def adjugate(m) -> np.ndarray:
@@ -162,8 +166,8 @@ def adjugate(m) -> np.ndarray:
     if a.shape[0] == 1:
         return np.ones_like(a)
     try:
-        inv = np.linalg.inv(_nonsingular(a, DEFAULT_TOL))
-        return np.linalg.det(a) * inv
+        _nonsingular(a, DEFAULT_TOL)
+        return np.linalg.det(a) * np.linalg.inv(a)
     except Singular:
         pass
     u, s, vh = np.linalg.svd(a)
@@ -193,13 +197,6 @@ def charpoly(m) -> CharPoly:
         nk = a @ nk + coeffs[-1] * eye
         coeffs.append(float(-np.trace(a @ nk) / k))
     return CharPoly(degree=n, coeffs=tuple(coeffs))
-
-
-def _polyval(coeffs, z):
-    acc = coeffs[0] * np.ones_like(z) if np.ndim(z) else coeffs[0]
-    for c in coeffs[1:]:
-        acc = acc * z + c
-    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,9 @@ class SecularEvaluation:
 
     A root of this function in lambda is an eigenvalue created or moved
     by the update u v^T on top of A + Delta. ``resolvent_cond_flag``
-    warns that the resolvent solve was close to singular.
+    warns that the resolvent solve was close to singular: its smallest
+    singular value is below sqrt(tol.rel) times its largest entry, a test
+    that does not depend on the scale of A.
     """
 
     lam: complex
@@ -93,14 +95,13 @@ def secular_value(a, delta_prev: UpdateSequence, u, v, lam,
     z = complex(lam)
     m = z * np.eye(n, dtype=complex) - base - delta_prev.total()
     try:
-        x = kernel.solve(m, uu, tol)
+        sigma_min = kernel._nonsingular(m, tol)
     except Singular:
         raise ResolventSingular(
             f"lambda = {z} is an eigenvalue of the prefix matrix at tolerance"
         ) from None
-    scale = float(np.max(np.abs(m)))
-    sigma_min = float(kernel._singular_values(m)[-1])
-    flag = sigma_min < math.sqrt(tol.rel) * max(1.0, scale)
+    x = np.linalg.solve(m, uu)
+    flag = sigma_min < math.sqrt(tol.rel) * float(np.max(np.abs(m)))
     return SecularEvaluation(lam=z, value=complex(1.0 - vv @ x),
                              resolvent_cond_flag=flag)
 
@@ -148,7 +149,7 @@ def stability_preserved(a, u, v, samples: int = 4096,
     f_floor = max(tol.abs, tol.rel)
     while True:
         pts = _d_contour(radius, ns)
-        fvals = kernel._polyval(p_pert, pts) / kernel._polyval(p_base, pts)
+        fvals = np.polyval(p_pert, pts) / np.polyval(p_base, pts)
         if float(np.min(np.abs(fvals))) <= f_floor:
             raise EigenvalueOnContour(
                 "|f| vanished on the contour; an eigenvalue sits on the "

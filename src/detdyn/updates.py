@@ -170,12 +170,12 @@ def det_rank_one(h, update) -> float:
 
 def _base(a: np.ndarray, tol: Tolerance):
     """(det H, H^{-1}), or (0.0, None) when H is singular at tolerance:
-    the same singular-value test ``kernel.det`` reports 0.0 on."""
+    one singular-value test, the one ``kernel.det`` reports 0.0 on."""
     try:
-        minv = kernel.inverse(a, tol)
+        kernel._nonsingular(a, tol)
     except Singular:
         return 0.0, None
-    return kernel.det(a, tol), minv
+    return np.linalg.det(a).item(), np.linalg.inv(a)
 
 
 def _refresh(m: np.ndarray, tol: Tolerance):

@@ -378,6 +378,25 @@ class TestMain:
         assert main(["drazin", "--scenario", str(sc)]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("argv", [
+        ["pdet"],
+        ["pdet", "--scenario", "s.json", "--no-such-flag"],
+        ["no-such-kind", "--scenario", "s.json"],
+    ])
+    def test_usage_error_exits_1(self, argv, capsys):
+        # 2 is reserved for violated hypotheses
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert "usage: detdyn" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["pdet", "--help"]])
+    def test_help_exits_0(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage: detdyn" in capsys.readouterr().out
+
     def test_ellipse_plot_via_flag(self, tmp_path, capsys):
         sc = write_scenario(tmp_path, {
             "kind": "ellipse-plot",

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -320,19 +321,92 @@ def stable_system(seed: int, n: int):
     return a, rng.standard_normal((n, 1))
 
 
-def mp_gramian_spectrum(g, tol_rel: float):
+def mp_gramian_spectrum(directions, tol_rel: float):
     """(descending eigenvalues of W, rank at the package's cutoff, product
     of the retained eigenvalues) at 30 digits."""
-    n = g.w.shape[0]
+    n = len(directions[0])
     with mpmath.workdps(30):
         w = mpmath.zeros(n, n)
-        for u in g.directions:
+        for u in directions:
             x = mpmath.matrix(u.tolist())
             w += x * x.T
         ev = sorted(mpmath.eigsy(w, eigvals_only=True), reverse=True)
         cut = tol_rel * n * max(abs(w[i, j]) for i in range(n) for j in range(n))
         r = sum(1 for e in ev if e > cut)
         return ev, r, float(mpmath.fprod(ev[:r]))
+
+
+def mp_step_factors(directions, schedule) -> np.ndarray:
+    """factors[e][l] = 1 + u_l^T (eps_e I + W_{l-1})^{-1} u_l at 30 digits."""
+    n = len(directions[0])
+    out = np.empty((len(schedule), len(directions)))
+    with mpmath.workdps(30):
+        for e, eps in enumerate(schedule):
+            acc = mpmath.mpf(eps) * mpmath.eye(n)
+            for l, u in enumerate(directions):
+                x = mpmath.matrix(u.tolist())
+                out[e, l] = float(1 + (x.T * mpmath.lu_solve(acc, x))[0])
+                acc += x * x.T
+    return out
+
+
+def growth_case(name: str):
+    """Ordered directions for the 30-digit growth checks."""
+    if name == "single":
+        return list(build_gramian(*stable_system(3, 5), 5).directions)
+    if name == "multi":  # L = 8 > n = 3: three blocks of k = 3 steps
+        a, _ = stable_system(4, 3)
+        b = np.random.default_rng(4).standard_normal((3, 2))
+        return list(build_gramian(a, b, 4).directions)
+    if name == "repeated":  # u_(i,0) = u_(i,1) exactly, L = 8 > n = 4
+        a, b = stable_system(5, 4)
+        return list(build_gramian(a, np.hstack([b, b]), 4).directions)
+    # nilpotent shift: A^3 b = A^4 b = 0
+    shift = np.diag([1.0, 1.0], k=1)
+    return list(build_gramian(shift, np.array([1.0, -2.0, 0.5]), 5).directions)
+
+
+@pytest.mark.parametrize("name", ["single", "multi", "repeated", "zero"])
+def test_growth_against_mpmath(name):
+    dirs = growth_case(name)
+    n = len(dirs[0])
+    growth = growth_from_directions(dirs, n, tol=TOL9)
+    _, r, ref = mp_gramian_spectrum(dirs, 1e-9)
+    assert growth.rank_r == r
+    assert abs(growth.pdet_estimate - ref) <= 1e-12 * ref
+    want = mp_step_factors(dirs, growth.eps_schedule)
+    got = np.array(growth.factors_per_eps)
+    assert np.max(np.abs(got - want) / want) <= 1e-11
+
+
+def count_lapack(monkeypatch) -> dict:
+    """Calls of np.linalg.qr, svd and eigh made from detdyn.control."""
+    counts = {"qr": 0, "svd": 0, "eigh": 0}
+    for name in counts:
+        orig = getattr(np.linalg, name)
+
+        def counted(*args, _orig=orig, _name=name, **kwargs):
+            if sys._getframe(1).f_globals.get("__name__") == "detdyn.control":
+                counts[_name] += 1
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("horizon", [1, 4, 12])
+def test_growth_factorizations_per_block(monkeypatch, horizon):
+    # no eigensolver and no second rank rule: one QR of the directions,
+    # one SVD for the spectrum of W, then one batched SVD per block of
+    # n steps and one QR between blocks
+    ranks = count_calls(monkeypatch, "rank")
+    counts = count_lapack(monkeypatch)
+    a, b = stable_system(6, 4)
+    g = build_gramian(a, b, horizon)
+    gramian_pdet_growth(g, tol=TOL9)
+    blocks = -(-horizon // 4)
+    assert ranks == []
+    assert counts == {"qr": blocks, "svd": 1 + blocks, "eigh": 0}
 
 
 # rank 5 with cond(W) of 2e9 and 3.9e9: the eigenvalue that the rank cutoff
@@ -346,7 +420,7 @@ def test_generic_stable_growth(n):
     # the smallest retained eigenvalue fell below about 1e-2
     for seed in range(20):
         g = build_gramian(*stable_system(seed, n), n)
-        ev, r, ref = mp_gramian_spectrum(g, 1e-9)
+        ev, r, ref = mp_gramian_spectrum(g.directions, 1e-9)
         if (n, seed) in DROPPED_DWARFS_EPS:
             assert r == 5
             with pytest.raises(NotConverged) as exc:

@@ -85,6 +85,26 @@ class TestSecularValue:
         assert secular_value(skewed, EMPTY2, u, v, 0.0).resolvent_cond_flag
         assert not secular_value(np.diag([-1.0, -2.0]), EMPTY2, u, v, 0.0).resolvent_cond_flag
 
+    def test_cond_flag_is_scale_free(self, monkeypatch, rng):
+        # scaling A and lambda by c scales every singular value and entry
+        # of the resolvent by c, so the flag stays; one SVD per resolvent
+        a = random_hurwitz(rng, 6)
+        u, v = rng.standard_normal(6), rng.standard_normal(6)
+        skewed = np.array([[-1.0, -1e4], [0.0, -1.0]])
+        svds = []
+        orig = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            svds.append(args[0].shape)
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        for c in (1e-6, 1.0, 1e6):
+            well = secular_value(c * a, UpdateSequence(base_dim=6), u, v, 0.5 * c)
+            ill = secular_value(c * skewed, EMPTY2, np.ones(2), np.ones(2), 0.0)
+            assert (well.resolvent_cond_flag, ill.resolvent_cond_flag) == (False, True)
+        assert svds == [(6, 6), (2, 2)] * 3
+
     def test_vanishes_at_oracle_eigenvalues(self, rng):
         for _ in range(25):
             n = int(rng.integers(2, 6))

@@ -15,6 +15,7 @@ from detdyn import (
     Tolerance,
     UpdateSequence,
     contribution_analysis,
+    det,
     det_product,
     det_rank_one,
     det_sequence,
@@ -179,7 +180,7 @@ class TestDetSequence:
     def test_singular_intermediate_switches_to_adjugate(self, monkeypatch):
         # M_1 = diag(0, 1) has rank n-1: the failed guard refreshes to the
         # bordered frame, with no Stewart step, and M_2 = I re-enters the
-        # plain route through one LU inverse
+        # plain route through one LU inverse (the other is the base's)
         adj = count_calls(monkeypatch, "adjugate")
         frames = record_refreshes(monkeypatch)
         lapack = count_factorizations(monkeypatch)
@@ -188,7 +189,7 @@ class TestDetSequence:
         tr = det_sequence(np.eye(2), seq)
         assert adj == []
         assert frames == ["bordered"]
-        assert lapack.count(("detdyn.updates", "inv")) == 1
+        assert [c for c in lapack if c[1] == "inv"] == [("detdyn.updates", "inv")] * 2
         assert tr.values == (1.0, 0.0, 1.0, 2.0)
 
     def test_n64_final_against_mpmath(self, rng):
@@ -297,6 +298,19 @@ class TestSingularWalk:
 
 
 class TestDetProduct:
+    def test_nonsingular_base_takes_one_svd(self, monkeypatch, rng):
+        # one singular-value test serves det H and H^{-1}, and both still
+        # come from LAPACK's LU as kernel.det and kernel.inverse give them
+        n = 64
+        h = np.eye(n) + rng.standard_normal((n, n)) / (2.0 * np.sqrt(n))
+        seq = UpdateSequence.from_pairs(
+            [(0.1 * rng.standard_normal(n), 0.1 * rng.standard_normal(n))
+             for _ in range(4)])
+        calls = count_factorizations(monkeypatch)
+        lp = det_product(h, seq)
+        assert calls == [("detdyn.kernel", "svd"), ("detdyn.updates", "inv")]
+        assert lp.base_det == det(h)
+
     def test_single_update(self):
         e1 = np.array([1.0, 0.0])
         lp = det_product(np.eye(2), UpdateSequence.from_pairs([(e1, e1)]))
