@@ -279,10 +279,23 @@ def build_gramian(a, b, horizon: int) -> GramianBuild:
 # of u_l from the span so far, with no cutoff. Small k x k blocks keep every
 # quantity accurate at eps near 1e-8, where a solve on the eps-conditioned
 # n x n matrix would lose most of its relative precision.
+#
+# Every array carries a leading batch axis, so a stack of direction sets of
+# one shape (the perturbed trials) makes each factorization one batched
+# LAPACK call for all of them: one QR and one SVD of the directions, one
+# SVD per block of k steps and one QR between blocks. Each set keeps its
+# own cutoff, rank and estimate; a single growth is the batch of one.
+
+# A stacked pass of the perturbed experiment takes as many trials as keep
+# its step eigenvectors and eps-weights, L k (k + len(schedule)) floats a
+# trial, within this budget (2 MiB): many trials or a long horizon go
+# through in chunks, so memory does not grow with the trial count.
+_STACK_FLOATS = 1 << 18
+
 
 def _gram_spectra(cols: np.ndarray):
-    """(lambda, V) of every G_l for the rows r_l of ``cols``, from the
-    singular values of a square root [T | r_s .. r_{l-1}], T T^T = G_s.
+    """(lambda, V) of every G_l for the rows r_l of each ``cols[b]``, from
+    the singular values of a square root [T | r_s .. r_{l-1}], T T^T = G_s.
 
     An eigensolver on G_l itself would put the eigenvalue of order
     (eps |u|)^2 that an exactly repeated direction leaves anywhere within
@@ -290,21 +303,44 @@ def _gram_spectra(cols: np.ndarray):
     go in blocks of k, one batched SVD each, and one QR carries T to the
     next block, so no square root is wider than 2k at any L.
     """
-    steps, k = cols.shape
+    batch, steps, k = cols.shape
     size = max(k, 1)
-    root = np.zeros((k, 0))
-    lam, vecs = [np.zeros((0, k))], [np.zeros((0, k, k))]
+    root = np.zeros((batch, k, 0))
+    lam, vecs = [np.zeros((batch, 0, k))], [np.zeros((batch, 0, k, k))]
     for s in range(0, steps, size):
         if s:
-            root = np.linalg.qr(np.vstack([root.T, cols[s - size:s]]), mode="r").T
-        block = cols[s:s + size]
-        masked = block.T * np.tri(len(block), k=-1)[:, None, :]
+            carry = np.concatenate([root.swapaxes(1, 2), cols[:, s - size:s]], axis=1)
+            root = np.linalg.qr(carry, mode="r").swapaxes(1, 2)
+        block = cols[:, s:s + size]
+        m = block.shape[1]
+        masked = block.swapaxes(1, 2)[:, None] * np.tri(m, k=-1)[:, None, :]
         stack = np.concatenate(
-            [np.broadcast_to(root, (len(block),) + root.shape), masked], axis=2)
+            [np.broadcast_to(root[:, None], (batch, m) + root.shape[1:]), masked], axis=3)
         u, sv, _ = np.linalg.svd(stack, full_matrices=False)
         lam.append(sv * sv)
         vecs.append(u)
-    return np.concatenate(lam), np.concatenate(vecs)
+    return np.concatenate(lam, axis=1), np.concatenate(vecs, axis=1)
+
+
+def _grow(dirs: np.ndarray, schedule, tol: Tolerance):
+    """Growth of every direction set ``dirs[b]`` (batch x L x n) on one
+    schedule: (schedule, sigma(X)^2, ranks, pdet estimates, factors
+    batch x L x eps). A default schedule is scaled by the first set."""
+    x = dirs.swapaxes(1, 2)
+    cols = np.linalg.qr(x, mode="r").swapaxes(1, 2)
+    s2 = np.linalg.svd(x, compute_uv=False) ** 2
+    scale = np.max(np.abs(x @ dirs), axis=(1, 2))  # max|W| per set
+    cut = np.maximum(tol.abs, tol.rel * x.shape[1] * scale)
+    ranks = np.count_nonzero(s2 > cut[:, None], axis=1)
+    r = int(ranks[0])
+    schedule = _eps_schedule(schedule, max(float(s2[0, r - 1]), float(cut[0])) if r else 1.0)
+    lam, vecs = _gram_spectra(cols)
+    weights = np.einsum("blji,blj->bli", vecs, cols) ** 2
+    inv = 1.0 / (lam[..., None] + np.array(schedule))
+    factors = 1.0 + np.einsum("bli,blie->ble", weights, inv)
+    kept = np.arange(s2.shape[1]) < ranks[:, None]
+    pdets = np.prod(np.where(kept, s2, 1.0), axis=1)
+    return schedule, s2, ranks, pdets, factors
 
 
 def growth_from_directions(directions, n: int, schedule=None,
@@ -320,24 +356,17 @@ def growth_from_directions(directions, n: int, schedule=None,
     ``raise_on_diverge``, NotConverged is raised unless both sweep routes
     lie within 1e-6 relative of pdet_estimate at the smallest eps.
     """
-    x = np.array([kernel.as_vector(u, dim=n, name="direction")
-                  for u in directions]).reshape(-1, n).T
-    cols = np.linalg.qr(x, mode="r").T
-    s2 = np.linalg.svd(x, compute_uv=False) ** 2
-    cut = tol.cutoff(x @ x.T)
-    r = int(np.count_nonzero(s2 > cut))
-    k = s2.size
-    schedule = _eps_schedule(schedule, max(float(s2[r - 1]), cut) if r else 1.0)
+    dirs = np.array([kernel.as_vector(u, dim=n, name="direction")
+                     for u in directions]).reshape(1, -1, n)
+    schedule, s2, ranks, pdets, factors = _grow(dirs, schedule, tol)
+    s2, factors, r, pdet_est = s2[0], factors[0], int(ranks[0]), float(pdets[0])
     eps = np.array(schedule)
-    lam, vecs = _gram_spectra(cols)
-    weights = np.einsum("lji,lj->li", vecs, cols) ** 2
-    factors = 1.0 + np.einsum("li,lie->le", weights, 1.0 / (lam[:, :, None] + eps))
+    k = s2.size
     prod = np.prod(factors, axis=0)
     lhs = eps ** (n - k) * np.prod(s2[:, None] + eps, axis=0)
     residuals = np.abs(lhs - eps ** n * prod) / np.maximum(np.abs(lhs), 1e-300)
     norm_det = tuple((lhs / eps ** (n - r)).tolist())
     fac_prod = tuple((eps ** r * prod).tolist())
-    pdet_est = float(np.prod(s2[:r]))
     if raise_on_diverge:
         _require_settled(pdet_est, (norm_det[-1], fac_prod[-1]),
                          tuple(zip(schedule, norm_det)))
@@ -434,8 +463,12 @@ def perturbed_gramian_experiment(g: GramianBuild, noise_scale: float,
 
     Trial t draws from a child seed (seed, t), so runs are reproducible
     and trials are independent. noise_scale = 0 reproduces the nominal
-    directions exactly. The schedule is resolved once by the nominal run
-    and every trial uses it, so eps_reference names one eps.
+    directions exactly. The schedule is resolved once by the nominal run,
+    so eps_reference names one eps. The trials then grow on that schedule
+    as one stack, every factorization one batched LAPACK call for all of
+    them, each trial keeping its own cutoff, rank and estimate. When the
+    stack would pass _STACK_FLOATS floats, consecutive chunks of trials go
+    through in turn, with the same report.
     """
     if noise_scale < 0.0:
         raise ValueError("noise_scale must be >= 0")
@@ -447,24 +480,25 @@ def perturbed_gramian_experiment(g: GramianBuild, noise_scale: float,
     schedule = nominal.eps_schedule
     norms = [math.sqrt(float(u @ u)) for u in g.directions]
     family_scale = max(norms, default=0.0)
+    radii = [noise_scale * (nrm if nrm > 0.0 else family_scale) for nrm in norms]
+    nsteps = len(g.directions)
+    width = min(n, nsteps)
+    chunk = max(1, _STACK_FLOATS // max(1, nsteps * width * (width + len(schedule))))
     per_trial = []
-    for t in range(trials):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=int(seed),
-                                                           spawn_key=(t,)))
-        dirs = []
-        for u, nrm in zip(g.directions, norms):
-            radius = noise_scale * (nrm if nrm > 0.0 else family_scale)
-            dirs.append(u + _ball_sample(rng, n, radius))
-        grown = growth_from_directions(dirs, n, schedule, tol,
-                                       raise_on_diverge=False)
-        per_trial.append(PerturbationTrial(
-            rank=grown.rank_r,
-            pdet=grown.pdet_estimate,
-            factors=grown.factors_per_eps[-1],
-        ))
+    for first in range(0, trials, chunk):
+        dirs = np.empty((min(chunk, trials - first), nsteps, n))
+        for b, t in enumerate(range(first, first + len(dirs))):
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=int(seed),
+                                                               spawn_key=(t,)))
+            for l, (u, radius) in enumerate(zip(g.directions, radii)):
+                dirs[b, l] = u + _ball_sample(rng, n, radius)
+        _, _, ranks, pdets, factors = _grow(dirs, schedule, tol)
+        per_trial.extend(
+            PerturbationTrial(rank=rank, pdet=pdet, factors=tuple(last))
+            for rank, pdet, last in zip(ranks.tolist(), pdets.tolist(),
+                                        factors[:, :, -1].tolist()))
     mean_rank = sum(tr.rank for tr in per_trial) / trials
     mean_pdet = sum(tr.pdet for tr in per_trial) / trials
-    nsteps = len(g.directions)
     mean_factors = tuple(
         sum(tr.factors[k] for tr in per_trial) / trials for k in range(nsteps)
     )

@@ -68,7 +68,9 @@ def group_inverse(h, tol: Tolerance = DEFAULT_TOL) -> GroupInverseResult:
 
 def _group_inverse(a: np.ndarray, tol: Tolerance):
     """group_inverse of a validated H, plus F C: for index 1 its spectrum
-    is the nonzero spectrum of H, so det(F C) = pdet(H)."""
+    is the nonzero spectrum of H, so det(F C) = pdet(H). A nonsingular H
+    factors as H I, so F C = H, and the rank test's singular values are
+    the only SVD before LAPACK's LU inverse."""
     n = a.shape[0]
     c, f = kernel.full_rank_factorization(a, tol)
     fc = f @ c
@@ -78,7 +80,7 @@ def _group_inverse(a: np.ndarray, tol: Tolerance):
             h_drazin=np.zeros((n, n)), projector=np.eye(n), rank_q=0, nullity_nu=n
         ), fc
     if r == n:
-        hd = kernel.inverse(a, tol)
+        hd = np.linalg.inv(a)
         return GroupInverseResult(
             h_drazin=hd, projector=np.eye(n) - a @ hd, rank_q=n, nullity_nu=0
         ), fc

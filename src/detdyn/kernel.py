@@ -246,11 +246,15 @@ def rank(m, tol: Tolerance = DEFAULT_TOL) -> int:
 
 def full_rank_factorization(m, tol: Tolerance = DEFAULT_TOL):
     """M = C F with C = U_r S_r (n x r, full column rank) and F = V_r^T
-    (r x n, orthonormal rows), r = rank(M). r = 0 yields empty factors.
+    (r x n, orthonormal rows), r = rank(M). r = 0 yields empty factors;
+    r = n yields C = M (a copy) and F = I, with no SVD beyond the rank
+    test.
 
     r counts the singular values that ``inverse`` tests, not the full
     SVD's (which can differ in the last bits): r = n means invertible."""
     a = as_matrix(m, square=True)
     r = _rank(a, tol)
+    if r == a.shape[0]:
+        return a.copy(), np.eye(r)
     u, s, vh = np.linalg.svd(a)
     return u[:, :r] * s[:r], vh[:r]

@@ -398,7 +398,10 @@ def contribution_analysis(seq: UpdateSequence,
     eigenbasis of the accumulated matrix, starting from the identity.
 
     Repeated directions meet large eigenvalues and contribute little; new
-    directions meet unit eigenvalues and contribute log(1 + |u|^2).
+    directions meet unit eigenvalues and contribute log(1 + |u|^2). The
+    quadratic form is the sum of the step's weights from the one ``eigh``
+    per step: I + Delta is SPD with eigenvalues >= 1, so no solve and no
+    singularity test is needed, and ``tol`` goes unused.
     """
     for i, up in enumerate(seq.updates):
         if not up.symmetric:
@@ -407,10 +410,10 @@ def contribution_analysis(seq: UpdateSequence,
     acc = np.eye(n)
     steps = []
     for up in seq.updates:
-        q = float(up.u @ kernel.solve(acc, up.u, tol))
         lam, vecs = np.linalg.eigh(acc)
         alpha = vecs.T @ up.u
         weights = alpha * alpha / lam
+        q = float(np.sum(weights))
         steps.append(ContributionStep(
             quadratic_form=q,
             eigenvalues=tuple(float(x) for x in lam),

@@ -24,6 +24,9 @@ from detdyn import (
     reach_ellipse,
 )
 
+from detdyn import control
+from detdyn.control import _ball_sample
+
 from conftest import count_calls, random_spd
 
 TOL9 = Tolerance(rel=1e-9)
@@ -520,3 +523,90 @@ class TestPerturbedExperiment:
             perturbed_gramian_experiment(g, -0.1, trials=2, seed=0)
         with pytest.raises(ValueError):
             perturbed_gramian_experiment(g, 0.1, trials=0, seed=0)
+
+
+def displaced_directions(g, noise_scale: float, seed: int, t: int) -> list:
+    """Trial t's directions, drawn as perturbed_gramian_experiment draws them."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(t,)))
+    norms = [math.sqrt(float(u @ u)) for u in g.directions]
+    family = max(norms)
+    return [u + _ball_sample(rng, len(u), noise_scale * (nrm if nrm > 0.0 else family))
+            for u, nrm in zip(g.directions, norms)]
+
+
+# (n, inputs, horizon, noise): L = inputs * horizon runs past n in most, so
+# the square roots of the Gram blocks are carried across several QR blocks
+TRIAL_CASES = [(2, 1, 1, 0.1), (2, 2, 3, 0.05), (3, 1, 8, 0.2), (4, 2, 5, 0.1),
+               (5, 1, 6, 1e-9), (5, 2, 2, 0.1), (6, 1, 8, 0.1), (6, 2, 8, 0.02)]
+
+
+@pytest.mark.parametrize("n, inputs, horizon, noise", TRIAL_CASES)
+def test_trials_equal_single_growths(n, inputs, horizon, noise):
+    # the stacked pass gives every trial what one growth of its own
+    # displaced directions gives on the nominal schedule; the last input
+    # column is zero, so every zero direction moves in the family ball,
+    # and a tiny noise leaves those ranks near the cutoff
+    a, b = stable_system(100 + n, n)
+    b = np.hstack([b, np.zeros((n, inputs - 1))])
+    g = build_gramian(a, b, horizon)
+    seed = 17 + n
+    rep = perturbed_gramian_experiment(g, noise, trials=5, seed=seed, tol=TOL9)
+    nominal = growth_from_directions(g.directions, n, tol=TOL9, raise_on_diverge=False)
+    assert rep.eps_reference == nominal.eps_schedule[-1]
+    for t, tr in enumerate(rep.per_trial):
+        one = growth_from_directions(displaced_directions(g, noise, seed, t), n,
+                                     nominal.eps_schedule, TOL9, raise_on_diverge=False)
+        assert tr.rank == one.rank_r
+        assert abs(tr.pdet - one.pdet_estimate) <= 1e-14 * abs(one.pdet_estimate)
+        want = np.array(one.factors_per_eps[-1])
+        assert np.max(np.abs(np.array(tr.factors) - want) / want) <= 1e-14
+
+
+def test_trials_keep_their_own_cutoff():
+    # sigma_2^2 = 2e-9 sits at the nominal cutoff 1e-9 * n * max|W|; the
+    # noise moves both sides of that test, so the trials split in rank, and
+    # each must be judged on its own W
+    g = build_gramian(np.zeros((2, 2)), np.diag([1.0, math.sqrt(2e-9)]), 1)
+    rep = perturbed_gramian_experiment(g, 0.5, trials=40, seed=2, tol=TOL9)
+    schedule = growth_from_directions(g.directions, 2, tol=TOL9,
+                                      raise_on_diverge=False).eps_schedule
+    ones = [growth_from_directions(displaced_directions(g, 0.5, 2, t), 2, schedule,
+                                   TOL9, raise_on_diverge=False) for t in range(40)]
+    assert [tr.rank for tr in rep.per_trial] == [one.rank_r for one in ones]
+    assert {one.rank_r for one in ones} == {1, 2}
+    for tr, one in zip(rep.per_trial, ones):
+        assert abs(tr.pdet - one.pdet_estimate) <= 1e-14 * one.pdet_estimate
+
+
+def test_experiment_factorizations_do_not_grow_with_trials(monkeypatch):
+    counts = count_lapack(monkeypatch)
+    a, b = stable_system(7, 4)
+    g = build_gramian(a, np.hstack([b, b[::-1]]), 5)  # L = 10: blocks of 4, 4, 2
+    perturbed_gramian_experiment(g, 0.1, trials=1, seed=1, tol=TOL9)
+    one = dict(counts)
+    counts.update(qr=0, svd=0, eigh=0)
+    perturbed_gramian_experiment(g, 0.1, trials=16, seed=1, tol=TOL9)
+    # the nominal growth and one stacked pass, each with one QR of the
+    # directions and one between consecutive blocks, one SVD of the
+    # directions and one per block
+    assert counts == one == {"qr": 2 * 3, "svd": 2 * 4, "eigh": 0}
+
+
+def test_experiment_chunks_match_one_pass(monkeypatch):
+    # n = 6, horizon 40: each trial holds L k (k + 8) = 3360 floats, so 200
+    # trials cross the stack budget; per pass, 7 blocks of 6 steps take 7
+    # QRs and 8 SVDs
+    a, b = stable_system(8, 6)
+    g = build_gramian(a, b, 40)
+    trials = 200
+    chunk = control._STACK_FLOATS // (40 * 6 * (6 + 8))
+    chunks = -(-trials // chunk)
+    assert chunks > 1
+    counts = count_lapack(monkeypatch)
+    chunked = perturbed_gramian_experiment(g, 0.1, trials=trials, seed=5, tol=TOL9)
+    assert counts == {"qr": (1 + chunks) * 7, "svd": (1 + chunks) * 8, "eigh": 0}
+    monkeypatch.setattr(control, "_STACK_FLOATS", 1 << 40)
+    counts.update(qr=0, svd=0, eigh=0)
+    whole = perturbed_gramian_experiment(g, 0.1, trials=trials, seed=5, tol=TOL9)
+    assert counts == {"qr": 2 * 7, "svd": 2 * 8, "eigh": 0}
+    assert chunked == whole

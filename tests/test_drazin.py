@@ -59,6 +59,27 @@ class TestGroupInverse:
         assert np.max(np.abs(gi.h_drazin @ h - np.eye(4))) <= 1e-10
         assert np.max(np.abs(gi.projector)) <= 1e-10
 
+    def test_nonsingular_takes_one_svd(self, rng, monkeypatch):
+        # the rank test's singular values alone: no full SVD whose factors
+        # go unused and no second test inside the inverse
+        h = rng.standard_normal((16, 16)) + 6.0 * np.eye(16)
+        want = np.linalg.inv(h)
+        svds = []
+        orig = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            svds.append(kwargs.get("compute_uv", True))
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        gi = group_inverse(h)
+        assert svds == [False]
+        assert np.array_equal(gi.h_drazin, want)
+        assert gi.rank_q == 16 and gi.nullity_nu == 0
+        # F C = H there, so the lemma's pdet(H) is LAPACK's det(H)
+        zero = np.zeros(16)
+        assert pdet_lemma(h, zero, zero) == np.linalg.det(h)
+
     def test_zero_matrix(self):
         gi = group_inverse(np.zeros((3, 3)))
         assert np.array_equal(gi.h_drazin, np.zeros((3, 3)))

@@ -333,6 +333,11 @@ class TestFullRankFactorization:
         assert c.shape == (5, 5)
         assert np.max(np.abs(c @ f - m)) <= 1e-10
 
+    def test_nonsingular_factors_as_m_times_identity(self, rng):
+        m = rng.standard_normal((5, 5)) + 3.0 * np.eye(5)
+        c, f = full_rank_factorization(m)
+        assert np.array_equal(c, m) and np.array_equal(f, np.eye(5))
+
     def test_constructed_rank_three(self, rng):
         x = rng.standard_normal((7, 3))
         y = rng.standard_normal((3, 7))

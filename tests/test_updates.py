@@ -449,6 +449,15 @@ class TestContributionAnalysis:
         with pytest.raises(NonSymmetricUpdate):
             contribution_analysis(seq)
 
+    def test_no_solve(self, rng, monkeypatch):
+        # q is the sum of the step's own weights: I + Delta is SPD, so a
+        # solve with its singularity test has nothing to add
+        solves = count_calls(monkeypatch, "solve")
+        pool = [rng.standard_normal(4) for _ in range(2)]
+        steps = contribution_analysis(UpdateSequence.symmetric(pool * 4))
+        assert solves == []
+        assert len(steps) == 8
+
 
 class TestSequenceValidation:
     def test_mismatched_update_dim(self):
