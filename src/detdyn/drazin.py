@@ -59,9 +59,9 @@ class CompatibilityReport:
 def group_inverse(h, tol: Tolerance = DEFAULT_TOL) -> GroupInverseResult:
     """Group inverse via H = C F, H^D = C (F C)^{-2} F.
 
-    A nonsingular H returns its plain inverse (nu = 0); the zero matrix
-    returns H^D = 0 with P0 = I. F C singular at H's cutoff means the zero
-    eigenvalue is not semisimple and raises IndexGreaterThanOne.
+    A nonsingular H returns H^D = H^{-1} with P0 = 0 exactly; the zero
+    matrix returns H^D = 0 with P0 = I. F C singular at H's cutoff means
+    the zero eigenvalue is not semisimple and raises IndexGreaterThanOne.
     """
     return _group_inverse(kernel.as_matrix(h, square=True, name="H"), tol)[0]
 
@@ -82,7 +82,7 @@ def _group_inverse(a: np.ndarray, tol: Tolerance):
     if r == n:
         hd = np.linalg.inv(a)
         return GroupInverseResult(
-            h_drazin=hd, projector=np.eye(n) - a @ hd, rank_q=n, nullity_nu=0
+            h_drazin=hd, projector=np.zeros((n, n)), rank_q=n, nullity_nu=0
         ), fc
     # F C carries the nonzero eigenvalues of H, so its singularity is
     # judged on H's scale: its own cutoff would pass a 1x1 rounding residue

@@ -171,11 +171,16 @@ def adjugate(m) -> np.ndarray:
     except Singular:
         pass
     u, s, vh = np.linalg.svd(a)
-    one = np.ones(1)
-    before = np.concatenate((one, np.cumprod(s[:-1])))
-    after = np.concatenate((np.cumprod(s[:0:-1])[::-1], one))
-    v_adj_s = vh.conj().T * (before * after)
+    v_adj_s = vh.conj().T * _adj_diagonal(s)
     return np.linalg.det(u) * np.linalg.det(vh) * v_adj_s @ u.conj().T
+
+
+def _adj_diagonal(s: np.ndarray) -> np.ndarray:
+    """The diagonal of adj(diag(s)), prod_{j != k} s_j, from the prefix and
+    suffix products: no division, so zeros in ``s`` are fine."""
+    one = np.ones(1)
+    return (np.concatenate((one, np.cumprod(s[:-1])))
+            * np.concatenate((np.cumprod(s[:0:-1])[::-1], one)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Characteristic polynomials under finite-rank perturbations, the secular
 eigenvalue-shift function, and a contour-based stability certificate.
 
-Complex arithmetic is promoted locally: the resolvent determinants, solves
-and adjugates at complex lambda go through the same kernel operations as
-real input. The public matrix type stays real.
+Complex arithmetic is promoted locally: resolvent determinants and solves
+at complex lambda go through the kernel, the perturbed characteristic
+polynomial through ``det_sequence``'s walk. Update vectors stay real.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernel
+from . import kernel, updates
 from .errors import (
     BaseNotHurwitz,
     ContourTooCoarse,
@@ -66,19 +66,13 @@ class StabilityCertificate:
 
 def charpoly_perturbed_eval(a, seq: UpdateSequence, lam) -> complex:
     """det(lambda I - A - U V^T) by the additive adjugate form:
-    det(lambda I - A) - sum_i v_i^T adj(lambda I - A - Delta_{i-1}) u_i."""
+    det(lambda I - A) - sum_i v_i^T adj(lambda I - A - Delta_{i-1}) u_i,
+    which is ``det_sequence`` on lambda I - A with the updates (-u_i, v_i).
+    A may be complex; the update vectors are real."""
     base = _check_base(a, seq)
-    n = base.shape[0]
-    z = complex(lam)
-    eye = np.eye(n, dtype=complex)
-    m = z * eye - base
-    acc = complex(kernel.det(m))
-    delta = np.zeros((n, n), dtype=complex)
-    for up in seq.updates:
-        adj = kernel.adjugate(z * eye - base - delta)
-        acc -= complex(up.v @ adj @ up.u)
-        delta = delta + np.outer(up.u, up.v)
-    return acc
+    m = complex(lam) * np.eye(base.shape[0], dtype=complex) - base
+    flipped = UpdateSequence(seq.base_dim, tuple((-up.u, up.v) for up in seq.updates))
+    return complex(updates.det_sequence(m, flipped).final)
 
 
 def secular_value(a, delta_prev: UpdateSequence, u, v, lam,

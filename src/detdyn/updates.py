@@ -165,7 +165,7 @@ def det_rank_one(h, update) -> float:
     """det(H + u v^T) = det(H) + v^T adj(H) u, valid for singular H."""
     a = kernel.as_matrix(h, square=True, name="H")
     up = _as_update(update, a.shape[0])
-    return kernel.det(a) + float(up.v @ kernel.adjugate(a) @ up.u)
+    return kernel.det(a) + (up.v @ kernel.adjugate(a) @ up.u).item()
 
 
 def _base(a: np.ndarray, tol: Tolerance):
@@ -179,28 +179,29 @@ def _base(a: np.ndarray, tol: Tolerance):
 
 
 def _refresh(m: np.ndarray, tol: Tolerance):
-    """A walk frame (inv, det_b, svd) for M from one full SVD. A singular
-    value counts only above cutoff / sqrt(tol.rel), the level at which an
-    inverse still carries about half the digits:
-    - sigma_n counts: inv = M^{-1};
+    """A walk frame (inv, det_b, svd) for M = U S V^H, real or complex, from
+    one full SVD. A singular value counts only above cutoff / sqrt(tol.rel),
+    the level at which an inverse still carries about half the digits:
+    - sigma_n counts: inv = M^{-1} = V S^{-1} U^H;
     - only sigma_{n-1} counts: inv = B^{-1} for the bordered
-      B = [[M, s_1 u_n], [s_1 v_n^T, 0]] in closed form, det_b = det B;
+      B = [[M, s_1 u_n], [s_1 v_n^H, 0]] in closed form, det_b = det B;
       cond(B) = s_1 / s_{n-1} at any scale;
-    - otherwise svd = (det(U) det(V^T), U, S, V^T) for a Stewart step.
+    - otherwise svd = (det(U) det(V^H), U, S, V^H) for a Stewart step.
     """
     u, s, vh = np.linalg.svd(m)
+    uh, v = u.conj().T, vh.conj().T
     floor = tol.cutoff(m) / math.sqrt(tol.rel)
     if s[-1] > floor:
-        return (vh.T / s) @ u.T, None, None
+        return (v / s) @ uh, None, None
     n = s.size
     sign = np.linalg.det(u) * np.linalg.det(vh)
     if n == 1 or not s[-2] > floor:
         return None, None, (sign, u, s, vh)
     s1 = s[0]
-    binv = np.empty((n + 1, n + 1))
-    binv[:n, :n] = (vh[:-1].T / s[:-1]) @ u[:, :-1].T
-    binv[:n, n] = vh[-1] / s1
-    binv[n, :n] = u[:, -1] / s1
+    binv = np.empty((n + 1, n + 1), dtype=m.dtype)
+    binv[:n, :n] = (v[:, :-1] / s[:-1]) @ uh[:-1]
+    binv[:n, n] = v[:, -1] / s1
+    binv[n, :n] = uh[-1] / s1
     binv[n, n] = -s[-1] / (s1 * s1)
     return binv, -sign * np.prod(s[:-1]) * s1 * s1, None
 
@@ -210,24 +211,19 @@ def _read(frame, up: RankOneUpdate, n: int):
     s = [v; 0]^T x for the Sherman-Morrison step, and t = v^T adj(M) u
     on the bordered and Stewart frames (None on the plain one)."""
     inv, det_b, svd = frame
+    if svd is not None:
+        # Stewart, O(n^2): adj(M) = det(U) det(V^H) V adj(S) U^H, M = U S V^H
+        sign, u, s, vh = svd
+        t = sign * ((vh.conj() @ up.v) * kernel._adj_diagonal(s) @ (u.conj().T @ up.u))
+        return None, None, t.item()
     if inv is None:
-        return None, None, None if svd is None else _stewart_increment(svd, up)
+        return None, None, None
     x = inv[:, :n] @ up.u
-    s = float(up.v @ x[:n])
+    s = (up.v @ x[:n]).item()
     if det_b is None:
         return x, s, None
     # Jacobi: adj(M) = det B (tau P - q r^T) for B^{-1} = [[P, q], [r^T, tau]]
-    return x, s, float(det_b * (inv[n, n] * s - (up.v @ inv[:n, n]) * x[n]))
-
-
-def _stewart_increment(svd, up: RankOneUpdate) -> float:
-    """v^T adj(M) u from M = U S V^T (Stewart's form), in O(n^2):
-    adj(M) = det(U) det(V^T) V adj(S) U^T, adj(S)_kk = prod_{j != k} s_j."""
-    sign, u, s, vh = svd
-    one = np.ones(1)
-    adj_s = (np.concatenate((one, np.cumprod(s[:-1])))
-             * np.concatenate((np.cumprod(s[:0:-1])[::-1], one)))
-    return float(sign * ((vh @ up.v) * adj_s @ (u.T @ up.u)))
+    return x, s, (det_b * (inv[n, n] * s - (up.v @ inv[:n, n]) * x[n])).item()
 
 
 def _inverse_walk(a: np.ndarray, seq: UpdateSequence, tol: Tolerance,
@@ -310,7 +306,8 @@ def det_sequence(h, seq: UpdateSequence) -> DetTrace:
     walk carries a bordered inverse instead and reads the adjugate off it,
     O(n^2) a step, and returns to the plain inverse once the matrix is
     invertible again; below rank n-1 each step takes one SVD. Works for
-    singular H and singular intermediates.
+    singular H and singular intermediates, and for complex H (the updates
+    stay real), whose values come out complex.
     """
     a = _check_base(h, seq)
     d, minv = _base(a, DEFAULT_TOL)
@@ -328,7 +325,10 @@ def _multiplicative_walk(a: np.ndarray, seq: UpdateSequence, tol: Tolerance,
                          require_positive: bool):
     """Determinants and factors 1 + s_k for det_product / logdet_sequence
     along the Sherman-Morrison walk; a singular intermediate raises
-    IntermediateSingular."""
+    IntermediateSingular, and complex H, which has no positivity or log
+    form, a ValueError."""
+    if np.iscomplexobj(a):
+        raise ValueError("the multiplicative forms take real H; use det_sequence")
     d, minv = _base(a, tol)
     if require_positive and not d > 0.0:
         raise NonPositiveDeterminant(0, d)

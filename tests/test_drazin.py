@@ -27,6 +27,7 @@ from conftest import (
     count_calls,
     exact_index1,
     exact_lemma_instance,
+    mp_det,
     np_pdet,
     random_index1,
     random_orthogonal,
@@ -58,6 +59,12 @@ class TestGroupInverse:
         assert gi.nullity_nu == 0
         assert np.max(np.abs(gi.h_drazin @ h - np.eye(4))) <= 1e-10
         assert np.max(np.abs(gi.projector)) <= 1e-10
+
+    def test_nonsingular_projector_is_exactly_zero(self, rng):
+        # I - H H^{-1} is rounding noise, not the zero projector
+        for n in (2, 5, 16):
+            h = rng.standard_normal((n, n))
+            assert np.array_equal(group_inverse(h).projector, np.zeros((n, n)))
 
     def test_nonsingular_takes_one_svd(self, rng, monkeypatch):
         # the rank test's singular values alone: no full SVD whose factors
@@ -266,6 +273,17 @@ class TestPdetLemma:
         route(A_SING, np.array([1.0, 0.0, 0.0]), np.array([0.25, 0.7, 0.0]), tol=TOL9)
         assert charpolys == []
         assert len(factorizations) == 1
+
+    def test_nonsingular_h_at_default_tolerance(self, rng):
+        # every U and V is compatible with a nonsingular H; a rounding-noise
+        # P0 refused about a quarter of these draws
+        for _ in range(100):
+            n, k = int(rng.integers(2, 17)), int(rng.integers(1, 3))
+            c = 10.0 ** rng.uniform(-3.0, 3.0)
+            h = c * rng.standard_normal((n, n))
+            u, v = rng.standard_normal((n, k)), c * rng.standard_normal((n, k))
+            ref = mp_det(h + u @ v.T)
+            assert abs(pdet_lemma(h, u, v) - ref) <= 1e-10 * abs(ref)
 
     def test_matches_independent_pdet(self, rng):
         for _ in range(60):

@@ -12,7 +12,7 @@ from detdyn import (
     stability_preserved,
 )
 
-from conftest import mp_det, random_hurwitz, rhp_count, scaled_unstable
+from conftest import count_calls, mp_det, random_hurwitz, rhp_count, scaled_unstable
 
 TOL9 = Tolerance(rel=1e-9)
 
@@ -57,6 +57,38 @@ class TestCharpolyPerturbedEval:
                 got = charpoly_perturbed_eval(a, seq, lam)
                 ref = direct_perturbed_det(a, seq, lam)
                 assert abs(got - ref) <= 1e-8 * max(1.0, abs(ref))
+
+
+    def test_makes_no_adjugate_call(self, rng, monkeypatch):
+        adj = count_calls(monkeypatch, "adjugate")
+        seq = UpdateSequence.from_pairs(
+            [(rng.standard_normal(6), rng.standard_normal(6)) for _ in range(3)])
+        charpoly_perturbed_eval(rng.standard_normal((6, 6)), seq, 0.5 + 1.0j)
+        assert adj == []
+
+    def test_n64_complex_lambda(self, rng):
+        n, r = 64, 8
+        a = rng.standard_normal((n, n)) / np.sqrt(n)
+        seq = UpdateSequence.from_pairs(
+            [(rng.standard_normal(n) / np.sqrt(n), rng.standard_normal(n))
+             for _ in range(r)])
+        lam = 0.3 + 0.7j
+        ref = direct_perturbed_det(a, seq, lam)
+        assert abs(charpoly_perturbed_eval(a, seq, lam) - ref) <= 1e-10 * abs(ref)
+
+    # A has eigenvalues +-i, 2, 2, 3; the first two updates zero its
+    # diagonal 2s, so at lambda = 0 the intermediates have rank n-1 and n-2;
+    # at lambda = i and 3 the base is singular
+    @pytest.mark.parametrize("lam", [0.0, 1.0j, 3.0])
+    def test_exact_eigenvalue_of_intermediate(self, lam, rng):
+        a = np.diag([0.0, 0.0, 2.0, 2.0, 3.0])
+        a[0, 1], a[1, 0] = -1.0, 1.0
+        e = np.eye(5)
+        seq = UpdateSequence.from_pairs(
+            [(e[2], -2.0 * e[2]), (e[3], -2.0 * e[3])]
+            + [(rng.standard_normal(5), rng.standard_normal(5)) for _ in range(3)])
+        ref = direct_perturbed_det(a, seq, lam)
+        assert abs(charpoly_perturbed_eval(a, seq, lam) - ref) <= 1e-12 * abs(ref)
 
 
 class TestSecularValue:

@@ -97,6 +97,13 @@ class TestDetRankOne:
         with pytest.raises(DimensionMismatch):
             det_rank_one(np.eye(2), (np.ones(3), np.ones(3)))
 
+    def test_complex_h_keeps_imaginary_part(self):
+        # v^T adj(H) u = 9.75 - 11.25j here: the imaginary part must survive
+        h = np.array([[1 + 1j, 2 - 1j, 0], [0.5j, 3 - 1j, 1], [1, 0, 2 + 1j]])
+        u, v = np.array([1.0, -1.0, 0.5]), np.array([0.5, 2.0, -1.0])
+        ref = mp_det(h + np.outer(u, v))
+        assert abs(det_rank_one(h, (u, v)) - ref) <= 1e-14 * abs(ref)
+
 
 class TestDetSequence:
     def test_empty_sequence(self):
@@ -215,13 +222,16 @@ class TestDetSequence:
         )
 
 
-def deficient_stream(rng, n, defect, r, k_fix, c=1.0):
+def deficient_stream(rng, n, defect, r, k_fix, c=1.0, imag=0.0):
     """c (X - X Z Z^T) with Z an n x defect orthonormal block, so the base
     has rank n - defect, and r updates c a w^T. Updates before k_fix keep
     w orthogonal to Z, so the rank stays; the one at k_fix adds Z's first
-    column to w, which restores one rank."""
+    column to w, which restores one rank. ``imag`` adds i imag G / sqrt(n)
+    to X: the base turns complex, Z and the updates stay real."""
     z = np.linalg.qr(rng.standard_normal((n, defect)))[0]
     x = np.eye(n) + rng.standard_normal((n, n)) / np.sqrt(n)
+    if imag:
+        x = x + 1j * imag * rng.standard_normal((n, n)) / np.sqrt(n)
     h = c * (x - x @ z @ z.T)
     pairs = []
     for k in range(r):
@@ -296,6 +306,30 @@ class TestSingularWalk:
         for val, m in zip(tr.values, running_matrices(h, seq), strict=True):
             assert abs(val - mp_det(m)) <= 1e-9 * hadamard(m)
 
+    def test_complex_two_by_two(self):
+        # dropping the imaginary part of s gave 2.654 + 1.769j
+        e1, e2 = np.eye(2)
+        h = np.array([[1 + 1j, 2], [0.5, 3 - 1j]])
+        tr = det_sequence(h, UpdateSequence.from_pairs([(e1, e2)]))
+        assert abs(tr.final - (2.5 + 2j)) <= 1e-15
+
+    # one complex walk per frame: plain (no refresh), bordered at rank n-1,
+    # Stewart at rank n-2; each ends nonsingular
+    @pytest.mark.parametrize("defect, k_fix, expected", [
+        (1, 6, []), (1, 2, ["bordered"]), (2, 0, ["stewart", "bordered"])])
+    def test_complex_walk_against_mpmath(self, defect, k_fix, expected, monkeypatch):
+        frames = record_refreshes(monkeypatch)
+        h, seq = deficient_stream(np.random.default_rng(8), 8, defect, 5, k_fix,
+                                  imag=1.0)
+        if not expected:
+            h = h + np.eye(8)
+        tr = det_sequence(h, seq)
+        assert frames == expected
+        mats = running_matrices(h, seq)
+        assert abs(tr.final.imag) >= 1e-3 * hadamard(mats[-1])
+        for val, m in zip(tr.values, mats, strict=True):
+            assert abs(val - mp_det(m)) <= 1e-12 * hadamard(m)
+
 
 class TestDetProduct:
     def test_nonsingular_base_takes_one_svd(self, monkeypatch, rng):
@@ -352,6 +386,11 @@ class TestDetProduct:
             det_product(np.diag([1.0, 0.0]), seq, TOL9)
         assert exc.value.step == 0
 
+    def test_complex_base_rejected(self):
+        seq = UpdateSequence.from_pairs([(np.ones(2), np.ones(2))])
+        with pytest.raises(ValueError, match="real H"):
+            det_product(np.diag([1.0 + 1j, 2.0]), seq)
+
     def test_agrees_with_det_sequence(self, rng):
         for _ in range(40):
             n = int(rng.integers(2, 6))
@@ -393,6 +432,11 @@ class TestLogDetSequence:
         with pytest.raises(NonPositiveDeterminant) as exc:
             logdet_sequence(np.diag([-1.0, 1.0]), UpdateSequence(base_dim=2))
         assert exc.value.step == 0
+
+    def test_complex_base_rejected(self):
+        seq = UpdateSequence.from_pairs([(np.ones(2), np.ones(2))])
+        with pytest.raises(ValueError, match="real H"):
+            logdet_sequence(np.diag([2.0, 1.0 + 0j]), seq)
 
     def test_nonpositive_intermediate(self):
         seq = UpdateSequence.from_pairs([
