@@ -121,66 +121,72 @@ def _pivots(p: np.ndarray, low: np.ndarray) -> np.ndarray:
     return np.where(piv > 0.0, piv, np.diag(low) ** 2)
 
 
-# Diagonal block size of the blocked forward substitution: LAPACK solves
-# on b x b blocks keep the triangular solve at O(n^2 + n b^2).
-_TRI_BLOCK = 32
+# A cancelled capacitance pivot ends a block: x_j below this share of |w_j|^2
+# has lost more than a digit to the subtraction that forms it.
+_CANCEL = 0.1
 
 
-def _forward_solve(low: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x = low^{-1} b for lower-triangular low."""
-    x = np.array(b, dtype=float)
-    n = x.shape[0]
-    for s in range(0, n, _TRI_BLOCK):
-        e = min(s + _TRI_BLOCK, n)
-        x[s:e] = np.linalg.solve(low[s:e, s:e], x[s:e] - low[s:e, :s] @ x[:s])
+def _spd_stream(low: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Quadratic forms x_j = u_j^T P_{j-1}^{-1} u_j of the stream
+    P_j = P_{j-1} + u_j u_j^T, P_0 = low low^T, for the columns u_j of cols.
+
+    The factors det P_j / det P_{j-1} = 1 + x_j of a block of b <= n steps
+    are the pivots of its capacitance matrix C = I + W^T W, W = low^{-1} U
+    (the multiplicative form of the matrix determinant lemma). One
+    Householder QR of [I; W] gives C = R^T R, and x_j = |w_j|^2 - sum_{i<j}
+    R_ij^2, which keeps its relative accuracy when small. A block ends
+    before the first later step whose x_j cancels to below _CANCEL |w_j|^2
+    (a negative x_j included); low is then refactored from one QR of the
+    stacked [low^T; U^T] of the accepted steps, the backward-stable form
+    of the step-by-step Cholesky update.
+    """
+    n, r = cols.shape
+    x = np.empty(r)
+    s = 0
+    while s < r:
+        u = cols[:, s:s + n]
+        b = u.shape[1]
+        w = np.linalg.solve(low, u)
+        c = np.linalg.qr(np.vstack((np.eye(b), w)), mode="r")
+        w2 = np.einsum("ij,ij->j", w, w)
+        xb = w2 - np.sum(np.triu(c, 1) ** 2, axis=0)
+        cut = np.flatnonzero(xb[1:] < _CANCEL * w2[1:])
+        e = 1 + cut[0] if cut.size else b
+        x[s:s + e] = xb[:e]
+        s += e
+        if s < r:
+            f = np.linalg.qr(np.vstack((low.T, u[:, :e].T)), mode="r")
+            low = (f * np.where(np.diag(f) < 0.0, -1.0, 1.0)[:, None]).T
     return x
 
 
-def _cholesky_update(low: np.ndarray, u: np.ndarray) -> float:
-    """Overwrite low with the Cholesky factor of low low^T + u u^T and
-    return log(1 + u^T (low low^T)^{-1} u) for the factor on entry.
-
-    With p = low^{-1} u and s_k = 1 + p_1^2 + ... + p_k^2, the factor of
-    I + p p^T has diagonal sqrt(s_k / s_{k-1}) and entries
-    p_i p_k / sqrt(s_{k-1} s_k) below it, and low is multiplied by it
-    (Gill, Golub, Murray & Saunders 1974, method C1), in O(n^2). The log
-    comes back as the sum of log1p(t_k^2) with t_k^2 = p_k^2 / s_{k-1},
-    so small quadratic forms keep their relative accuracy.
-    """
-    p = _forward_solve(low, u)
-    p2 = p * p
-    s = np.concatenate(([1.0], 1.0 + np.cumsum(p2)))
-    # tail[:, k] = sum_{i > k} low[:, i] p_i; entries above the diagonal stay 0
-    lp = low * p
-    tail = np.zeros_like(low)
-    tail[:, :-1] = np.cumsum(lp[:, :0:-1], axis=1)[:, ::-1]
-    low[...] = low * np.sqrt(s[1:] / s[:-1]) + tail * (p / np.sqrt(s[1:] * s[:-1]))
-    return float(np.sum(np.log1p(p2 / s[:-1])))
+def _columns(vectors, n: int, name: str) -> np.ndarray:
+    """The validated vectors as the columns of an n x r matrix."""
+    cols = [kernel.as_vector(v, dim=n, name=name) for v in vectors]
+    return np.array(cols, dtype=float).reshape(len(cols), n).T
 
 
 def covariance_trace(p, updates, tol: Tolerance = DEFAULT_TOL) -> CovarianceTrace:
     """Exact additive accounting of log det under rank-one covariance
     growth, with the x/(1+x) <= log(1+x) <= x sandwich bounds.
 
-    The Cholesky factor of P_{i-1} is carried through an O(n^2) rank-one
-    update each step; the update is backward stable, so the per-step
-    residual does not grow with the number of updates. log det P is read
-    off the factor, and the log dets are a compensated (Neumaier) running
-    sum of the increments, so rounding does not build up over long streams.
+    The quadratic forms come from _spd_stream, blocks of n updates at a
+    time, each one triangular solve and one QR of its capacitance matrix,
+    with the Cholesky factor of P refactored backward-stably between
+    blocks, so the per-step residual does not grow with the number of
+    updates. log det P is read off the factor, and the log dets are a
+    compensated (Neumaier) running sum of the increments log1p(x_i), so
+    rounding does not build up over long streams.
     """
     base = kernel.as_matrix(p, square=True, name="P")
     low = _assert_spd(base, tol)
     n = base.shape[0]
-    us = [kernel.as_vector(u, dim=n, name="u_i") for u in updates]
+    quad_forms = _spd_stream(low, _columns(updates, n, "u_i")).tolist()
+    increments = [math.log1p(x) for x in quad_forms]
     total = math.fsum(np.log(_pivots(base, low)))
     comp = 0.0
     logdets = [total]
-    increments = []
-    quad_forms = []
-    for u in us:
-        inc = _cholesky_update(low, u)
-        quad_forms.append(math.expm1(inc))
-        increments.append(inc)
+    for inc in increments:
         t = total + inc
         if abs(total) >= abs(inc):
             comp += (total - t) + inc
@@ -203,9 +209,10 @@ def info_filter_trace(p, measurements, tol: Tolerance = DEFAULT_TOL) -> InfoFilt
     """det(P_k) when P_k^{-1} = P^{-1} + sum v_i v_i^T.
 
     Each factor 1/(1 + v_i^T P_{i-1} v_i) is < 1 for nonzero v_i, so the
-    determinant sequence contracts monotonically. The Cholesky factor of
-    the information matrix P^{-1} is carried through an O(n^2) rank-one
-    update each step, which also yields v_i^T P_{i-1} v_i.
+    determinant sequence contracts monotonically. The quadratic forms
+    v_i^T P_{i-1} v_i come from _spd_stream on the information matrix
+    P^{-1}, whose Cholesky factor is refactored between blocks of n
+    measurements.
 
     With P = L L^T and J the reversal, J L^{-T} J is the lower Cholesky
     factor of J P^{-1} J, so the information matrix is carried in reversed
@@ -215,22 +222,18 @@ def info_filter_trace(p, measurements, tol: Tolerance = DEFAULT_TOL) -> InfoFilt
     base = kernel.as_matrix(p, square=True, name="P")
     low = _assert_spd(base, tol)
     n = base.shape[0]
-    vs = [kernel.as_vector(v, dim=n, name="v_i")[::-1] for v in measurements]
+    cols = _columns(measurements, n, "v_i")[::-1]
     d0 = float(np.prod(_pivots(base, low)))
-    low = np.tril(_forward_solve(low, np.eye(n)).T[::-1, ::-1])
+    low = np.tril(np.linalg.inv(low).T[::-1, ::-1])
+    quad_forms = _spd_stream(low, cols).tolist()
+    factors = [1.0 / (1.0 + q) for q in quad_forms]
     dets = [d0]
-    factors = []
-    quad_forms = []
-    for v in vs:
-        q = math.expm1(_cholesky_update(low, v))
-        quad_forms.append(q)
-        f = 1.0 / (1.0 + q)
-        factors.append(f)
+    for f in factors:
         dets.append(dets[-1] * f)
     beta = min(quad_forms) if quad_forms else None
     bound = None
     if beta is not None and beta > 0.0:
-        bound = d0 * (1.0 + beta) ** (-len(vs))
+        bound = d0 * (1.0 + beta) ** (-len(factors))
     return InfoFilterTrace(
         dets=tuple(dets),
         factors=tuple(factors),

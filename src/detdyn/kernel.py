@@ -15,7 +15,8 @@ come from ``eigvalsh`` for symmetric input and ``eigvals`` for the rest.
 
 ``as_matrix`` keeps complex input complex, so ``det``, ``solve``,
 ``inverse`` and ``adjugate`` also serve the resolvent evaluations at
-complex lambda; the other operations take real matrices.
+complex lambda; the other operations take real matrices. ``as_vector``
+refuses complex vectors with ValueError.
 """
 
 from __future__ import annotations
@@ -97,7 +98,12 @@ def as_matrix(m, *, square: bool = False, name: str = "matrix",
 
 
 def as_vector(v, *, dim: int | None = None, name: str = "vector") -> np.ndarray:
-    a = np.asarray(v, dtype=float)
+    """Validate and convert to a 1-d float array with finite entries;
+    complex input raises ValueError rather than losing its imaginary part."""
+    a = np.asarray(v)
+    if np.iscomplexobj(a):
+        raise ValueError(f"{name} is complex; vectors must be real")
+    a = a.astype(float, copy=False)
     if a.ndim == 2 and 1 in a.shape:
         a = a.reshape(-1)
     if a.ndim != 1:

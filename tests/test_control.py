@@ -219,6 +219,138 @@ def test_large_update_no_spurious_refusal():
     assert info.dets[1:] == pytest.approx((1e-20, 5e-21), rel=1e-14)
 
 
+def adversarial_stream(seed: int, n: int = 16, r: int = 24):
+    """P = Q diag(logspace(0, -8, n)) Q^T and r updates drawn from a pool of
+    4 unit Gaussian directions, each at scale 1e-3 or 1e2, half of them
+    with 1e-6 noise: repeats make the capacitance pivots cancel."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    p = (q * np.logspace(0.0, -8.0, n)) @ q.T
+    p = 0.5 * (p + p.T)
+    pool = rng.standard_normal((4, n))
+    pool /= np.linalg.norm(pool, axis=1)[:, None]
+    us = []
+    for _ in range(r):
+        u = pool[rng.integers(4)]
+        if rng.integers(2):
+            u = u + 1e-6 * rng.standard_normal(n)
+        us.append((1e-3, 1e2)[rng.integers(2)] * u)
+    return p, us
+
+
+def mp_quad_forms(p, us, info: bool = False) -> list:
+    """50-digit x_j = u_j^T P_{j-1}^{-1} u_j of P_j = P_{j-1} + u_j u_j^T,
+    or with info=True x_j = u_j^T P_{j-1} u_j of P_j^{-1} = P_{j-1}^{-1} +
+    u_j u_j^T, by Sherman-Morrison on the 50-digit (inverse) matrix."""
+    with mpmath.workdps(50):
+        m = mpmath.matrix(p.tolist())
+        if not info:
+            m = mpmath.inverse(m)
+        out = []
+        for u in us:
+            mu = mpmath.matrix(u.tolist())
+            y = m * mu
+            x = (mu.T * y)[0]
+            out.append(x)
+            m = m - (y * y.T) / (1 + x)
+    return out
+
+
+def worst_increment_error(quad_forms, ref) -> float:
+    """Largest relative error of log1p(x_j) against the 50-digit x_j."""
+    with mpmath.workdps(50):
+        return max(float(abs((math.log1p(x) - mpmath.log1p(e)) / mpmath.log1p(e)))
+                   for x, e in zip(quad_forms, ref))
+
+
+def test_adversarial_stream_increments():
+    """Cancelled capacitance pivots: increments within 10x of the
+    step-by-step Cholesky update's worst error (4e-10) on this family;
+    blocks of n steps without the cancellation guard reach 1e-4."""
+    worst = 0.0
+    for seed in range(12):
+        p, us = adversarial_stream(seed)
+        cov = covariance_trace(p, us)
+        assert min(cov.quad_forms) >= 0.0
+        worst = max(worst, worst_increment_error(cov.quad_forms, mp_quad_forms(p, us)))
+    assert worst <= 4e-9
+
+
+def test_adversarial_info_filter():
+    p, us = adversarial_stream(8)
+    info = info_filter_trace(p, us)
+    assert min(info.quad_forms) >= 0.0
+    ref = mp_quad_forms(p, us, info=True)
+    assert worst_increment_error(info.quad_forms, ref) <= 1e-13
+
+
+@pytest.mark.parametrize("blocks", [1, 3])
+def test_benign_stream_qr_per_block(rng, monkeypatch, blocks):
+    # one QR of the capacitance per block of n updates and one refactoring
+    # QR between blocks, however long the stream
+    counts = count_lapack(monkeypatch)
+    n = 8
+    p, us = stream_instance(rng, n, blocks * n, 0.1)
+    covariance_trace(p, us)
+    assert counts == {"qr": 2 * blocks - 1, "svd": 0, "eigh": 0}
+
+
+def test_repeated_direction_trips_guard(monkeypatch):
+    """One direction 64 times at 1e2 on cond(P) = 1e8: x_k = x_1/(1 +
+    (k-1) x_1), so every later pivot cancels against the first."""
+    counts = count_lapack(monkeypatch)
+    n, k = 16, 64
+    p, _ = adversarial_stream(5, n)
+    u = 1e2 * np.random.default_rng(5).standard_normal(n)
+    with mpmath.workdps(50):
+        mu = mpmath.matrix(u.tolist())
+        x1 = (mu.T * mpmath.lu_solve(mpmath.matrix(p.tolist()), mu))[0]
+        want = [float(mpmath.log1p(x1 / (1 + (j - 1) * x1))) for j in range(1, k + 1)]
+    cov = covariance_trace(p, [u] * k)
+    # k/n untripped blocks would take 2 k/n - 1 QRs
+    assert counts["qr"] > 2 * (k // n) - 1
+    assert np.max(np.abs(np.array(cov.increments) / want - 1.0)) <= 1e-10
+
+
+@pytest.mark.parametrize("trace", [covariance_trace, info_filter_trace])
+def test_zero_update_mid_stream(rng, trace):
+    p, us = stream_instance(rng, 6, 9, 1.0)
+    us[4] = np.zeros(6)
+    tr = trace(p, us)
+    assert tr.quad_forms[4] == 0.0
+    assert min(tr.quad_forms) >= 0.0
+    if trace is covariance_trace:
+        assert tr.increments[4] == 0.0
+        assert tr.logdets[5] == tr.logdets[4]
+    else:
+        assert tr.factors[4] == 1.0
+        assert tr.dets[5] == tr.dets[4]
+
+
+def test_empty_and_single_update_streams():
+    p = np.diag([2.0, 3.0])
+    cov = covariance_trace(p, [])
+    assert cov.logdets == (pytest.approx(math.log(6.0), rel=1e-15),)
+    assert cov.increments == cov.quad_forms == ()
+    info = info_filter_trace(p, [])
+    assert info.dets == (6.0,) and info.factors == ()
+    assert info.beta is None and info.geometric_bound is None
+    u = np.array([1.0, 1.0])
+    cov = covariance_trace(p, [u])
+    assert cov.quad_forms[0] == pytest.approx(1.0 / 2.0 + 1.0 / 3.0, rel=1e-15)
+    info = info_filter_trace(p, [u])
+    assert info.quad_forms[0] == pytest.approx(5.0, rel=1e-15)
+    assert info.dets[1] == pytest.approx(1.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("trace", [covariance_trace, info_filter_trace])
+def test_complex_update_rejected(trace):
+    # the imaginary part used to be dropped with only a ComplexWarning
+    for u in (np.array([1j, 0.0]), [1j, 0.0]):
+        with pytest.raises(ValueError, match="complex"):
+            trace(np.eye(2), [u])
+
+
 def test_growth_takes_no_solve_or_det(rng, monkeypatch):
     solves = count_calls(monkeypatch, "solve")
     dets = count_calls(monkeypatch, "det")

@@ -109,6 +109,13 @@ class TestSecularValue:
         with pytest.raises(ResolventSingular):
             secular_value(a, EMPTY2, np.ones(2), np.ones(2), -1.0, TOL9)
 
+    def test_complex_vectors_rejected(self):
+        a = np.diag([-1.0, -2.0])
+        with pytest.raises(ValueError, match="complex"):
+            secular_value(a, EMPTY2, np.array([1j, 0.0]), np.ones(2), 2.0)
+        with pytest.raises(ValueError, match="complex"):
+            secular_value(a, EMPTY2, np.ones(2), [0.0, 1j], 2.0)
+
     def test_cond_flag_reads_smallest_singular_value(self):
         # lambda I - A = [[1, 1e4], [0, 1]]: both LU pivots are 1, but
         # sigma_min ~ 1e-4 sits below sqrt(eps) * max|.| ~ 1.5e-4

@@ -512,3 +512,15 @@ class TestSequenceValidation:
         seq = UpdateSequence.symmetric([np.ones(3)])
         with pytest.raises(DimensionMismatch):
             det_sequence(np.eye(2), seq)
+
+    @pytest.mark.parametrize("u, v", [
+        (np.array([1j, 0.0]), np.array([1.0, 0.0])),
+        (np.array([1.0, 0.0]), [0.0, 1j]),
+    ])
+    def test_complex_vectors_rejected(self, u, v):
+        # det_sequence(I, [([1j, 0], [1, 0])]) used to return 1.0, dropping
+        # the imaginary part of det = 1 + 1j with only a ComplexWarning
+        with pytest.raises(ValueError, match="complex"):
+            updates.RankOneUpdate(u, v)
+        with pytest.raises(ValueError, match="complex"):
+            det_sequence(np.eye(2), UpdateSequence.from_pairs([(u, v)]))
