@@ -39,7 +39,10 @@ class InfoFilterTrace:
     measurement outer products v_i v_i^T.
 
     beta is the realized minimum of v_i^T P_{i-1} v_i; when positive,
-    det(P_k) <= det(P) (1+beta)^{-k} (the geometric bound).
+    det(P_k) <= det(P) (1+beta)^{-k} (the geometric bound). ``dets`` is
+    the running product of the factors, which underflows to 0.0 on long
+    streams; ``logdets`` holds log det(P_k) = log det(P) - sum log1p(q_i)
+    at any length.
     """
 
     dets: tuple
@@ -47,6 +50,7 @@ class InfoFilterTrace:
     quad_forms: tuple
     beta: float | None
     geometric_bound: float | None
+    logdets: tuple
 
 
 @dataclass(frozen=True)
@@ -160,6 +164,22 @@ def _spd_stream(low: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return x
 
 
+def _running_sum(start: float, increments) -> list:
+    """start and its running sums with ``increments``, compensated
+    (Neumaier), so rounding does not build up over long streams."""
+    total, comp = start, 0.0
+    out = [start]
+    for inc in increments:
+        t = total + inc
+        if abs(total) >= abs(inc):
+            comp += (total - t) + inc
+        else:
+            comp += (inc - t) + total
+        total = t
+        out.append(total + comp)
+    return out
+
+
 def _columns(vectors, n: int, name: str) -> np.ndarray:
     """The validated vectors as the columns of an n x r matrix."""
     cols = [kernel.as_vector(v, dim=n, name=name) for v in vectors]
@@ -175,25 +195,15 @@ def covariance_trace(p, updates, tol: Tolerance = DEFAULT_TOL) -> CovarianceTrac
     with the Cholesky factor of P refactored backward-stably between
     blocks, so the per-step residual does not grow with the number of
     updates. log det P is read off the factor, and the log dets are a
-    compensated (Neumaier) running sum of the increments log1p(x_i), so
-    rounding does not build up over long streams.
+    compensated running sum (``_running_sum``) of the increments
+    log1p(x_i).
     """
     base = kernel.as_matrix(p, square=True, name="P")
     low = _assert_spd(base, tol)
     n = base.shape[0]
     quad_forms = _spd_stream(low, _columns(updates, n, "u_i")).tolist()
     increments = [math.log1p(x) for x in quad_forms]
-    total = math.fsum(np.log(_pivots(base, low)))
-    comp = 0.0
-    logdets = [total]
-    for inc in increments:
-        t = total + inc
-        if abs(total) >= abs(inc):
-            comp += (total - t) + inc
-        else:
-            comp += (inc - t) + total
-        total = t
-        logdets.append(total + comp)
+    logdets = _running_sum(math.fsum(np.log(_pivots(base, low))), increments)
     lower = sum(x / (1.0 + x) for x in quad_forms)
     upper = sum(quad_forms)
     return CovarianceTrace(
@@ -209,7 +219,8 @@ def info_filter_trace(p, measurements, tol: Tolerance = DEFAULT_TOL) -> InfoFilt
     """det(P_k) when P_k^{-1} = P^{-1} + sum v_i v_i^T.
 
     Each factor 1/(1 + v_i^T P_{i-1} v_i) is < 1 for nonzero v_i, so the
-    determinant sequence contracts monotonically. The quadratic forms
+    determinant sequence contracts monotonically, and log det(P_k) is the
+    compensated running sum of -log1p(q_i). The quadratic forms
     v_i^T P_{i-1} v_i come from _spd_stream on the information matrix
     P^{-1}, whose Cholesky factor is refactored between blocks of n
     measurements.
@@ -223,10 +234,12 @@ def info_filter_trace(p, measurements, tol: Tolerance = DEFAULT_TOL) -> InfoFilt
     low = _assert_spd(base, tol)
     n = base.shape[0]
     cols = _columns(measurements, n, "v_i")[::-1]
-    d0 = float(np.prod(_pivots(base, low)))
+    pivots = _pivots(base, low)
+    d0 = float(np.prod(pivots))
     low = np.tril(np.linalg.inv(low).T[::-1, ::-1])
     quad_forms = _spd_stream(low, cols).tolist()
     factors = [1.0 / (1.0 + q) for q in quad_forms]
+    logdets = _running_sum(math.fsum(np.log(pivots)), [-math.log1p(q) for q in quad_forms])
     dets = [d0]
     for f in factors:
         dets.append(dets[-1] * f)
@@ -240,14 +253,16 @@ def info_filter_trace(p, measurements, tol: Tolerance = DEFAULT_TOL) -> InfoFilt
         quad_forms=tuple(quad_forms),
         beta=beta,
         geometric_bound=bound,
+        logdets=tuple(logdets),
     )
 
 
 def build_gramian(a, b, horizon: int) -> GramianBuild:
     """Directions u_(i,j) = A^i b_j for i = 0..N-1 (outer) and input
-    columns j (inner); W is their outer-product sum."""
-    aa = kernel.as_matrix(a, square=True, name="A")
-    bb = np.asarray(b, dtype=float)
+    columns j (inner); W is their outer-product sum. A and B must be
+    real (complex input raises ValueError)."""
+    aa = kernel.as_matrix(kernel.as_real(a, "A"), square=True, name="A")
+    bb = kernel.as_real(b, "B")
     if bb.ndim == 1:
         bb = bb.reshape(-1, 1)
     bb = kernel.as_matrix(bb, name="B")

@@ -148,8 +148,8 @@ def pdet(h, tol: Tolerance = DEFAULT_TOL, method: str = "charpoly") -> PdetResul
 
 def _as_factor(m, n: int, name: str) -> np.ndarray:
     """n x r factor; a bare vector is treated as a single column, r = 0
-    is allowed (empty update)."""
-    a = np.asarray(m, dtype=float)
+    is allowed (empty update); complex input raises ValueError."""
+    a = kernel.as_real(m, name)
     if a.ndim == 1:
         a = a.reshape(-1, 1)
     a = kernel.as_matrix(a, name=name, min_cols=0)

@@ -15,8 +15,9 @@ come from ``eigvalsh`` for symmetric input and ``eigvals`` for the rest.
 
 ``as_matrix`` keeps complex input complex, so ``det``, ``solve``,
 ``inverse`` and ``adjugate`` also serve the resolvent evaluations at
-complex lambda; the other operations take real matrices. ``as_vector``
-refuses complex vectors with ValueError.
+complex lambda; the other operations take real matrices. ``as_real``
+(behind ``as_vector``, the factors U and V of the Drazin lemma and the
+A and B of a Gramian) refuses complex input with ValueError.
 """
 
 from __future__ import annotations
@@ -97,13 +98,19 @@ def as_matrix(m, *, square: bool = False, name: str = "matrix",
     return a
 
 
-def as_vector(v, *, dim: int | None = None, name: str = "vector") -> np.ndarray:
-    """Validate and convert to a 1-d float array with finite entries;
-    complex input raises ValueError rather than losing its imaginary part."""
+def as_real(v, name: str) -> np.ndarray:
+    """``v`` as a float array; complex input raises ValueError rather than
+    losing its imaginary part."""
     a = np.asarray(v)
     if np.iscomplexobj(a):
-        raise ValueError(f"{name} is complex; vectors must be real")
-    a = a.astype(float, copy=False)
+        raise ValueError(f"{name} is complex; it must be real")
+    return a.astype(float, copy=False)
+
+
+def as_vector(v, *, dim: int | None = None, name: str = "vector") -> np.ndarray:
+    """Validate and convert to a 1-d float array with finite entries;
+    complex input raises ValueError (``as_real``)."""
+    a = as_real(v, name)
     if a.ndim == 2 and 1 in a.shape:
         a = a.reshape(-1)
     if a.ndim != 1:

@@ -11,8 +11,12 @@ M is invertible again; only below rank n-1 does a step take an SVD. The
 multiplicative route (``det_product``, ``logdet_sequence``) uses
 det(H + u v^T) = det(H) (1 + v^T H^{-1} u) and therefore requires
 nonsingular intermediates; violations are reported, never patched over.
-All three walk one Sherman-Morrison update, of M^{-1} or of B^{-1}, O(n^2)
-a step.
+All three read the factors 1 + v_k^T M_{k-1}^{-1} u_k of up to n steps
+at a time as the pivots of one capacitance matrix I + V^T M^{-1} U (the
+matrix determinant lemma): two GEMMs and an unpivoted LU a block, and one
+LU inverse of M between blocks. Only the bordered and SVD frames of a
+rank-deficient M take one Sherman-Morrison step, O(n^2), or an SVD at a
+time.
 """
 
 from __future__ import annotations
@@ -207,9 +211,10 @@ def _refresh(m: np.ndarray, tol: Tolerance):
 
 
 def _read(frame, up: RankOneUpdate, n: int):
-    """(x, s, t) for one update on a walk frame: x = inv [u; 0] and
-    s = [v; 0]^T x for the Sherman-Morrison step, and t = v^T adj(M) u
-    on the bordered and Stewart frames (None on the plain one)."""
+    """(x, s, t) for one update on a bordered or Stewart frame:
+    x = B^{-1} [u; 0] and s = [v; 0]^T x for the bordered Sherman-Morrison
+    step (None on the Stewart frame), and t = v^T adj(M) u; all None on
+    the empty frame of a singular M."""
     inv, det_b, svd = frame
     if svd is not None:
         # Stewart, O(n^2): adj(M) = det(U) det(V^H) V adj(S) U^H, M = U S V^H
@@ -220,30 +225,81 @@ def _read(frame, up: RankOneUpdate, n: int):
         return None, None, None
     x = inv[:, :n] @ up.u
     s = (up.v @ x[:n]).item()
-    if det_b is None:
-        return x, s, None
     # Jacobi: adj(M) = det B (tau P - q r^T) for B^{-1} = [[P, q], [r^T, tau]]
     return x, s, (det_b * (inv[n, n] * s - (up.v @ inv[:n, n]) * x[n])).item()
+
+
+# A cancelled capacitance pivot ends a block: a factor 1 + s_j below this
+# share of the terms that form it has lost more than three digits to their
+# cancellation.
+_CANCEL = 1e-3
+
+
+def _capacitance(g: np.ndarray, tol: Tolerance, cut: float, fresh: bool):
+    """(s, then) for one block of updates from G = V^T M^{-1} U: the s_j
+    the walk accepts and what renews M^{-1} after them.
+
+    The factors 1 + s_j = det M_j / det M_{j-1} of the block are the
+    pivots of the unpivoted LU of its capacitance matrix C = I + G (the
+    matrix determinant lemma), so s_j = v_j^T M_{j-1}^{-1} u_j is
+    G_jj - sum_{i<j} L_ji U_ij; the elimination runs on G and adds the 1
+    only to the pivot it divides by, so a small s_j keeps its digits. The
+    block ends
+    - before the first step with |s_j| cut > 1, never the first step of a
+      ``fresh`` frame (then "refresh": a new SVD frame);
+    - before the first later step whose factor |1 + s_j| is below _CANCEL
+      times the terms that form it, 1 + |G_jj| + sum_{i<j} |L_ji U_ij|
+      (then "invert": an LU inverse, as after a full block);
+    - after the first step outside the walk's guard
+      tol.rel <= |1 + s| <= 1 / sqrt(tol.rel) (then "check": an inverse
+      behind the singular-value test of ``kernel.inverse``).
+    The pivots past the end are dropped; past a failed guard they may
+    divide by zero, so the elimination runs under np.errstate.
+    """
+    w = g.copy()
+    with np.errstate(all="ignore"):
+        for j in range(w.shape[0] - 1):
+            w[j + 1:, j] /= 1.0 + w[j, j]
+            w[j + 1:, j + 1:] -= w[j + 1:, j, None] * w[j, None, j + 1:]
+        # sum_{i<j} |L_ji U_ij| is entry (j, j-1) of the running row sums
+        # of |w * w^T|
+        lu = np.diagonal(np.cumsum(np.abs(w * w.T), axis=1), -1).tolist()
+    s = w.diagonal().tolist()
+    hi = 1.0 / math.sqrt(tol.rel)
+    for j, (sj, gj) in enumerate(zip(s, np.abs(g.diagonal()).tolist())):
+        f = abs(1.0 + sj)
+        if abs(sj) * cut > 1.0 and (j or not fresh):
+            return s[:j], "refresh"
+        if j and f < _CANCEL * (1.0 + gj + lu[j - 1]):
+            return s[:j], "invert"
+        if not tol.rel <= f <= hi:
+            return s[:j + 1], "check"
+    return s, "invert"
 
 
 def _inverse_walk(a: np.ndarray, seq: UpdateSequence, tol: Tolerance,
                   minv, adjugate: bool = False):
     """Walk M_k = H + Delta_k from M_0^{-1} = ``minv`` (None when H is
-    singular at tolerance), yielding (update k, s_k, t_k) for k = 1..r.
+    singular at tolerance), yielding (s_k, t_k) for k = 1..r.
 
-    On the plain frame s_k = v_k^T M_{k-1}^{-1} u_k and t_k is None. M^{-1}
-    is carried by Sherman-Morrison under the guard
-    tol.rel <= |1 + s| <= 1 / sqrt(tol.rel); outside it a fresh inverse of
-    M_k is attempted. Without ``adjugate`` a singular M_{k-1} gives
-    s_k = t_k = None, and the walk stays there.
+    On the plain frame s_k = v_k^T M_{k-1}^{-1} u_k and t_k is None. The
+    steps go in blocks of up to n: one GEMM each for X = M^{-1} U_b and
+    G = V_b^T X, the s_k of the block from the unpivoted LU of its
+    capacitance matrix I + G (``_capacitance``), and a fresh LU inverse of
+    M between blocks, so no step costs O(n^2) in Python. A step outside
+    the guard tol.rel <= |1 + s| <= 1 / sqrt(tol.rel) ends its block, and
+    the next M is inverted through ``kernel.inverse``; a factor 1 + s_k
+    that cancelled to below 1e-3 of its terms ends the block before step
+    k, which is read again off a fresh inverse. Without ``adjugate`` a
+    singular M_{k-1} gives s_k = t_k = None, and the walk stays there.
 
     With ``adjugate`` the walk also yields t_k = v_k^T adj(M_{k-1}) u_k
     (s_k None) wherever M_{k-1}^{-1} is not to be trusted, from the frame
     ``_refresh`` picks by one SVD:
-    - rank n-1: the bordered B^{-1} = [[P, q], [r^T, tau]], carried by the
-      same Sherman-Morrison step on B + [u; 0][v; 0]^T, with det B carried
-      as a product; t_k = det B (tau v^T P u - (v^T q)(r^T u)) is O(n^2)
-      and free of any division by det M. Once the Schur candidate
+    - rank n-1: the bordered B^{-1} = [[P, q], [r^T, tau]], carried by a
+      Sherman-Morrison step on B + [u; 0][v; 0]^T, O(n^2), with det B
+      carried as a product; t_k = det B (tau v^T P u - (v^T q)(r^T u)) is
+      free of any division by det M. Once the Schur candidate
       M^{-1} = P - q r^T / tau has 1 / ||.||_F above the refresh's floor,
       a lower bound on sigma_min(M), the walk takes one LU inverse and
       returns to the plain frame.
@@ -251,61 +307,80 @@ def _inverse_walk(a: np.ndarray, seq: UpdateSequence, tol: Tolerance,
       refresh at the next step.
     A failed guard on the bordered frame refreshes. So does
     |s_k| > 1 / sqrt(tol.rel) on either frame before t_k or D_{k-1} s_k is
-    formed: such an s_k says M_{k-1} is nearly singular along u_k and v_k,
-    where the product would multiply D_{k-1}'s rounding by |s_k|.
+    formed (it ends a plain block before step k): such an s_k says M_{k-1}
+    is nearly singular along u_k and v_k, where the product would multiply
+    D_{k-1}'s rounding by |s_k|.
     """
     n, r = a.shape[0], len(seq)
     root = math.sqrt(tol.rel)
+    cut = root if adjugate else 0.0
+    us = np.array([up.u for up in seq.updates]).reshape(r, n)
+    vs = np.array([up.v for up in seq.updates]).reshape(r, n)
     current = a
-    frame = (minv, None, None)
+    frame, fresh = (minv, None, None), False
     if adjugate and minv is None and r:
-        frame = _refresh(a, tol)
-    for i, up in enumerate(seq.updates, start=1):
-        x, s, t = _read(frame, up, n)
-        if adjugate and s is not None and abs(s) * root > 1.0:
-            frame = _refresh(current, tol)
-            x, s, t = _read(frame, up, n)
+        frame, fresh = _refresh(a, tol), True
+    k = 0
+    while k < r:
         inv, det_b, _ = frame
-        yield up, (s if det_b is None else None), t
-        if i == r:
-            return
-        current = current + np.outer(up.u, up.v)
-        if s is not None and tol.rel <= abs(1.0 + s) <= 1.0 / root:
-            f = 1.0 + s
-            vt_inv = up.v @ inv[:n]
-            inv = inv - np.outer(x, vt_inv) / f
-            if det_b is None:
-                frame = (inv, None, None)
+        if inv is not None and det_b is None:
+            ub, vb = us[k:k + n], vs[k:k + n]
+            s, then = _capacitance(vb @ (inv @ ub.T), tol, cut, fresh)
+            for sk in s:
+                yield sk, None
+            e = len(s)
+            k += e
+            if k == r:
+                return
+            current = current + ub[:e].T @ vb[:e]
+            fresh = False
+            if then != "refresh":
+                try:
+                    if then == "check":
+                        frame = (kernel.inverse(current, tol), None, None)
+                    else:
+                        frame = (np.linalg.inv(current), None, None)
+                    continue
+                except (Singular, np.linalg.LinAlgError):
+                    frame = (None, None, None)
+        else:
+            up = seq.updates[k]
+            x, s, t = _read(frame, up, n)
+            if s is not None and not fresh and abs(s) * cut > 1.0:
+                frame, fresh = _refresh(current, tol), True
                 continue
-            frame = (inv, det_b * f, None)
-            tau = inv[n, n]
-            adj = tau * inv[:n, :n] - np.outer(inv[:n, n], inv[n, :n])
-            if not np.linalg.norm(adj) * tol.cutoff(current) < abs(tau) * root:
-                continue
-            try:
-                frame = (np.linalg.inv(current), None, None)
-                continue
-            except np.linalg.LinAlgError:
-                pass
-        elif s is not None and det_b is None:
-            try:
-                frame = (kernel.inverse(current, tol), None, None)
-                continue
-            except Singular:
-                frame = (None, None, None)
+            fresh = False
+            yield None, t
+            k += 1
+            if k == r:
+                return
+            current = current + np.outer(up.u, up.v)
+            if s is not None and tol.rel <= abs(1.0 + s) <= 1.0 / root:
+                f = 1.0 + s
+                inv = inv - np.outer(x, up.v @ inv[:n]) / f
+                frame = (inv, det_b * f, None)
+                tau = inv[n, n]
+                adj = tau * inv[:n, :n] - np.outer(inv[:n, n], inv[n, :n])
+                if not np.linalg.norm(adj) * tol.cutoff(current) < abs(tau) * root:
+                    continue
+                try:
+                    frame = (np.linalg.inv(current), None, None)
+                    continue
+                except np.linalg.LinAlgError:
+                    pass
         if adjugate:
-            frame = _refresh(current, tol)
+            frame, fresh = _refresh(current, tol), True
 
 
 def det_sequence(h, seq: UpdateSequence) -> DetTrace:
     """Run the additive recursion D_k = D_{k-1} + v_k^T adj(H + Delta_{k-1}) u_k.
 
     While H + Delta_{k-1} is safely invertible the increment is
-    D_{k-1} v_k^T (H + Delta_{k-1})^{-1} u_k, read off the Sherman-Morrison
-    walk. At a singular or nearly singular intermediate of rank n-1 the
-    walk carries a bordered inverse instead and reads the adjugate off it,
-    O(n^2) a step, and returns to the plain inverse once the matrix is
-    invertible again; below rank n-1 each step takes one SVD. Works for
+    D_{k-1} v_k^T (H + Delta_{k-1})^{-1} u_k, read off a block's
+    capacitance matrix. At a singular or nearly singular intermediate of
+    rank n-1 the walk carries a bordered inverse instead and reads the
+    adjugate off it, O(n^2) a step, and returns to the blocks once the
+    matrix is invertible again; below rank n-1 each step takes one SVD. Works for
     singular H and singular intermediates, and for complex H (the updates
     stay real), whose values come out complex.
     """
@@ -313,7 +388,7 @@ def det_sequence(h, seq: UpdateSequence) -> DetTrace:
     d, minv = _base(a, DEFAULT_TOL)
     values = [d]
     increments = []
-    for up, s, t in _inverse_walk(a, seq, DEFAULT_TOL, minv, adjugate=True):
+    for s, t in _inverse_walk(a, seq, DEFAULT_TOL, minv, adjugate=True):
         inc = d * s if t is None else t
         d = d + inc
         increments.append(inc)
@@ -324,7 +399,7 @@ def det_sequence(h, seq: UpdateSequence) -> DetTrace:
 def _multiplicative_walk(a: np.ndarray, seq: UpdateSequence, tol: Tolerance,
                          require_positive: bool):
     """Determinants and factors 1 + s_k for det_product / logdet_sequence
-    along the Sherman-Morrison walk; a singular intermediate raises
+    along the capacitance blocks of the walk; a singular intermediate raises
     IntermediateSingular, and complex H, which has no positivity or log
     form, a ValueError."""
     if np.iscomplexobj(a):
@@ -334,7 +409,7 @@ def _multiplicative_walk(a: np.ndarray, seq: UpdateSequence, tol: Tolerance,
         raise NonPositiveDeterminant(0, d)
     dets = [d]
     factors = []
-    for i, (_, s, _) in enumerate(_inverse_walk(a, seq, tol, minv)):
+    for i, (s, _) in enumerate(_inverse_walk(a, seq, tol, minv)):
         if s is None:
             raise IntermediateSingular(i)
         f = 1.0 + s

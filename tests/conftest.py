@@ -8,6 +8,8 @@ given their rng.
 
 from __future__ import annotations
 
+import sys
+
 import mpmath
 import numpy as np
 import pytest
@@ -83,6 +85,29 @@ def count_calls(monkeypatch, name: str) -> list:
         return orig(*args, **kwargs)
 
     monkeypatch.setattr(kernel, name, counted)
+    return calls
+
+
+def count_linalg(monkeypatch, modules, names) -> list:
+    """(module, name) of every call to the numpy functions ``names`` made
+    directly from one of the package ``modules``, in order, for the rest
+    of the test. A name is a path under numpy ("linalg.svd", "outer") and
+    is recorded by its last part."""
+    calls = []
+    for path in names:
+        *parents, name = path.split(".")
+        owner = np
+        for part in parents:
+            owner = getattr(owner, part)
+        orig = getattr(owner, name)
+
+        def counted(*args, _orig=orig, _name=name, **kwargs):
+            caller = sys._getframe(1).f_globals.get("__name__")
+            if caller in modules:
+                calls.append((caller, _name))
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
     return calls
 
 

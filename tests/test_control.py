@@ -1,5 +1,4 @@
 import math
-import sys
 
 import mpmath
 import numpy as np
@@ -27,7 +26,7 @@ from detdyn import (
 from detdyn import control
 from detdyn.control import _ball_sample
 
-from conftest import count_calls, random_spd
+from conftest import count_calls, count_linalg, random_spd
 
 TOL9 = Tolerance(rel=1e-9)
 
@@ -82,6 +81,17 @@ class TestCovarianceTrace:
 
 
 class TestInfoFilterTrace:
+    def test_long_stream_logdets_do_not_underflow(self):
+        # the running product of the factors reaches 0.0 by step 200 here,
+        # while log det P_1000 = -1324.02
+        vs = 1e3 * np.random.default_rng(0).standard_normal((1000, 64))
+        tr = info_filter_trace(np.eye(64), list(vs))
+        assert tr.dets[200] == tr.dets[-1] == 0.0
+        sign, ref = np.linalg.slogdet(np.eye(64) + vs.T @ vs)
+        assert sign == 1.0
+        assert abs(tr.logdets[-1] + ref) <= 1e-10
+        assert len(tr.logdets) == 1001 and tr.logdets[0] == 0.0
+
     def test_single_measurement_halves_det(self):
         tr = info_filter_trace(np.eye(2), [np.array([1.0, 0.0])])
         assert tr.dets == (1.0, 0.5)
@@ -288,17 +298,17 @@ def test_adversarial_info_filter():
 def test_benign_stream_qr_per_block(rng, monkeypatch, blocks):
     # one QR of the capacitance per block of n updates and one refactoring
     # QR between blocks, however long the stream
-    counts = count_lapack(monkeypatch)
+    calls = count_lapack(monkeypatch)
     n = 8
     p, us = stream_instance(rng, n, blocks * n, 0.1)
     covariance_trace(p, us)
-    assert counts == {"qr": 2 * blocks - 1, "svd": 0, "eigh": 0}
+    assert tally(calls) == {"qr": 2 * blocks - 1, "svd": 0, "eigh": 0}
 
 
 def test_repeated_direction_trips_guard(monkeypatch):
     """One direction 64 times at 1e2 on cond(P) = 1e8: x_k = x_1/(1 +
     (k-1) x_1), so every later pivot cancels against the first."""
-    counts = count_lapack(monkeypatch)
+    calls = count_lapack(monkeypatch)
     n, k = 16, 64
     p, _ = adversarial_stream(5, n)
     u = 1e2 * np.random.default_rng(5).standard_normal(n)
@@ -308,7 +318,7 @@ def test_repeated_direction_trips_guard(monkeypatch):
         want = [float(mpmath.log1p(x1 / (1 + (j - 1) * x1))) for j in range(1, k + 1)]
     cov = covariance_trace(p, [u] * k)
     # k/n untripped blocks would take 2 k/n - 1 QRs
-    assert counts["qr"] > 2 * (k // n) - 1
+    assert tally(calls)["qr"] > 2 * (k // n) - 1
     assert np.max(np.abs(np.array(cov.increments) / want - 1.0)) <= 1e-10
 
 
@@ -398,6 +408,16 @@ class TestBuildGramian:
             build_gramian(np.eye(2), np.ones((3, 1)), 2)
         with pytest.raises(DimensionMismatch):
             build_gramian(np.eye(2), np.ones((2, 1)), 0)
+
+    @pytest.mark.parametrize("a, b", [
+        (np.eye(2), np.array([[1j], [0.0]])),
+        (1j * np.eye(2), np.array([[1.0], [0.0]])),
+    ])
+    def test_complex_input_rejected(self, a, b):
+        # a complex B used to be cast to float with only a ComplexWarning,
+        # which left W all zeros
+        with pytest.raises(ValueError, match="complex"):
+            build_gramian(a, b, 2)
 
 
 class TestGramianGrowth:
@@ -514,19 +534,15 @@ def test_growth_against_mpmath(name):
     assert np.max(np.abs(got - want) / want) <= 1e-11
 
 
-def count_lapack(monkeypatch) -> dict:
+def count_lapack(monkeypatch) -> list:
     """Calls of np.linalg.qr, svd and eigh made from detdyn.control."""
-    counts = {"qr": 0, "svd": 0, "eigh": 0}
-    for name in counts:
-        orig = getattr(np.linalg, name)
+    return count_linalg(monkeypatch, ("detdyn.control",),
+                        ("linalg.qr", "linalg.svd", "linalg.eigh"))
 
-        def counted(*args, _orig=orig, _name=name, **kwargs):
-            if sys._getframe(1).f_globals.get("__name__") == "detdyn.control":
-                counts[_name] += 1
-            return _orig(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, name, counted)
-    return counts
+def tally(calls) -> dict:
+    """Calls per function name."""
+    return {name: sum(c == name for _, c in calls) for name in ("qr", "svd", "eigh")}
 
 
 @pytest.mark.parametrize("horizon", [1, 4, 12])
@@ -535,13 +551,13 @@ def test_growth_factorizations_per_block(monkeypatch, horizon):
     # one SVD for the spectrum of W, then one batched SVD per block of
     # n steps and one QR between blocks
     ranks = count_calls(monkeypatch, "rank")
-    counts = count_lapack(monkeypatch)
+    calls = count_lapack(monkeypatch)
     a, b = stable_system(6, 4)
     g = build_gramian(a, b, horizon)
     gramian_pdet_growth(g, tol=TOL9)
     blocks = -(-horizon // 4)
     assert ranks == []
-    assert counts == {"qr": blocks, "svd": 1 + blocks, "eigh": 0}
+    assert tally(calls) == {"qr": blocks, "svd": 1 + blocks, "eigh": 0}
 
 
 # rank 5 with cond(W) of 2e9 and 3.9e9: the eigenvalue that the rank cutoff
@@ -711,17 +727,17 @@ def test_trials_keep_their_own_cutoff():
 
 
 def test_experiment_factorizations_do_not_grow_with_trials(monkeypatch):
-    counts = count_lapack(monkeypatch)
+    calls = count_lapack(monkeypatch)
     a, b = stable_system(7, 4)
     g = build_gramian(a, np.hstack([b, b[::-1]]), 5)  # L = 10: blocks of 4, 4, 2
     perturbed_gramian_experiment(g, 0.1, trials=1, seed=1, tol=TOL9)
-    one = dict(counts)
-    counts.update(qr=0, svd=0, eigh=0)
+    one = tally(calls)
+    calls.clear()
     perturbed_gramian_experiment(g, 0.1, trials=16, seed=1, tol=TOL9)
     # the nominal growth and one stacked pass, each with one QR of the
     # directions and one between consecutive blocks, one SVD of the
     # directions and one per block
-    assert counts == one == {"qr": 2 * 3, "svd": 2 * 4, "eigh": 0}
+    assert tally(calls) == one == {"qr": 2 * 3, "svd": 2 * 4, "eigh": 0}
 
 
 def test_experiment_chunks_match_one_pass(monkeypatch):
@@ -734,11 +750,11 @@ def test_experiment_chunks_match_one_pass(monkeypatch):
     chunk = control._STACK_FLOATS // (40 * 6 * (6 + 8))
     chunks = -(-trials // chunk)
     assert chunks > 1
-    counts = count_lapack(monkeypatch)
+    calls = count_lapack(monkeypatch)
     chunked = perturbed_gramian_experiment(g, 0.1, trials=trials, seed=5, tol=TOL9)
-    assert counts == {"qr": (1 + chunks) * 7, "svd": (1 + chunks) * 8, "eigh": 0}
+    assert tally(calls) == {"qr": (1 + chunks) * 7, "svd": (1 + chunks) * 8, "eigh": 0}
     monkeypatch.setattr(control, "_STACK_FLOATS", 1 << 40)
-    counts.update(qr=0, svd=0, eigh=0)
+    calls.clear()
     whole = perturbed_gramian_experiment(g, 0.1, trials=trials, seed=5, tol=TOL9)
-    assert counts == {"qr": 2 * 7, "svd": 2 * 8, "eigh": 0}
+    assert tally(calls) == {"qr": 2 * 7, "svd": 2 * 8, "eigh": 0}
     assert chunked == whole

@@ -235,6 +235,18 @@ class TestCompatibility:
         assert rep.passed
 
 
+@pytest.mark.parametrize("route", [pdet_lemma, regularized_limit, compatibility_check])
+@pytest.mark.parametrize("u, v", [
+    (np.array([[1j], [0.0]]), np.array([[1.0], [0.0]])),
+    (np.array([[1.0], [0.0]]), np.array([1j, 0.0])),
+])
+def test_complex_factors_rejected(route, u, v):
+    # pdet_lemma(I, [[1j], [0]], [[1], [0]]) used to return 1.0, dropping the
+    # imaginary part of det(I + U V^T) = 1 + 1j with only a ComplexWarning
+    with pytest.raises(ValueError, match="complex"):
+        route(np.eye(2), u, v)
+
+
 class TestPdetLemma:
     def test_worked_example_with_sign_flip(self):
         u = np.array([1.0, 0.0, 0.0])

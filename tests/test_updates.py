@@ -1,5 +1,4 @@
 import math
-import sys
 
 import mpmath
 import numpy as np
@@ -23,7 +22,7 @@ from detdyn import (
     updates,
 )
 
-from conftest import count_calls, mp_det
+from conftest import count_calls, count_linalg, mp_det, random_orthogonal
 from test_kernel import RANK4
 
 TOL9 = Tolerance(rel=1e-9)
@@ -48,18 +47,8 @@ def record_refreshes(monkeypatch) -> list:
 def count_factorizations(monkeypatch) -> list:
     """(module, name) of every np.linalg.svd and np.linalg.inv call made
     from detdyn.updates or detdyn.kernel, for the rest of the test."""
-    calls = []
-    for name in ("svd", "inv"):
-        orig = getattr(np.linalg, name)
-
-        def counted(*args, _orig=orig, _name=name, **kwargs):
-            caller = sys._getframe(1).f_globals.get("__name__")
-            if caller in ("detdyn.updates", "detdyn.kernel"):
-                calls.append((caller, _name))
-            return _orig(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counted)
-    return calls
+    return count_linalg(monkeypatch, ("detdyn.updates", "detdyn.kernel"),
+                        ("linalg.svd", "linalg.inv"))
 
 
 def random_sequence(rng, n, r):
@@ -331,6 +320,99 @@ class TestSingularWalk:
             assert abs(val - mp_det(m)) <= 1e-12 * hadamard(m)
 
 
+def diagonal_stream(c) -> UpdateSequence:
+    """Updates c_k e_k e_k^T, k = 0..len(c)-1."""
+    e = np.eye(len(c))
+    return UpdateSequence.from_pairs([(e[k], c_k * e[k]) for k, c_k in enumerate(c)])
+
+
+def cancelling_stream(seed: int):
+    """H = Q1 diag(logspace(0, -8, 16)) Q2^T and 24 updates drawn from a
+    pool of four pairs along H's two smallest singular pairs, each moved
+    by 1e-3 of noise; the draws of pairs 1 and 3 add 1e-6 of fresh noise.
+    The first draws lift those singular values from about 1e-8 to about
+    1, so later pairs have v^T H^{-1} u near 1e7-1e8 and factors of order
+    1: a capacitance pivot formed from an inverse taken before the lift
+    cancels seven or eight digits."""
+    rng = np.random.default_rng(seed)
+    n = 16
+    q1, q2 = random_orthogonal(rng, n), random_orthogonal(rng, n)
+    h = q1 @ np.diag(np.logspace(0, -8, n)) @ q2.T
+    pool = [(q1[:, -1 - i % 2] + 1e-3 * rng.standard_normal(n),
+             q2[:, -1 - i % 2] + 1e-3 * rng.standard_normal(n)) for i in range(4)]
+    pairs = []
+    for _ in range(24):
+        i = int(rng.integers(4))
+        u, v = pool[i]
+        if i % 2:
+            u = u + 1e-6 * rng.standard_normal(n)
+            v = v + 1e-6 * rng.standard_normal(n)
+        pairs.append((u, v))
+    return h, pairs
+
+
+def mp_running_dets(h, pairs) -> list:
+    """det(H + Delta_k), k = 0..r, at 50 digits from the exact inputs."""
+    with mpmath.workdps(50):
+        m = mpmath.matrix(h.tolist())
+        dets = [mpmath.det(m)]
+        for u, v in pairs:
+            m = m + mpmath.matrix(u.tolist()) * mpmath.matrix(v.tolist()).T
+            dets.append(mpmath.det(m))
+    return dets
+
+
+class TestCapacitanceBlocks:
+    """The plain frame reads blocks of up to n steps off one capacitance
+    matrix and refactors M^{-1} between them."""
+
+    @pytest.mark.parametrize("route", [det_product, logdet_sequence, det_sequence])
+    def test_benign_stream_refactors_between_blocks(self, route, rng, monkeypatch):
+        # r = 3 n: the base's singular-value test and LU inverse, then one
+        # LU inverse between consecutive blocks, and no O(n^2) outer
+        # product per step
+        n = 16
+        h = np.eye(n) + rng.standard_normal((n, n)) / (2.0 * np.sqrt(n))
+        seq = UpdateSequence.from_pairs(
+            [(0.1 * rng.standard_normal(n), 0.1 * rng.standard_normal(n))
+             for _ in range(3 * n)])
+        calls = count_linalg(monkeypatch, ("detdyn.updates", "detdyn.kernel"),
+                             ("linalg.svd", "linalg.inv", "outer"))
+        route(h, seq)
+        assert calls == [("detdyn.kernel", "svd")] + [("detdyn.updates", "inv")] * 3
+
+    def test_guard_trip_refactors_through_kernel(self, monkeypatch):
+        # the fifth of ten factors is 2 / sqrt(tol.rel), above the guard:
+        # the block ends after it and kernel.inverse takes M_5, whose
+        # smallest singular value clears the cutoff, so the walk goes on
+        inverses = count_calls(monkeypatch, "inverse")
+        c = [0.5] * 4 + [2.0 / math.sqrt(TOL9.rel)] + [0.5] * 5
+        lp = det_product(np.eye(10), diagonal_stream(c), TOL9)
+        assert len(inverses) == 1
+        assert lp.factors == tuple(1.0 + x for x in c)
+
+    # the unblocked walk kept the median seed's worst factor error at
+    # 5.5e-10 and a capacitance matrix without the cancellation end at
+    # 6.5e-9; the worst seed, 8, loses about 1e-7 to H's conditioning on
+    # every route
+    def test_cancelling_stream_against_mpmath(self):
+        product, sequence = [], []
+        for seed in range(12):
+            h, pairs = cancelling_stream(seed)
+            ref = mp_running_dets(h, pairs)
+            seq = UpdateSequence.from_pairs(pairs)
+            lp, tr = det_product(h, seq), det_sequence(h, seq)
+            with mpmath.workdps(50):
+                product.append(max(
+                    float(abs(mpmath.mpf(f) * ref[k] / ref[k + 1] - 1))
+                    for k, f in enumerate(lp.factors)))
+                sequence.append(max(
+                    float(abs(mpmath.mpf(d) / ref[k] - 1)) for k, d in enumerate(tr.values)))
+        for errs in (product, sequence):
+            assert float(np.median(errs)) <= 2e-9
+            assert max(errs) <= 1e-6
+
+
 class TestDetProduct:
     def test_nonsingular_base_takes_one_svd(self, monkeypatch, rng):
         # one singular-value test serves det H and H^{-1}, and both still
@@ -370,6 +452,11 @@ class TestDetProduct:
         with pytest.raises(IntermediateSingular) as exc:
             det_product(h, seq, TOL9)
         assert exc.value.step == 1
+        # the same report when the guard trips inside a block: the fifth of
+        # ten updates zeroes a diagonal entry, so M_5 is singular
+        with pytest.raises(IntermediateSingular) as exc:
+            det_product(np.eye(10), diagonal_stream([0.5] * 4 + [-1.0] + [0.5] * 5), TOL9)
+        assert exc.value.step == 5
 
     def test_singular_final_allowed(self):
         # the last update may zero the determinant, no inverse is needed there
@@ -446,6 +533,10 @@ class TestLogDetSequence:
         with pytest.raises(NonPositiveDeterminant) as exc:
             logdet_sequence(np.eye(2), seq)
         assert exc.value.step == 1
+        # mid-block: the fifth of ten factors is -1 and passes the guard
+        with pytest.raises(NonPositiveDeterminant) as exc:
+            logdet_sequence(np.eye(10), diagonal_stream([0.5] * 4 + [-2.0] + [0.5] * 5))
+        assert exc.value.step == 5
 
     def test_monotone_in_symmetric_setting(self, rng):
         for _ in range(20):
