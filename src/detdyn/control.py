@@ -181,7 +181,16 @@ def _running_sum(start: float, increments) -> list:
 
 
 def _columns(vectors, n: int, name: str) -> np.ndarray:
-    """The validated vectors as the columns of an n x r matrix."""
+    """The validated vectors as the columns of an n x r matrix. A plain
+    real (r, n) stack is checked in one pass; anything else goes vector by
+    vector through ``kernel.as_vector``, which raises the exact error."""
+    vectors = list(vectors)
+    try:
+        a = np.asarray(vectors)
+    except ValueError:  # ragged
+        a = np.empty(0)
+    if a.ndim == 2 and a.shape[1] == n and a.dtype.kind in "biuf" and np.isfinite(a).all():
+        return a.astype(float).T
     cols = [kernel.as_vector(v, dim=n, name=name) for v in vectors]
     return np.array(cols, dtype=float).reshape(len(cols), n).T
 

@@ -12,11 +12,15 @@ multiplicative route (``det_product``, ``logdet_sequence``) uses
 det(H + u v^T) = det(H) (1 + v^T H^{-1} u) and therefore requires
 nonsingular intermediates; violations are reported, never patched over.
 All three read the factors 1 + v_k^T M_{k-1}^{-1} u_k of up to n steps
-at a time as the pivots of one capacitance matrix I + V^T M^{-1} U (the
-matrix determinant lemma): two GEMMs and an unpivoted LU a block, and one
-LU inverse of M between blocks. Only the bordered and SVD frames of a
-rank-deficient M take one Sherman-Morrison step, O(n^2), or an SVD at a
-time.
+at a time as the pivots of one capacitance matrix C = I + V^T M^{-1} U
+(the matrix determinant lemma): two GEMMs a block, and one LU inverse of
+M between blocks. C's unpivoted LU is taken by halving: the pivots of C
+are those of its leading half A and then those of the Schur complement
+D - C_21 A^{-1} C_12, so each level of the halving is one batched solve
+and one batched GEMM over all its blocks, about log2(b / 4) levels for a
+block of b steps, and only leaves of a few steps are eliminated step by
+step. Only the bordered and SVD frames of a rank-deficient M take one
+Sherman-Morrison step, O(n^2), or an SVD at a time.
 """
 
 from __future__ import annotations
@@ -234,6 +238,53 @@ def _read(frame, up: RankOneUpdate, n: int):
 # cancellation.
 _CANCEL = 1e-3
 
+# Blocks are halved down to leaves of at most this many steps; a block of
+# up to twice as many is one leaf.
+_LEAF = 4
+
+
+def _pivots(g: np.ndarray, levels: int):
+    """(s, terms) for the capacitance matrix C = I + G of one block, after
+    ``levels`` halvings: 1 + s_j is the j-th pivot of C's unpivoted LU, and
+    terms_j sums the magnitudes of what was subtracted from G_jj to form
+    s_j.
+
+    The pivots of C = [[A, C_12], [C_21, D]] are those of A followed by
+    those of the Schur complement D - C_21 A^{-1} C_12, and the two halves
+    are independent once A^{-1} is applied. So each level takes every
+    block of the level at once: one batched solve against I + G_A and one
+    batched GEMM, which leave G_A and the Schur complement's G-form
+    G_D - G_21 (I + G_A)^{-1} G_12 as the next level's blocks. Leaves take
+    the unpivoted elimination, batched, which runs on G and adds the 1
+    only to the pivot it divides by, so a small s_j keeps its digits. G
+    is padded with trailing zero rows and columns to a leaf size times
+    2^levels: a zero row is an identity pivot, dropped with the padding.
+    """
+    b = g.shape[0]
+    leaf = -(-b >> levels)
+    p = leaf << levels
+    w = np.zeros((1, p, p), dtype=g.dtype)
+    w[0, :b, :b] = g
+    terms = np.zeros(p)
+    with np.errstate(all="ignore"):
+        for i in range(levels):
+            k, h = 1 << i, p >> (i + 1)
+            x = np.linalg.solve(w[:, :h, :h] + np.eye(h), w[:, :h, h:])
+            y = w[:, h:, :h] @ x
+            # diag(y)_j = sum over the leading half of L_ji U_ij for each
+            # j of the trailing half
+            terms.reshape(k, 2, h)[:, 1] += np.abs(np.diagonal(y, 0, 1, 2))
+            w[:, h:, h:] -= y
+            w = np.stack((w[:, :h, :h], w[:, h:, h:]), axis=1).reshape(2 * k, h, h)
+        for j in range(leaf - 1):
+            w[:, j + 1:, j] /= 1.0 + w[:, j, j, None]
+            w[:, j + 1:, j + 1:] -= w[:, j + 1:, j, None] * w[:, j, None, j + 1:]
+        # a leaf's sum_{i<j} |L_ji U_ij| is entry (j, j-1) of the running
+        # row sums of |w * w^T|
+        terms.reshape(-1, leaf)[:, 1:] += np.diagonal(
+            np.cumsum(np.abs(w * w.transpose(0, 2, 1)), axis=2), -1, 1, 2)
+    return np.diagonal(w, 0, 1, 2).reshape(-1)[:b], terms[:b]
+
 
 def _capacitance(g: np.ndarray, tol: Tolerance, cut: float, fresh: bool):
     """(s, then) for one block of updates from G = V^T M^{-1} U: the s_j
@@ -242,35 +293,41 @@ def _capacitance(g: np.ndarray, tol: Tolerance, cut: float, fresh: bool):
     The factors 1 + s_j = det M_j / det M_{j-1} of the block are the
     pivots of the unpivoted LU of its capacitance matrix C = I + G (the
     matrix determinant lemma), so s_j = v_j^T M_{j-1}^{-1} u_j is
-    G_jj - sum_{i<j} L_ji U_ij; the elimination runs on G and adds the 1
-    only to the pivot it divides by, so a small s_j keeps its digits. The
-    block ends
+    G_jj - sum_{i<j} L_ji U_ij. ``_pivots`` reads them by halving C:
+    ceil(log2(b / _LEAF)) levels, one batched solve each, for a block of
+    b > 2 _LEAF steps, and none for a smaller one. An exactly singular
+    leading half makes the batched solve refuse the whole stack; the block
+    is then one leaf. The halving never forms a single product L_ji U_ij
+    with i outside j's leaf, only the sum over each leading half that step
+    j trails, diag(C_21 A^{-1} C_12)_j, so the terms that form s_j are
+    summed by level: 1 + |G_jj| + one |partial sum| per level + the leaf's
+    sum_{i<j} |L_ji U_ij|, by the triangle inequality at most the
+    elementwise 1 + |G_jj| + sum_{i<j} |L_ji U_ij|. The block ends
     - before the first step with |s_j| cut > 1, never the first step of a
       ``fresh`` frame (then "refresh": a new SVD frame);
     - before the first later step whose factor |1 + s_j| is below _CANCEL
-      times the terms that form it, 1 + |G_jj| + sum_{i<j} |L_ji U_ij|
-      (then "invert": an LU inverse, as after a full block);
+      times its cancellation terms (then "invert": an LU inverse, as after
+      a full block);
     - after the first step outside the walk's guard
       tol.rel <= |1 + s| <= 1 / sqrt(tol.rel) (then "check": an inverse
       behind the singular-value test of ``kernel.inverse``).
     The pivots past the end are dropped; past a failed guard they may
-    divide by zero, so the elimination runs under np.errstate.
+    divide by zero, so the halving and elimination run under np.errstate.
     """
-    w = g.copy()
-    with np.errstate(all="ignore"):
-        for j in range(w.shape[0] - 1):
-            w[j + 1:, j] /= 1.0 + w[j, j]
-            w[j + 1:, j + 1:] -= w[j + 1:, j, None] * w[j, None, j + 1:]
-        # sum_{i<j} |L_ji U_ij| is entry (j, j-1) of the running row sums
-        # of |w * w^T|
-        lu = np.diagonal(np.cumsum(np.abs(w * w.T), axis=1), -1).tolist()
-    s = w.diagonal().tolist()
+    b = g.shape[0]
+    levels = 0 if b <= 2 * _LEAF else (-(-b // _LEAF) - 1).bit_length()
+    try:
+        s, terms = _pivots(g, levels)
+    except np.linalg.LinAlgError:
+        s, terms = _pivots(g, 0)
+    s = s.tolist()
     hi = 1.0 / math.sqrt(tol.rel)
-    for j, (sj, gj) in enumerate(zip(s, np.abs(g.diagonal()).tolist())):
+    gd = np.abs(g.diagonal()).tolist()
+    for j, (sj, gj, tj) in enumerate(zip(s, gd, terms.tolist())):
         f = abs(1.0 + sj)
         if abs(sj) * cut > 1.0 and (j or not fresh):
             return s[:j], "refresh"
-        if j and f < _CANCEL * (1.0 + gj + lu[j - 1]):
+        if j and f < _CANCEL * (1.0 + gj + tj):
             return s[:j], "invert"
         if not tol.rel <= f <= hi:
             return s[:j + 1], "check"
@@ -398,14 +455,21 @@ def det_sequence(h, seq: UpdateSequence) -> DetTrace:
 
 def _multiplicative_walk(a: np.ndarray, seq: UpdateSequence, tol: Tolerance,
                          require_positive: bool):
-    """Determinants and factors 1 + s_k for det_product / logdet_sequence
-    along the capacitance blocks of the walk; a singular intermediate raises
-    IntermediateSingular, and complex H, which has no positivity or log
-    form, a ValueError."""
+    """Determinants, factors 1 + s_k and log det H (None unless det H > 0)
+    for det_product / logdet_sequence along the capacitance blocks of the
+    walk; a singular intermediate raises IntermediateSingular, and complex
+    H, which has no positivity or log form, a ValueError.
+
+    The sign and log|det H| come from one slogdet and positivity from the
+    signs of the base and the factors, so a determinant that leaves float
+    range (the determinants then read 0.0 or inf) is still told apart
+    from a nonpositive one.
+    """
     if np.iscomplexobj(a):
         raise ValueError("the multiplicative forms take real H; use det_sequence")
     d, minv = _base(a, tol)
-    if require_positive and not d > 0.0:
+    sign, logdet = np.linalg.slogdet(a) if minv is not None else (0.0, None)
+    if require_positive and not sign > 0.0:
         raise NonPositiveDeterminant(0, d)
     dets = [d]
     factors = []
@@ -416,9 +480,9 @@ def _multiplicative_walk(a: np.ndarray, seq: UpdateSequence, tol: Tolerance,
         factors.append(f)
         d = d * f
         dets.append(d)
-        if require_positive and not d > 0.0:
+        if require_positive and not f > 0.0:
             raise NonPositiveDeterminant(i + 1, d)
-    return dets, factors
+    return dets, factors, logdet.item() if sign > 0.0 else None
 
 
 def det_product(h, seq: UpdateSequence, tol: Tolerance = DEFAULT_TOL) -> LogDetTrace:
@@ -429,25 +493,26 @@ def det_product(h, seq: UpdateSequence, tol: Tolerance = DEFAULT_TOL) -> LogDetT
     (use det_sequence in that case).
     """
     a = _check_base(h, seq)
-    dets, factors = _multiplicative_walk(a, seq, tol, require_positive=False)
-    base = dets[0]
+    dets, factors, base_logdet = _multiplicative_walk(a, seq, tol, require_positive=False)
     logs = tuple(math.log(f) if f > 0.0 else None for f in factors)
     return LogDetTrace(
-        base_det=base,
-        base_logdet=math.log(base) if base > 0.0 else None,
+        base_det=dets[0],
+        base_logdet=base_logdet,
         factors=tuple(factors),
         log_increments=logs,
     )
 
 
 def logdet_sequence(h, seq: UpdateSequence, tol: Tolerance = DEFAULT_TOL) -> LogDetTrace:
-    """Additive log form; every det(H + Delta_k) must be positive as
-    computed, else NonPositiveDeterminant(k)."""
+    """Additive log form; every det(H + Delta_k) must be positive, read off
+    the signs of det H and of the factors, else NonPositiveDeterminant(k).
+    The log form holds where the determinants themselves under- or
+    overflow."""
     a = _check_base(h, seq)
-    dets, factors = _multiplicative_walk(a, seq, tol, require_positive=True)
+    dets, factors, base_logdet = _multiplicative_walk(a, seq, tol, require_positive=True)
     return LogDetTrace(
         base_det=dets[0],
-        base_logdet=math.log(dets[0]),
+        base_logdet=base_logdet,
         factors=tuple(factors),
         log_increments=tuple(math.log(f) for f in factors),
     )

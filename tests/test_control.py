@@ -361,6 +361,36 @@ def test_complex_update_rejected(trace):
             trace(np.eye(2), [u])
 
 
+@pytest.mark.parametrize("trace", [covariance_trace, info_filter_trace])
+def test_stream_input_forms(rng, monkeypatch, trace):
+    # a plain (r, n) stack is validated in one pass; lists of (n, 1)
+    # columns take the per-vector path, with the same result
+    p, us = stream_instance(rng, 5, 7, 1.0)
+    calls = count_calls(monkeypatch, "as_vector")
+    want = trace(p, us).quad_forms
+    assert calls == []
+    assert trace(p, np.array(us)).quad_forms == want
+    assert trace(p, [u.tolist() for u in us]).quad_forms == want
+    assert trace(p, [u[:, None] for u in us]).quad_forms == want
+    assert len(calls) == len(us)
+
+
+@pytest.mark.parametrize("trace", [covariance_trace, info_filter_trace])
+def test_stream_input_errors(trace):
+    name = "u_i" if trace is covariance_trace else "v_i"
+    good = np.ones(3)
+    for vectors, err, msg in (
+            ([good, np.ones(2)], DimensionMismatch, f"{name} has length 2, expected 3"),
+            ([good, np.ones(4)], DimensionMismatch, f"{name} has length 4, expected 3"),
+            (np.ones((2, 4)), DimensionMismatch, f"{name} has length 4, expected 3"),
+            ([good, [1.0, np.inf, 0.0]], ValueError, f"{name} has non-finite entries"),
+            ([good, good * 1j], ValueError, f"{name} is complex; it must be real"),
+            ([good, np.ones((3, 2))], DimensionMismatch, f"{name} must be 1-d, got ndim=2")):
+        with pytest.raises(err) as exc:
+            trace(np.eye(3), vectors)
+        assert str(exc.value) == msg
+
+
 def test_growth_takes_no_solve_or_det(rng, monkeypatch):
     solves = count_calls(monkeypatch, "solve")
     dets = count_calls(monkeypatch, "det")

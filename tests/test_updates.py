@@ -412,6 +412,68 @@ class TestCapacitanceBlocks:
             assert float(np.median(errs)) <= 2e-9
             assert max(errs) <= 1e-6
 
+    @pytest.mark.parametrize("b", [1, 2, 3, 5, 8, 13, 33, 64])
+    @pytest.mark.parametrize("cplx", [False, True])
+    def test_pivots_against_mpmath(self, b, cplx):
+        # G = L U - I with unit lower L and pivots of modulus 0.5-2, except
+        # one of 1e9 at 2b/3 (b > 2), past the guard's 1/sqrt(eps): the
+        # block ends after it, as read off the 50-digit pivots
+        rng = np.random.default_rng(b)
+
+        def draw(*shape):
+            x = rng.standard_normal(shape)
+            return x + 1j * rng.standard_normal(shape) if cplx else x
+
+        d = rng.uniform(0.5, 2.0, b) * rng.choice([-1.0, 1.0], b)
+        if b > 2:
+            d[2 * b // 3] = 1e9
+        low = np.eye(b) + np.tril(draw(b, b), -1) / np.sqrt(b)
+        g = low @ (np.diag(d) + np.triu(draw(b, b), 1) / np.sqrt(b)) - np.eye(b)
+        with mpmath.workdps(50):
+            c = mpmath.eye(b) + mpmath.matrix(g.tolist())
+            for j in range(b):
+                for i in range(j + 1, b):
+                    c[i, j] /= c[j, j]
+                    for k in range(j + 1, b):
+                        c[i, k] -= c[i, j] * c[j, k]
+            piv = [complex(c[j, j]) for j in range(b)]
+        tol = Tolerance()
+        end = next((j + 1 for j, p in enumerate(piv) if abs(p) * math.sqrt(tol.rel) > 1.0), b)
+        s, then = updates._capacitance(g, tol, 0.0, False)
+        assert (len(s), then) == (end, "check" if b > 2 else "invert")
+        for sj, p in zip(s, piv):
+            assert abs(1.0 + sj - p) <= 1e-12 * abs(p)
+
+    @pytest.mark.parametrize("k", [0, 20])
+    def test_singular_leading_block_reported(self, k):
+        # update k zeroes M's k-th diagonal entry exactly and the others
+        # leave coordinate k alone, so G_00 = -1 opens a block with an
+        # exactly singular leading half (at k = 20 the cancelled factor
+        # first ends the block before step k): it runs as one leaf, and
+        # M_{k+1} is reported as before
+        rng = np.random.default_rng(k)
+        n = 64
+        pairs = [(0.1 * rng.standard_normal(n), 0.1 * rng.standard_normal(n))
+                 for _ in range(n)]
+        for u, v in pairs:
+            u[k] = v[k] = 0.0
+        pairs[k] = (np.eye(n)[k], -np.eye(n)[k])
+        with pytest.raises(IntermediateSingular) as exc:
+            det_product(np.eye(n), UpdateSequence.from_pairs(pairs))
+        assert exc.value.step == k + 1
+
+    def test_block_takes_log_many_solves(self, rng, monkeypatch):
+        # the b = 64 block's pivots come from one batched solve per
+        # halving level, never one call per step
+        n = 64
+        h = np.eye(n) + rng.standard_normal((n, n)) / (2.0 * np.sqrt(n))
+        seq = UpdateSequence.from_pairs(
+            [(0.1 * rng.standard_normal(n), 0.1 * rng.standard_normal(n))
+             for _ in range(n)])
+        calls = count_linalg(monkeypatch, ("detdyn.updates",), ("linalg.solve",))
+        det_product(h, seq)
+        assert 1 <= len(calls) <= math.ceil(math.log2(n))
+
 
 class TestDetProduct:
     def test_nonsingular_base_takes_one_svd(self, monkeypatch, rng):
@@ -537,6 +599,34 @@ class TestLogDetSequence:
         with pytest.raises(NonPositiveDeterminant) as exc:
             logdet_sequence(np.eye(10), diagonal_stream([0.5] * 4 + [-2.0] + [0.5] * 5))
         assert exc.value.step == 5
+
+    def test_underflowing_base_keeps_log_form(self):
+        # det(1e-3 I_128) underflows to 0.0, but the sign and log|det| of
+        # one slogdet decide; det_product reports the same base log
+        seq = UpdateSequence(base_dim=128)
+        tr = logdet_sequence(1e-3 * np.eye(128), seq)
+        assert tr.base_det == 0.0
+        assert tr.base_logdet == pytest.approx(128 * math.log(1e-3), rel=1e-14)
+        assert tr.final_logdet == tr.base_logdet
+        assert det_product(1e-3 * np.eye(128), seq).base_logdet == tr.base_logdet
+        with pytest.raises(NonPositiveDeterminant) as exc:
+            logdet_sequence(-1e-3 * np.eye(127), UpdateSequence(base_dim=127))
+        assert exc.value.step == 0
+
+    def test_running_det_underflows_mid_stream(self):
+        # det(1e-2 I_128) = 1e-256, and each of the 128 factors is about
+        # 1e-2: the running determinant reads 0.0 from step 34 on, the
+        # log form goes on
+        n = 128
+        h = 1e-2 * np.eye(n)
+        seq = diagonal_stream([-0.99e-2] * n)
+        tr = logdet_sequence(h, seq)
+        assert tr.final_det == 0.0
+        sign, want = np.linalg.slogdet(h + seq.total())
+        assert sign == 1.0
+        assert tr.final_logdet == pytest.approx(want, rel=1e-12)
+        lp = det_product(h, seq)
+        assert lp.base_logdet == tr.base_logdet and lp.factors == tr.factors
 
     def test_monotone_in_symmetric_setting(self, rng):
         for _ in range(20):
