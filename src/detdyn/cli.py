@@ -219,32 +219,48 @@ def _seq_from(s: Scenario) -> updates.UpdateSequence:
     return updates.UpdateSequence.from_pairs(list(zip(us, vs)))
 
 
+def _param(params: dict, key: str, convert, default=None):
+    """Parameter ``key`` (``default`` when absent) through ``convert``; a
+    value of the wrong type or shape raises InputError."""
+    value = params.get(key, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError, IndexError):
+        raise InputError(f"parameter {key!r} has the wrong type or shape: "
+                         f"{value!r}") from None
+
+
+def _complex(x) -> complex:
+    """A real number, or [re, im]."""
+    re, im = x if isinstance(x, list) else (x, 0.0)
+    return complex(float(re), float(im))
+
+
 def _schedule_from(params: dict):
     if "eps_schedule" in params:
-        return [float(e) for e in params["eps_schedule"]]
+        return _param(params, "eps_schedule", lambda x: [float(e) for e in x])
     if "eps_min" in params:
-        return list(default_eps_schedule(eps_min=float(params["eps_min"])))
+        return list(default_eps_schedule(eps_min=_param(params, "eps_min", float)))
     return None
 
 
 def _tolerance_from(params: dict) -> Tolerance:
-    rel = params.get("tol_rel")
-    if rel is None:
-        env = os.environ.get(ENV_TOL)
-        rel = float(env) if env else kernel.EPS
-    return Tolerance(rel=float(rel))
+    if params.get("tol_rel") is not None:
+        return Tolerance(rel=_param(params, "tol_rel", float))
+    env = os.environ.get(ENV_TOL)
+    return Tolerance(rel=float(env) if env else kernel.EPS)
 
 
 def run_scenario(s: Scenario) -> Report:
     """Dispatch one validated scenario and assemble its report."""
     lines = ["detdyn report", f"scenario: {s.kind}"]
-    tol = _tolerance_from(s.parameters)
-    lines.append(f"tolerance.rel: {fmt(tol.rel)}")
-    for key in sorted(s.parameters):
-        if key == "eps_schedule":
-            continue
-        lines.append(f"parameter.{key}: {s.parameters[key]}")
     try:
+        tol = _tolerance_from(s.parameters)
+        lines.append(f"tolerance.rel: {fmt(tol.rel)}")
+        for key in sorted(s.parameters):
+            if key == "eps_schedule":
+                continue
+            lines.append(f"parameter.{key}: {s.parameters[key]}")
         handler = _HANDLERS[s.kind]
         handler(s, tol, lines)
     except HypothesisViolation as exc:
@@ -378,8 +394,7 @@ def _h_secular(s, tol, lines):
     a = _resolve_matrix(s, "A")
     u = _resolve_vector(s, "u")
     v = _resolve_vector(s, "v")
-    lam = s.parameters.get("lambda", 0.0)
-    z = complex(lam[0], lam[1]) if isinstance(lam, list) else complex(float(lam))
+    z = _param(s.parameters, "lambda", _complex, 0.0)
     if "us" in s.inputs:
         prefix = _seq_from(s)
     else:
@@ -398,7 +413,7 @@ def _h_stability(s, tol, lines):
     a = _resolve_matrix(s, "A")
     u = _resolve_vector(s, "u")
     v = _resolve_vector(s, "v")
-    samples = int(s.parameters.get("samples", 4096))
+    samples = _param(s.parameters, "samples", int, 4096)
     _echo_matrix(lines, "A", a)
     _echo_vector(lines, "u", u)
     _echo_vector(lines, "v", v)
@@ -447,7 +462,7 @@ def _h_info_filter(s, tol, lines):
 def _gramian_inputs(s: Scenario):
     a = _resolve_matrix(s, "A")
     b = _resolve_matrix(s, "B")
-    horizon = int(s.parameters.get("horizon", 1))
+    horizon = _param(s.parameters, "horizon", int, 1)
     return control.build_gramian(a, b, horizon)
 
 
@@ -474,13 +489,12 @@ def _h_gramian(s, tol, lines):
 
 def _h_ellipse_plot(s, tol, lines):
     g = _gramian_inputs(s)
-    eps = float(s.parameters.get("eps", 0.05))
-    out = s.parameters.get("svg")
-    if out is None:
+    eps = _param(s.parameters, "eps", float, 0.05)
+    if s.parameters.get("svg") is None:
         raise InputError("ellipse-plot needs an SVG output path (--svg)")
+    path = _param(s.parameters, "svg", Path)
     _echo_matrix(lines, "A", g.a)
     _echo_matrix(lines, "B", g.b)
-    path = Path(out)
     if not path.is_absolute():
         path = s.base_dir / path
     ellipses = emit_ellipse_svg(g, eps, path)
@@ -493,9 +507,9 @@ def _h_ellipse_plot(s, tol, lines):
 
 def _h_perturb(s, tol, lines):
     g = _gramian_inputs(s)
-    noise = float(s.parameters.get("noise_scale", 0.0))
-    trials = int(s.parameters.get("trials", 10))
-    seed = int(s.parameters.get("seed", 0))
+    noise = _param(s.parameters, "noise_scale", float, 0.0)
+    trials = _param(s.parameters, "trials", int, 10)
+    seed = _param(s.parameters, "seed", int, 0)
     schedule = _schedule_from(s.parameters)
     _echo_matrix(lines, "A", g.a)
     _echo_matrix(lines, "B", g.b)

@@ -38,17 +38,18 @@ class Tolerance:
     ``rel`` is a dimensionless multiplier: the effective cutoff for a
     matrix M is ``max(abs, rel * n * max|M_ij|)`` with n the larger
     dimension. The defaults reproduce the classic n*eps*scale test with
-    a denormal-proof absolute floor.
+    a denormal-proof absolute floor. Both must be finite: an infinite or
+    NaN threshold would call every matrix singular.
     """
 
     rel: float = EPS
     abs: float = 1e-300
 
     def __post_init__(self):
-        if not self.rel > 0:
-            raise ValueError("Tolerance.rel must be positive")
-        if self.abs < 0:
-            raise ValueError("Tolerance.abs must be nonnegative")
+        if not 0 < self.rel < np.inf:
+            raise ValueError("Tolerance.rel must be positive and finite")
+        if not 0 <= self.abs < np.inf:
+            raise ValueError("Tolerance.abs must be nonnegative and finite")
 
     def cutoff(self, m) -> float:
         a = np.asarray(m)
@@ -173,7 +174,9 @@ def adjugate(m) -> np.ndarray:
 
     M invertible at the default tolerance gives det(M) M^{-1}. Otherwise,
     with M = U S V^H, adj(M) = det(U) det(V^H) V adj(S) U^H where adj(S)
-    is diagonal with entries prod_{j != k} s_j. The 1x1 adjugate is [[1]].
+    is diagonal with entries prod_{j != k} s_j, from the prefix and suffix
+    products: no division, so zeros in s are fine. The 1x1 adjugate is
+    [[1]].
     """
     a = as_matrix(m, square=True)
     if a.shape[0] == 1:
@@ -184,16 +187,10 @@ def adjugate(m) -> np.ndarray:
     except Singular:
         pass
     u, s, vh = np.linalg.svd(a)
-    v_adj_s = vh.conj().T * _adj_diagonal(s)
-    return np.linalg.det(u) * np.linalg.det(vh) * v_adj_s @ u.conj().T
-
-
-def _adj_diagonal(s: np.ndarray) -> np.ndarray:
-    """The diagonal of adj(diag(s)), prod_{j != k} s_j, from the prefix and
-    suffix products: no division, so zeros in ``s`` are fine."""
     one = np.ones(1)
-    return (np.concatenate((one, np.cumprod(s[:-1])))
-            * np.concatenate((np.cumprod(s[:0:-1])[::-1], one)))
+    adj_s = (np.concatenate((one, np.cumprod(s[:-1])))
+             * np.concatenate((np.cumprod(s[:0:-1])[::-1], one)))
+    return np.linalg.det(u) * np.linalg.det(vh) * (vh.conj().T * adj_s) @ u.conj().T
 
 
 # ---------------------------------------------------------------------------

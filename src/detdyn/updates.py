@@ -3,24 +3,23 @@
 The additive route (``det_rank_one``, ``det_sequence``) uses the adjugate
 identity det(H + u v^T) = det(H) + v^T adj(H) u, which holds with no
 invertibility assumption, so singular bases and singular intermediates
-are fine. ``det_sequence`` evaluates v^T adj(M) u as det(M) v^T M^{-1} u
-while the running matrix M is safely invertible. Where M has rank n-1 it
-reads the adjugate off the inverse of the bordered matrix
-B = [[M, b], [c^T, 0]] by Jacobi's identity, and it returns to M^{-1} once
-M is invertible again; only below rank n-1 does a step take an SVD. The
-multiplicative route (``det_product``, ``logdet_sequence``) uses
-det(H + u v^T) = det(H) (1 + v^T H^{-1} u) and therefore requires
+are fine. The multiplicative route (``det_product``, ``logdet_sequence``)
+uses det(H + u v^T) = det(H) (1 + v^T H^{-1} u) and therefore requires
 nonsingular intermediates; violations are reported, never patched over.
-All three read the factors 1 + v_k^T M_{k-1}^{-1} u_k of up to n steps
-at a time as the pivots of one capacitance matrix C = I + V^T M^{-1} U
-(the matrix determinant lemma): two GEMMs a block, and one LU inverse of
-M between blocks. C's unpivoted LU is taken by halving: the pivots of C
-are those of its leading half A and then those of the Schur complement
-D - C_21 A^{-1} C_12, so each level of the halving is one batched solve
-and one batched GEMM over all its blocks, about log2(b / 4) levels for a
-block of b steps, and only leaves of a few steps are eliminated step by
-step. Only the bordered and SVD frames of a rank-deficient M take one
-Sherman-Morrison step, O(n^2), or an SVD at a time.
+
+All three walk one engine. Its frame is the inverse of the bordered
+B = [[M, U_d], [V_d^H, 0]], U_d and V_d the d singular pairs of the
+running matrix M that are too small to trust (d = 0, B = M, while M is
+safely invertible). The factors det B_j / det B_{j-1} of up to n steps
+are the pivots of one capacitance matrix (the matrix determinant lemma):
+two GEMMs a block, and one LU inverse of M, or one SVD while d > 0,
+between blocks. Its unpivoted LU is taken by halving: the pivots are
+those of the leading half and then those of its Schur complement, one
+batched solve and one batched GEMM per level, about log2(b / 4) levels
+for a block of b steps. With d > 0 the border rides along, and Jacobi's
+identity det M = det B det T, where T is the trailing d x d block of
+B^{-1}, reads v^T adj(M) u off the same elimination, with no division by
+det M.
 """
 
 from __future__ import annotations
@@ -187,50 +186,31 @@ def _base(a: np.ndarray, tol: Tolerance):
 
 
 def _refresh(m: np.ndarray, tol: Tolerance):
-    """A walk frame (inv, det_b, svd) for M = U S V^H, real or complex, from
-    one full SVD. A singular value counts only above cutoff / sqrt(tol.rel),
-    the level at which an inverse still carries about half the digits:
-    - sigma_n counts: inv = M^{-1} = V S^{-1} U^H;
-    - only sigma_{n-1} counts: inv = B^{-1} for the bordered
-      B = [[M, s_1 u_n], [s_1 v_n^H, 0]] in closed form, det_b = det B;
-      cond(B) = s_1 / s_{n-1} at any scale;
-    - otherwise svd = (det(U) det(V^H), U, S, V^H) for a Stewart step.
+    """The walk's frame (B^{-1}, det B) for M = U S V^H, real or complex,
+    from one full SVD. A singular value counts only above
+    cutoff / sqrt(tol.rel), the level at which an inverse still carries
+    about half the digits; the k that count give M^{-1}'s part, and the
+    d = n - k that do not border M, B = [[M, U_d], [V_d^H, 0]], so
+    - B^{-1} = [[V_k S_k^{-1} U_k^H, V_d], [U_d^H, -S_d]],
+    - det B = det(U) det(V^H) prod_{i<=k} s_i (-1)^d,
+    both in closed form. The border is not scaled: a factor c on it would
+    multiply det B by c^{2d} and det J (``_pivots``) by c^{-2d}, which
+    leave float range at large d where their product does not. d = 0 is
+    the plain frame (M^{-1}, None).
     """
     u, s, vh = np.linalg.svd(m)
     uh, v = u.conj().T, vh.conj().T
-    floor = tol.cutoff(m) / math.sqrt(tol.rel)
-    if s[-1] > floor:
-        return (v / s) @ uh, None, None
-    n = s.size
-    sign = np.linalg.det(u) * np.linalg.det(vh)
-    if n == 1 or not s[-2] > floor:
-        return None, None, (sign, u, s, vh)
-    s1 = s[0]
-    binv = np.empty((n + 1, n + 1), dtype=m.dtype)
-    binv[:n, :n] = (v[:, :-1] / s[:-1]) @ uh[:-1]
-    binv[:n, n] = v[:, -1] / s1
-    binv[n, :n] = uh[-1] / s1
-    binv[n, n] = -s[-1] / (s1 * s1)
-    return binv, -sign * np.prod(s[:-1]) * s1 * s1, None
-
-
-def _read(frame, up: RankOneUpdate, n: int):
-    """(x, s, t) for one update on a bordered or Stewart frame:
-    x = B^{-1} [u; 0] and s = [v; 0]^T x for the bordered Sherman-Morrison
-    step (None on the Stewart frame), and t = v^T adj(M) u; all None on
-    the empty frame of a singular M."""
-    inv, det_b, svd = frame
-    if svd is not None:
-        # Stewart, O(n^2): adj(M) = det(U) det(V^H) V adj(S) U^H, M = U S V^H
-        sign, u, s, vh = svd
-        t = sign * ((vh.conj() @ up.v) * kernel._adj_diagonal(s) @ (u.conj().T @ up.u))
-        return None, None, t.item()
-    if inv is None:
-        return None, None, None
-    x = inv[:, :n] @ up.u
-    s = (up.v @ x[:n]).item()
-    # Jacobi: adj(M) = det B (tau P - q r^T) for B^{-1} = [[P, q], [r^T, tau]]
-    return x, s, (det_b * (inv[n, n] * s - (up.v @ inv[:n, n]) * x[n])).item()
+    k = int(np.count_nonzero(s > tol.cutoff(m) / math.sqrt(tol.rel)))
+    if k == s.size:
+        return (v / s) @ uh, None
+    n, d = s.size, s.size - k
+    binv = np.zeros((n + d, n + d), dtype=m.dtype)
+    binv[:n, :n] = (v[:, :k] / s[:k]) @ uh[:k]
+    binv[:n, n:] = v[:, k:]
+    binv[n:, :n] = uh[k:]
+    binv[n:, n:] = np.diag(-s[k:])
+    det_b = np.linalg.det(u) * np.linalg.det(vh) * np.prod(s[:k]) * (-1) ** d
+    return binv, det_b.item()
 
 
 # A cancelled capacitance pivot ends a block: a factor 1 + s_j below this
@@ -243,57 +223,82 @@ _CANCEL = 1e-3
 _LEAF = 4
 
 
-def _pivots(g: np.ndarray, levels: int):
-    """(s, terms) for the capacitance matrix C = I + G of one block, after
-    ``levels`` halvings: 1 + s_j is the j-th pivot of C's unpivoted LU, and
-    terms_j sums the magnitudes of what was subtracted from G_jj to form
-    s_j.
+def _pivots(k: np.ndarray, levels: int, d: int):
+    """(s, terms, dets) for one block's capacitance matrix K, after
+    ``levels`` halvings. K = [[G, Q_b], [R_b, T]] carries the frame's
+    border in its last d rows and columns (K = G when d = 0): 1 + s_j is
+    the j-th pivot of the unpivoted LU of C = I + G, terms_j sums the
+    magnitudes of what was subtracted from G_jj to form s_j, and dets_j
+    (None when d = 0) is det J_j for J_j = [[s_j, q_j^T], [r_j, T_j]],
+    step j's pivot, row and column and the border block of what
+    eliminating steps 0..j-1 leaves of K.
 
     The pivots of C = [[A, C_12], [C_21, D]] are those of A followed by
     those of the Schur complement D - C_21 A^{-1} C_12, and the two halves
     are independent once A^{-1} is applied. So each level takes every
     block of the level at once: one batched solve against I + G_A and one
-    batched GEMM, which leave G_A and the Schur complement's G-form
-    G_D - G_21 (I + G_A)^{-1} G_12 as the next level's blocks. Leaves take
-    the unpivoted elimination, batched, which runs on G and adds the 1
-    only to the pivot it divides by, so a small s_j keeps its digits. G
-    is padded with trailing zero rows and columns to a leaf size times
-    2^levels: a zero row is an identity pivot, dropped with the padding.
+    batched GEMM. The leading child is A with the border unchanged, the
+    trailing one the Schur complement, in G-form, of D with the border.
+    Leaves take the unpivoted elimination, batched, which runs on G and
+    adds the 1 only to the pivot it divides by, so a small s_j keeps its
+    digits. The steps are padded with trailing zero rows and columns to a
+    leaf size times 2^levels: a zero row is an identity pivot, dropped
+    with the padding.
     """
-    b = g.shape[0]
+    b = k.shape[0] - d
     leaf = -(-b >> levels)
     p = leaf << levels
-    w = np.zeros((1, p, p), dtype=g.dtype)
-    w[0, :b, :b] = g
+    w = np.zeros((1, p + d, p + d), dtype=k.dtype)
+    w[0, :b, :b] = k[:b, :b]
+    if d:
+        w[0, :b, p:], w[0, p:, :b], w[0, p:, p:] = k[:b, b:], k[b:, :b], k[b:, b:]
     terms = np.zeros(p)
     with np.errstate(all="ignore"):
         for i in range(levels):
-            k, h = 1 << i, p >> (i + 1)
+            m, h = 1 << i, p >> (i + 1)
             x = np.linalg.solve(w[:, :h, :h] + np.eye(h), w[:, :h, h:])
             y = w[:, h:, :h] @ x
             # diag(y)_j = sum over the leading half of L_ji U_ij for each
             # j of the trailing half
-            terms.reshape(k, 2, h)[:, 1] += np.abs(np.diagonal(y, 0, 1, 2))
+            terms.reshape(m, 2, h)[:, 1] += np.abs(np.diagonal(y, 0, 1, 2)[:, :h])
+            if d:
+                keep = np.r_[:h, 2 * h:2 * h + d]
+                lead = w[:, keep[:, None], keep]
+            else:
+                lead = w[:, :h, :h]
             w[:, h:, h:] -= y
-            w = np.stack((w[:, :h, :h], w[:, h:, h:]), axis=1).reshape(2 * k, h, h)
-        for j in range(leaf - 1):
+            w = np.stack((lead, w[:, h:, h:]), axis=1).reshape(2 * m, h + d, h + d)
+        jm = np.empty((w.shape[0], leaf, 1 + d, 1 + d), dtype=w.dtype) if d else None
+        # the last step needs no elimination, only its J_j with a border
+        for j in range(leaf if d else leaf - 1):
+            if d:
+                at = np.r_[j, leaf:leaf + d]
+                jm[:, j] = w[:, at[:, None], at]
             w[:, j + 1:, j] /= 1.0 + w[:, j, j, None]
             w[:, j + 1:, j + 1:] -= w[:, j + 1:, j, None] * w[:, j, None, j + 1:]
         # a leaf's sum_{i<j} |L_ji U_ij| is entry (j, j-1) of the running
-        # row sums of |w * w^T|
+        # row sums of |g * g^T|
+        g = w[:, :leaf, :leaf]
         terms.reshape(-1, leaf)[:, 1:] += np.diagonal(
-            np.cumsum(np.abs(w * w.transpose(0, 2, 1)), axis=2), -1, 1, 2)
-    return np.diagonal(w, 0, 1, 2).reshape(-1)[:b], terms[:b]
+            np.cumsum(np.abs(g * g.transpose(0, 2, 1)), axis=2), -1, 1, 2)
+        dets = np.linalg.det(jm.reshape(p, 1 + d, 1 + d)[:b]).tolist() if d else None
+    return np.diagonal(g, 0, 1, 2).reshape(-1)[:b], terms[:b], dets
 
 
-def _capacitance(g: np.ndarray, tol: Tolerance, cut: float, fresh: bool):
-    """(s, then) for one block of updates from G = V^T M^{-1} U: the s_j
-    the walk accepts and what renews M^{-1} after them.
+def _capacitance(k: np.ndarray, tol: Tolerance, cut: float, fresh: bool,
+                 d: int = 0):
+    """(s, dets, then) for one block of updates from its capacitance
+    matrix K = [[V_b^T P U_b, V_b^T Q], [R U_b, T]] on a frame with
+    B^{-1} = [[P, Q], [R, T]] and a border of width d (K = G =
+    V_b^T M^{-1} U_b when d = 0): the s_j the walk accepts, det J_j for
+    every step (None when d = 0) and what renews the frame after them.
 
-    The factors 1 + s_j = det M_j / det M_{j-1} of the block are the
-    pivots of the unpivoted LU of its capacitance matrix C = I + G (the
-    matrix determinant lemma), so s_j = v_j^T M_{j-1}^{-1} u_j is
-    G_jj - sum_{i<j} L_ji U_ij. ``_pivots`` reads them by halving C:
+    The factors 1 + s_j = det B_j / det B_{j-1} of the block are the
+    pivots of the unpivoted LU of C = I + G (the matrix determinant
+    lemma), so s_j = v_j^T P_{j-1} u_j is G_jj - sum_{i<j} L_ji U_ij. By
+    Jacobi's identity det M_j = det B_j det T_j, so v_j^T adj(M_{j-1}) u_j
+    = det M_j - det M_{j-1} is det B_{j-1} det J_j (``_pivots``), linear in
+    J_j's first row. ``_pivots`` reads them by halving C:
     ceil(log2(b / _LEAF)) levels, one batched solve each, for a block of
     b > 2 _LEAF steps, and none for a smaller one. An exactly singular
     leading half makes the batched solve refuse the whole stack; the block
@@ -312,26 +317,26 @@ def _capacitance(g: np.ndarray, tol: Tolerance, cut: float, fresh: bool):
       tol.rel <= |1 + s| <= 1 / sqrt(tol.rel) (then "check": an inverse
       behind the singular-value test of ``kernel.inverse``).
     The pivots past the end are dropped; past a failed guard they may
-    divide by zero, so the halving and elimination run under np.errstate.
+    divide by zero, so ``_pivots`` runs under np.errstate.
     """
-    b = g.shape[0]
+    b = k.shape[0] - d
     levels = 0 if b <= 2 * _LEAF else (-(-b // _LEAF) - 1).bit_length()
     try:
-        s, terms = _pivots(g, levels)
+        s, terms, dets = _pivots(k, levels, d)
     except np.linalg.LinAlgError:
-        s, terms = _pivots(g, 0)
+        s, terms, dets = _pivots(k, 0, d)
     s = s.tolist()
     hi = 1.0 / math.sqrt(tol.rel)
-    gd = np.abs(g.diagonal()).tolist()
+    gd = np.abs(k.diagonal()[:b]).tolist()
     for j, (sj, gj, tj) in enumerate(zip(s, gd, terms.tolist())):
         f = abs(1.0 + sj)
         if abs(sj) * cut > 1.0 and (j or not fresh):
-            return s[:j], "refresh"
+            return s[:j], dets, "refresh"
         if j and f < _CANCEL * (1.0 + gj + tj):
-            return s[:j], "invert"
+            return s[:j], dets, "invert"
         if not tol.rel <= f <= hi:
-            return s[:j + 1], "check"
-    return s, "invert"
+            return s[:j + 1], dets, "check"
+    return s, dets, "invert"
 
 
 def _inverse_walk(a: np.ndarray, seq: UpdateSequence, tol: Tolerance,
@@ -339,92 +344,74 @@ def _inverse_walk(a: np.ndarray, seq: UpdateSequence, tol: Tolerance,
     """Walk M_k = H + Delta_k from M_0^{-1} = ``minv`` (None when H is
     singular at tolerance), yielding (s_k, t_k) for k = 1..r.
 
-    On the plain frame s_k = v_k^T M_{k-1}^{-1} u_k and t_k is None. The
-    steps go in blocks of up to n: one GEMM each for X = M^{-1} U_b and
-    G = V_b^T X, the s_k of the block from the unpivoted LU of its
-    capacitance matrix I + G (``_capacitance``), and a fresh LU inverse of
-    M between blocks, so no step costs O(n^2) in Python. A step outside
-    the guard tol.rel <= |1 + s| <= 1 / sqrt(tol.rel) ends its block, and
-    the next M is inverted through ``kernel.inverse``; a factor 1 + s_k
-    that cancelled to below 1e-3 of its terms ends the block before step
-    k, which is read again off a fresh inverse. Without ``adjugate`` a
-    singular M_{k-1} gives s_k = t_k = None, and the walk stays there.
+    The frame is B^{-1} and det B for B = [[M, U_d], [V_d^H, 0]]
+    (``_refresh``; B^{-1} = M^{-1} and det B None when d = 0). The steps go
+    in blocks of up to n: X = B^{-1}[:, :n] U_b^T and K = [[V_b X[:n],
+    V_b Q], [X[n:], T]] by GEMMs, the block's pivots from K
+    (``_capacitance``), and a new frame between blocks, so no step costs
+    O(n^2) in Python.
 
-    With ``adjugate`` the walk also yields t_k = v_k^T adj(M_{k-1}) u_k
-    (s_k None) wherever M_{k-1}^{-1} is not to be trusted, from the frame
-    ``_refresh`` picks by one SVD:
-    - rank n-1: the bordered B^{-1} = [[P, q], [r^T, tau]], carried by a
-      Sherman-Morrison step on B + [u; 0][v; 0]^T, O(n^2), with det B
-      carried as a product; t_k = det B (tau v^T P u - (v^T q)(r^T u)) is
-      free of any division by det M. Once the Schur candidate
-      M^{-1} = P - q r^T / tau has 1 / ||.||_F above the refresh's floor,
-      a lower bound on sigma_min(M), the walk takes one LU inverse and
-      returns to the plain frame.
-    - rank below n-1: the Stewart form of adj(M) from that SVD, and a
-      refresh at the next step.
-    A failed guard on the bordered frame refreshes. So does
-    |s_k| > 1 / sqrt(tol.rel) on either frame before t_k or D_{k-1} s_k is
-    formed (it ends a plain block before step k): such an s_k says M_{k-1}
-    is nearly singular along u_k and v_k, where the product would multiply
-    D_{k-1}'s rounding by |s_k|.
+    On the plain frame s_k = v_k^T M_{k-1}^{-1} u_k and t_k is None. A
+    full block is followed by a fresh LU inverse of M; a step outside the
+    guard tol.rel <= |1 + s| <= 1 / sqrt(tol.rel) ends its block, and the
+    next M is inverted through ``kernel.inverse``; a factor 1 + s_k that
+    cancelled to below 1e-3 of its terms ends the block before step k,
+    which is read again off a fresh inverse. Without ``adjugate`` a
+    singular M_{k-1} gives s_k = t_k = None for every remaining step.
+
+    With ``adjugate`` a singular M, or |s_k| > 1 / sqrt(tol.rel) before
+    t_k or D_{k-1} s_k is formed (it says M_{k-1} is nearly singular along
+    u_k and v_k, where the product would multiply D_{k-1}'s rounding by
+    |s_k|), takes the frame from one SVD instead. On a bordered frame the
+    walk yields t_k = v_k^T adj(M_{k-1}) u_k = det B_{k-1} det J_k (s_k
+    None), which divides by no det M, and every block ends in a new SVD
+    frame, plain again once sigma_min(M) clears the floor.
     """
     n, r = a.shape[0], len(seq)
-    root = math.sqrt(tol.rel)
-    cut = root if adjugate else 0.0
+    cut = math.sqrt(tol.rel) if adjugate else 0.0
     us = np.array([up.u for up in seq.updates]).reshape(r, n)
     vs = np.array([up.v for up in seq.updates]).reshape(r, n)
     current = a
-    frame, fresh = (minv, None, None), False
-    if adjugate and minv is None and r:
-        frame, fresh = _refresh(a, tol), True
+    frame, fresh = (minv, None), False
+    if minv is None:
+        frame, fresh = (_refresh(a, tol) if adjugate and r else None), True
     k = 0
     while k < r:
-        inv, det_b, _ = frame
-        if inv is not None and det_b is None:
-            ub, vb = us[k:k + n], vs[k:k + n]
-            s, then = _capacitance(vb @ (inv @ ub.T), tol, cut, fresh)
+        if frame is None:
+            for _ in range(k, r):
+                yield None, None
+            return
+        inv, det_b = frame
+        d = inv.shape[0] - n
+        ub, vb = us[k:k + n], vs[k:k + n]
+        x = inv[:, :n] @ ub.T
+        g = vb @ x[:n]
+        if d:
+            g = np.block([[g, vb @ inv[:n, n:]], [x[n:], inv[n:, n:]]])
+        s, dets, then = _capacitance(g, tol, cut, fresh, d)
+        if d:
+            for sk, jk in zip(s, dets):
+                # + 0.0: an exact zero term reads 0.0 whatever det B's sign
+                yield None, det_b * jk + 0.0
+                det_b *= 1.0 + sk
+        else:
             for sk in s:
                 yield sk, None
-            e = len(s)
-            k += e
-            if k == r:
-                return
-            current = current + ub[:e].T @ vb[:e]
-            fresh = False
-            if then != "refresh":
-                try:
-                    if then == "check":
-                        frame = (kernel.inverse(current, tol), None, None)
-                    else:
-                        frame = (np.linalg.inv(current), None, None)
-                    continue
-                except (Singular, np.linalg.LinAlgError):
-                    frame = (None, None, None)
-        else:
-            up = seq.updates[k]
-            x, s, t = _read(frame, up, n)
-            if s is not None and not fresh and abs(s) * cut > 1.0:
-                frame, fresh = _refresh(current, tol), True
+        e = len(s)
+        k += e
+        if k == r:
+            return
+        current = current + ub[:e].T @ vb[:e]
+        fresh = False
+        if not d and then != "refresh":
+            try:
+                if then == "check":
+                    frame = (kernel.inverse(current, tol), None)
+                else:
+                    frame = (np.linalg.inv(current), None)
                 continue
-            fresh = False
-            yield None, t
-            k += 1
-            if k == r:
-                return
-            current = current + np.outer(up.u, up.v)
-            if s is not None and tol.rel <= abs(1.0 + s) <= 1.0 / root:
-                f = 1.0 + s
-                inv = inv - np.outer(x, up.v @ inv[:n]) / f
-                frame = (inv, det_b * f, None)
-                tau = inv[n, n]
-                adj = tau * inv[:n, :n] - np.outer(inv[:n, n], inv[n, :n])
-                if not np.linalg.norm(adj) * tol.cutoff(current) < abs(tau) * root:
-                    continue
-                try:
-                    frame = (np.linalg.inv(current), None, None)
-                    continue
-                except np.linalg.LinAlgError:
-                    pass
+            except (Singular, np.linalg.LinAlgError):
+                frame = None
         if adjugate:
             frame, fresh = _refresh(current, tol), True
 
@@ -434,12 +421,12 @@ def det_sequence(h, seq: UpdateSequence) -> DetTrace:
 
     While H + Delta_{k-1} is safely invertible the increment is
     D_{k-1} v_k^T (H + Delta_{k-1})^{-1} u_k, read off a block's
-    capacitance matrix. At a singular or nearly singular intermediate of
-    rank n-1 the walk carries a bordered inverse instead and reads the
-    adjugate off it, O(n^2) a step, and returns to the blocks once the
-    matrix is invertible again; below rank n-1 each step takes one SVD. Works for
-    singular H and singular intermediates, and for complex H (the updates
-    stay real), whose values come out complex.
+    capacitance matrix. Where it is singular or nearly singular, of any
+    rank, the walk borders it by its d small singular pairs and reads the
+    adjugate off the bordered inverse, blocks of up to n steps per SVD,
+    and returns to the plain blocks once the matrix is invertible again.
+    Works for singular H and singular intermediates, and for complex H
+    (the updates stay real), whose values come out complex.
     """
     a = _check_base(h, seq)
     d, minv = _base(a, DEFAULT_TOL)

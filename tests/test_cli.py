@@ -432,3 +432,45 @@ class TestTolerancePrecedence:
         main(["pdet", "--scenario", str(self.scenario(tmp_path, True)),
               "--tol-rel", "1e-9"])
         assert "tolerance.rel: 1.0000000000000001e-09" in capsys.readouterr().out
+
+
+class TestBadParameters:
+    """A parameter of the wrong value, type or shape is an input error,
+    reported with exit 1, never a traceback."""
+
+    GRAMIAN = {"A": [[0.72, 0.55], [-0.18, 0.78]], "B": [[1.0], [0.15]]}
+
+    def run(self, tmp_path, capsys, kind, inputs, parameters, *flags):
+        sc = write_scenario(tmp_path, {"kind": kind, "inputs": inputs,
+                                       "parameters": parameters})
+        code = main([kind, "--scenario", str(sc), *flags])
+        out = capsys.readouterr().out
+        assert code == 1, out
+        assert out.endswith("status: input-error\n")
+        return out
+
+    @pytest.mark.parametrize("value", ["0", "-1", "inf"])
+    def test_tol_rel_flag(self, tmp_path, capsys, value):
+        out = self.run(tmp_path, capsys, "pdet", {"H": A_SING}, {},
+                       "--tol-rel", value)
+        assert "error: ValueError" in out
+
+    def test_tol_rel_env(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("DETDYN_TOL_REL", "abc")
+        self.run(tmp_path, capsys, "pdet", {"H": A_SING}, {})
+
+    def test_secular_lambda_one_entry(self, tmp_path, capsys):
+        out = self.run(tmp_path, capsys, "secular",
+                       {"A": [[-1.0, 0.0], [0.0, -2.0]], "u": [1.0, 0.0],
+                        "v": [3.0, 0.0]}, {"lambda": [1]})
+        assert "error: InputError" in out and "'lambda'" in out
+
+    def test_perturb_seed_list(self, tmp_path, capsys):
+        out = self.run(tmp_path, capsys, "perturb-experiment", self.GRAMIAN,
+                       {"horizon": 4, "trials": 2, "seed": [1]})
+        assert "error: InputError" in out and "'seed'" in out
+
+    def test_gramian_scalar_schedule(self, tmp_path, capsys):
+        out = self.run(tmp_path, capsys, "gramian", self.GRAMIAN,
+                       {"horizon": 4, "eps_schedule": 5})
+        assert "error: InputError" in out and "'eps_schedule'" in out

@@ -377,6 +377,13 @@ class TestTolerance:
         with pytest.raises(ValueError):
             Tolerance(abs=-1.0)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"rel": math.inf}, {"rel": math.nan}, {"abs": math.inf}, {"abs": math.nan}])
+    def test_non_finite_rejected(self, kwargs):
+        # an infinite or NaN threshold made det(I) read 0.0
+        with pytest.raises(ValueError, match="finite"):
+            Tolerance(**kwargs)
+
     def test_cutoff_scales_with_matrix(self):
         t = Tolerance(rel=1e-9)
         assert t.cutoff(np.eye(4)) == 1e-9 * 4

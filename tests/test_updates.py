@@ -30,14 +30,16 @@ TOL9 = Tolerance(rel=1e-9)
 
 def record_refreshes(monkeypatch) -> list:
     """The frame each SVD refresh of the det_sequence walk picks, in order:
-    "plain", "bordered" (rank n-1) or "stewart" (rank below n-1)."""
+    "plain", "bordered" (a border of width 1, rank n-1) or "bordered-d"
+    (width d > 1, rank n-d)."""
     frames = []
     orig = updates._refresh
 
     def recorded(m, tol):
-        inv, det_b, _ = frame = orig(m, tol)
-        frames.append("stewart" if inv is None else "plain" if det_b is None
-                      else "bordered")
+        inv, det_b = frame = orig(m, tol)
+        d = inv.shape[0] - m.shape[0]
+        frames.append("plain" if det_b is None else "bordered" if d == 1
+                      else f"bordered-{d}")
         return frame
 
     monkeypatch.setattr(updates, "_refresh", recorded)
@@ -159,9 +161,9 @@ class TestDetSequence:
         assert adj == []
 
     def test_singular_base_takes_adjugate_every_step(self, monkeypatch):
-        # M_0 and M_1 have rank n-3 and n-2: one SVD each for the Stewart
-        # step; M_2 has rank n-1 and gets the bordered frame; M_3 = I
-        # re-enters the plain route through one LU inverse
+        # M_0 has rank n-3: one SVD gives a frame bordered by its three
+        # null pairs, and the four steps are one block on it, through
+        # M_3 = I, with no LU inverse
         adj = count_calls(monkeypatch, "adjugate")
         frames = record_refreshes(monkeypatch)
         lapack = count_factorizations(monkeypatch)
@@ -169,14 +171,14 @@ class TestDetSequence:
         seq = UpdateSequence.symmetric([e[1], e[2], e[3], e[0]])
         tr = det_sequence(np.diag([1.0, 0.0, 0.0, 0.0]), seq)
         assert adj == []
-        assert frames == ["stewart", "stewart", "bordered"]
-        assert lapack.count(("detdyn.updates", "inv")) == 1
+        assert frames == ["bordered-3"]
+        assert lapack.count(("detdyn.updates", "inv")) == 0
         assert tr.values == (0.0, 0.0, 0.0, 1.0, 2.0)
 
     def test_singular_intermediate_switches_to_adjugate(self, monkeypatch):
         # M_1 = diag(0, 1) has rank n-1: the failed guard refreshes to the
-        # bordered frame, with no Stewart step, and M_2 = I re-enters the
-        # plain route through one LU inverse (the other is the base's)
+        # bordered frame, which takes the last two steps as one block; the
+        # one LU inverse is the base's
         adj = count_calls(monkeypatch, "adjugate")
         frames = record_refreshes(monkeypatch)
         lapack = count_factorizations(monkeypatch)
@@ -185,7 +187,7 @@ class TestDetSequence:
         tr = det_sequence(np.eye(2), seq)
         assert adj == []
         assert frames == ["bordered"]
-        assert [c for c in lapack if c[1] == "inv"] == [("detdyn.updates", "inv")] * 2
+        assert [c for c in lapack if c[1] == "inv"] == [("detdyn.updates", "inv")]
         assert tr.values == (1.0, 0.0, 1.0, 2.0)
 
     def test_n64_final_against_mpmath(self, rng):
@@ -211,17 +213,22 @@ class TestDetSequence:
         )
 
 
-def deficient_stream(rng, n, defect, r, k_fix, c=1.0, imag=0.0):
-    """c (X - X Z Z^T) with Z an n x defect orthonormal block, so the base
-    has rank n - defect, and r updates c a w^T. Updates before k_fix keep
-    w orthogonal to Z, so the rank stays; the one at k_fix adds Z's first
-    column to w, which restores one rank. ``imag`` adds i imag G / sqrt(n)
-    to X: the base turns complex, Z and the updates stay real."""
+def deficient_base(rng, n, defect, c=1.0, imag=0.0):
+    """(Z, c (X - X Z Z^T)) with Z an n x defect orthonormal block, so the
+    base has rank n - defect and Z spans its right null space. ``imag``
+    adds i imag G / sqrt(n) to X: the base turns complex, Z stays real."""
     z = np.linalg.qr(rng.standard_normal((n, defect)))[0]
     x = np.eye(n) + rng.standard_normal((n, n)) / np.sqrt(n)
     if imag:
         x = x + 1j * imag * rng.standard_normal((n, n)) / np.sqrt(n)
-    h = c * (x - x @ z @ z.T)
+    return z, c * (x - x @ z @ z.T)
+
+
+def deficient_stream(rng, n, defect, r, k_fix, c=1.0, imag=0.0):
+    """``deficient_base`` and r updates c a w^T. Updates before k_fix keep
+    w orthogonal to Z, so the rank stays; the one at k_fix adds Z's first
+    column to w, which restores one rank."""
+    z, h = deficient_base(rng, n, defect, c, imag)
     pairs = []
     for k in range(r):
         w = rng.standard_normal(n) / np.sqrt(n)
@@ -230,6 +237,50 @@ def deficient_stream(rng, n, defect, r, k_fix, c=1.0, imag=0.0):
         elif k == k_fix:
             w = w + z[:, 0]
         pairs.append((c * rng.standard_normal(n) / np.sqrt(n), w))
+    return h, UpdateSequence.from_pairs(pairs)
+
+
+def restoring_stream(rng, n, defect, r, c=1.0, imag=0.0):
+    """``deficient_base`` and r updates that restore one rank at a time: w
+    stays orthogonal to the columns of Z not yet restored, and the i-th
+    restoring step, at (i + 1) r / (defect + 1), adds Z's i-th column to
+    w. The last matrix is nonsingular."""
+    z, h = deficient_base(rng, n, defect, c, imag)
+    fix = [(i + 1) * r // (defect + 1) for i in range(defect)]
+    pairs = []
+    for k in range(r):
+        w = rng.standard_normal(n) / np.sqrt(n)
+        left = z[:, sum(f <= k for f in fix):]
+        w = w - left @ (left.T @ w)
+        if k in fix:
+            w = w + z[:, fix.index(k)]
+        pairs.append((c * rng.standard_normal(n) / np.sqrt(n), w))
+    return h, UpdateSequence.from_pairs(pairs)
+
+
+def cutting_stream(rng, n, r, c=1.0):
+    """A rank-(n-1) ``deficient_base`` (null vector z) and r updates: the
+    one at r / 4 makes M y = 0 for a further y, so the rank falls to
+    n - 2; the one at r / 2 restores y's direction and the one at 3 r / 4
+    restores z's, so the last matrix is nonsingular. Between them w stays
+    orthogonal to the current null space."""
+    z, h = deficient_base(rng, n, 1, c)
+    m, null, pairs = h, z, []
+    for k in range(r):
+        w = rng.standard_normal(n) / np.sqrt(n)
+        w = w - null @ (null.T @ w)
+        u = c * rng.standard_normal(n) / np.sqrt(n)
+        if k == r // 4:
+            y = rng.standard_normal(n)
+            y = y - z @ (z.T @ y)
+            u = -m @ y / (w @ y)
+            null = np.linalg.qr(np.column_stack([z, y]))[0]
+        elif k == r // 2:
+            w, null = w + null[:, 1], z
+        elif k == 3 * r // 4:
+            w, null = w + z[:, 0], z[:, :0]
+        m = m + np.outer(u, w)
+        pairs.append((u, w))
     return h, UpdateSequence.from_pairs(pairs)
 
 
@@ -245,8 +296,8 @@ def hadamard(m) -> float:
 
 
 class TestSingularWalk:
-    """The rank-(n-1) bordered frame, its return to the plain route and
-    the Stewart step below rank n-1, against 30-digit mpmath."""
+    """The bordered frame at any rank and its return to the plain route,
+    against 30-digit mpmath."""
 
     # a uniform scale c moves det(M_k) by c^n; at n = 64 and c = 1e6 or
     # 1e-6 it leaves float range, so the scaled walks run at n = 32
@@ -279,7 +330,7 @@ class TestSingularWalk:
         n = 8
         h, seq = deficient_stream(np.random.default_rng(8), n, 2, 5, 0)
         tr = det_sequence(h, seq)
-        assert frames == ["stewart", "bordered"]
+        assert frames == ["bordered-2"]
         for val, m in zip(tr.values, running_matrices(h, seq)):
             assert abs(val - mp_det(m)) <= 1e-12 * hadamard(m)
 
@@ -302,10 +353,10 @@ class TestSingularWalk:
         tr = det_sequence(h, UpdateSequence.from_pairs([(e1, e2)]))
         assert abs(tr.final - (2.5 + 2j)) <= 1e-15
 
-    # one complex walk per frame: plain (no refresh), bordered at rank n-1,
-    # Stewart at rank n-2; each ends nonsingular
+    # one complex walk per frame: plain (no refresh), a border of width 1
+    # at rank n-1 and of width 2 at rank n-2; each ends nonsingular
     @pytest.mark.parametrize("defect, k_fix, expected", [
-        (1, 6, []), (1, 2, ["bordered"]), (2, 0, ["stewart", "bordered"])])
+        (1, 6, []), (1, 2, ["bordered"]), (2, 0, ["bordered-2"])])
     def test_complex_walk_against_mpmath(self, defect, k_fix, expected, monkeypatch):
         frames = record_refreshes(monkeypatch)
         h, seq = deficient_stream(np.random.default_rng(8), 8, defect, 5, k_fix,
@@ -318,6 +369,63 @@ class TestSingularWalk:
         assert abs(tr.final.imag) >= 1e-3 * hadamard(mats[-1])
         for val, m in zip(tr.values, mats, strict=True):
             assert abs(val - mp_det(m)) <= 1e-12 * hadamard(m)
+
+    def assert_walk_against_mpmath(self, h, seq):
+        # every step within 1e-9 Hadamard, the last matrix, nonsingular,
+        # within 1e-9 relative
+        tr = det_sequence(h, seq)
+        mats = running_matrices(h, seq)
+        for val, m in zip(tr.values, mats, strict=True):
+            assert abs(val - mp_det(m)) <= 1e-9 * hadamard(m)
+        ref = mp_det(mats[-1])
+        assert abs(tr.final - ref) <= 1e-9 * abs(ref)
+
+    @pytest.mark.parametrize("n, defect, c, imag", [
+        (3, 2, 1e-2, 0.0), (6, 3, 1e2, 1.0), (10, 4, 1.0, 0.0), (9, 5, 1e-2, 1.0),
+        (16, 5, 1e2, 0.0), (24, 2, 1e-2, 0.0), (18, 3, 1.0, 1.0)])
+    def test_restored_one_rank_at_a_time(self, n, defect, c, imag):
+        rng = np.random.default_rng(n * defect)
+        self.assert_walk_against_mpmath(
+            *restoring_stream(rng, n, defect, n + defect, c, imag))
+
+    @pytest.mark.parametrize("n, c", [(4, 1e-2), (8, 1.0), (13, 1e2), (24, 1.0)])
+    def test_rank_cut_and_restored(self, n, c):
+        self.assert_walk_against_mpmath(
+            *cutting_stream(np.random.default_rng(n), n, n + 4, c))
+
+    @pytest.mark.parametrize("defect", [2, 3])
+    def test_low_rank_start_factorizes_at_most_three_times(self, defect, monkeypatch):
+        # kernel.inverse's singular-value test on the base, one SVD for
+        # the frame bordered by the defect null pairs, which takes all 64
+        # steps as one block; a walk that took an SVD per step below rank
+        # n-1 fails here
+        n = 64
+        h, seq = deficient_stream(np.random.default_rng(64), n, defect, n, n // 2)
+        lapack = count_factorizations(monkeypatch)
+        det_sequence(h, seq)
+        assert len(lapack) <= 3
+
+    @pytest.mark.parametrize("c", [1e-7, 1e5])
+    def test_large_nullity_keeps_range(self, c):
+        # a rank-4 base at n = 32 borders by 28 pairs; a border scaled by
+        # s_1 put s_1^56 into det B, which left float range (nan or 0.0)
+        # although every det(M_k) is inside it
+        rng = np.random.default_rng(32)
+        n = 32
+        h = c * rng.standard_normal((n, 4)) @ rng.standard_normal((4, n))
+        seq = UpdateSequence.from_pairs(
+            [(c * rng.standard_normal(n), rng.standard_normal(n)) for _ in range(n)])
+        ref = mp_det(h + seq.total())
+        assert abs(det_sequence(h, seq).final - ref) <= 1e-9 * abs(ref)
+
+    @pytest.mark.parametrize("h, pairs, values", [
+        ([[0.0]], [([2.0], [3.0]), ([1.0], [1.0])], (0.0, 6.0, 7.0)),
+        (np.zeros((4, 4)), [(e, e) for e in np.eye(4)[[0, 1, 2, 3, 0]]],
+         (0.0, 0.0, 0.0, 0.0, 1.0, 2.0)),
+        (np.zeros((3, 3)), [(np.zeros(3), np.zeros(3))] * 5, (0.0,) * 6)])
+    def test_zero_base_exact(self, h, pairs, values):
+        # M = 0 borders by all n pairs with c = 1
+        assert det_sequence(h, UpdateSequence.from_pairs(pairs)).values == values
 
 
 def diagonal_stream(c) -> UpdateSequence:
@@ -439,10 +547,44 @@ class TestCapacitanceBlocks:
             piv = [complex(c[j, j]) for j in range(b)]
         tol = Tolerance()
         end = next((j + 1 for j, p in enumerate(piv) if abs(p) * math.sqrt(tol.rel) > 1.0), b)
-        s, then = updates._capacitance(g, tol, 0.0, False)
+        s, _, then = updates._capacitance(g, tol, 0.0, False)
         assert (len(s), then) == (end, "check" if b > 2 else "invert")
         for sj, p in zip(s, piv):
             assert abs(1.0 + sj - p) <= 1e-12 * abs(p)
+
+    @pytest.mark.parametrize("b", [1, 5, 13, 64])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_bordered_pivots_against_mpmath(self, b, d):
+        # K = [[G, Q], [R, T]] with G = L U - I as above (pivots of modulus
+        # 0.5-2) and a random border: s_j and det J_j, J_j the step's and
+        # the border's rows and columns of what eliminating steps 0..j-1
+        # leaves, against a 50-digit elimination
+        rng = np.random.default_rng(10 * b + d)
+        piv = rng.uniform(0.5, 2.0, b) * rng.choice([-1.0, 1.0], b)
+        low = np.eye(b) + np.tril(rng.standard_normal((b, b)), -1) / np.sqrt(b)
+        k = rng.standard_normal((b + d, b + d))
+        k[:b, :b] = low @ (np.diag(piv) + np.triu(k[:b, :b], 1) / np.sqrt(b)) - np.eye(b)
+        with mpmath.workdps(50):
+            c = mpmath.matrix(k.tolist()) + mpmath.diag([1] * b + [0] * d)
+            ref_s, ref_det = [], []
+            for j in range(b):
+                at = [j] + list(range(b, b + d))
+                jm = mpmath.matrix([[c[p, q] for q in at] for p in at])
+                jm[0, 0] -= 1
+                ref_s.append(jm[0, 0])
+                ref_det.append(mpmath.det(jm))
+                for p in range(j + 1, b + d):
+                    f = c[p, j] / c[j, j]
+                    for q in range(j + 1, b + d):
+                        c[p, q] -= f * c[j, q]
+            ref_s = [float(x) for x in ref_s]
+            ref_det = [float(x) for x in ref_det]
+        s, dets, then = updates._capacitance(k, Tolerance(), 0.0, False, d)
+        assert then == "invert" and len(s) == len(dets) == b
+        for sj, want in zip(s, ref_s):
+            assert abs(sj - want) <= 1e-12 * (1.0 + abs(want))
+        for dj, want in zip(dets, ref_det):
+            assert abs(dj - want) <= 1e-12 * max(1.0, abs(want))
 
     @pytest.mark.parametrize("k", [0, 20])
     def test_singular_leading_block_reported(self, k):
