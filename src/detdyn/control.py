@@ -105,7 +105,7 @@ class Ellipse2D:
 def _assert_spd(p: np.ndarray, tol: Tolerance, name: str = "P") -> np.ndarray:
     """Cholesky factor of the symmetric part of P; NotPositiveDefinite
     unless P is symmetric at tolerance and positive definite."""
-    if float(np.max(np.abs(p - p.T))) > tol.cutoff(p):
+    if not kernel._is_symmetric(p, tol):
         raise NotPositiveDefinite(f"{name} is not symmetric at tolerance")
     try:
         return np.linalg.cholesky(0.5 * (p + p.T))
@@ -420,7 +420,7 @@ def reach_ellipse(w, tol: Tolerance = DEFAULT_TOL) -> Ellipse2D:
     a = kernel.as_matrix(w, name="W")
     if a.shape != (2, 2):
         raise DimensionMismatch(f"W must be 2x2, got {a.shape}")
-    if float(np.max(np.abs(a - a.T))) > tol.cutoff(a):
+    if not kernel._is_symmetric(a, tol):
         raise NotPSD("W is not symmetric at tolerance")
     vals, vecs = np.linalg.eigh(0.5 * (a + a.T))
     cut = tol.cutoff(a)
@@ -465,20 +465,6 @@ class PerturbationReport:
     mean_factors: tuple
 
 
-def _ball_sample(rng: np.random.Generator, n: int, radius: float) -> np.ndarray:
-    if radius == 0.0:
-        rng.standard_normal(n)
-        rng.random()
-        return np.zeros(n)
-    g = rng.standard_normal(n)
-    nrm = math.sqrt(float(g @ g))
-    while nrm == 0.0:
-        g = rng.standard_normal(n)
-        nrm = math.sqrt(float(g @ g))
-    frac = rng.random() ** (1.0 / n)
-    return (radius * frac / nrm) * g
-
-
 def perturbed_gramian_experiment(g: GramianBuild, noise_scale: float,
                                  trials: int, seed: int, schedule=None,
                                  tol: Tolerance = DEFAULT_TOL) -> PerturbationReport:
@@ -488,8 +474,9 @@ def perturbed_gramian_experiment(g: GramianBuild, noise_scale: float,
     instead (a purely relative radius would pin it at zero and degenerate
     nominal directions could never explore new span).
 
-    Trial t draws from a child seed (seed, t), so runs are reproducible
-    and trials are independent. noise_scale = 0 reproduces the nominal
+    Trial t draws its L Gaussian directions and L radius fractions at
+    once from a child seed (seed, t), so runs are reproducible and trials
+    are independent. noise_scale = 0 reproduces the nominal
     directions exactly. The schedule is resolved once by the nominal run,
     so eps_reference names one eps. The trials then grow on that schedule
     as one stack, every factorization one batched LAPACK call for all of
@@ -505,10 +492,10 @@ def perturbed_gramian_experiment(g: GramianBuild, noise_scale: float,
     nominal = growth_from_directions(g.directions, n, schedule, tol,
                                      raise_on_diverge=False)
     schedule = nominal.eps_schedule
-    norms = [math.sqrt(float(u @ u)) for u in g.directions]
-    family_scale = max(norms, default=0.0)
-    radii = [noise_scale * (nrm if nrm > 0.0 else family_scale) for nrm in norms]
     nsteps = len(g.directions)
+    nominal_dirs = np.reshape(g.directions, (nsteps, n))
+    norms = np.linalg.norm(nominal_dirs, axis=1)
+    radii = noise_scale * np.where(norms > 0.0, norms, np.max(norms, initial=0.0))
     width = min(n, nsteps)
     chunk = max(1, _STACK_FLOATS // max(1, nsteps * width * (width + len(schedule))))
     per_trial = []
@@ -517,8 +504,9 @@ def perturbed_gramian_experiment(g: GramianBuild, noise_scale: float,
         for b, t in enumerate(range(first, first + len(dirs))):
             rng = np.random.default_rng(np.random.SeedSequence(entropy=int(seed),
                                                                spawn_key=(t,)))
-            for l, (u, radius) in enumerate(zip(g.directions, radii)):
-                dirs[b, l] = u + _ball_sample(rng, n, radius)
+            z = rng.standard_normal((nsteps, n))
+            frac = rng.random(nsteps) ** (1.0 / n)
+            dirs[b] = nominal_dirs + (radii * frac / np.linalg.norm(z, axis=1))[:, None] * z
         _, _, ranks, pdets, factors = _grow(dirs, schedule, tol)
         per_trial.extend(
             PerturbationTrial(rank=rank, pdet=pdet, factors=tuple(last))

@@ -1,15 +1,17 @@
 """Group (Drazin) inverse, spectral projector, pseudodeterminant, the
 singular rank-r determinant identity, and its regularized epsilon-limit.
 
-Only index-1 matrices (semisimple zero eigenvalue) are handled; nilpotent
-structure raises ``IndexGreaterThanOne``. The group inverse is computed
-from a full-rank factorization H = C F as H^D = C (F C)^{-2} F, which is
-numerically direct and detects the index from the singularity of F C.
+One rule decides rank, index and nullity: Cline's core-nilpotent chain
+H = C_1 F_1, F_i C_i = C_{i+1} F_{i+1}, each level a full-rank
+factorization at H's cutoff, ends at a nonsingular core F_k C_k. k is the
+index, n - size(core) the nullity, and the core's eigenvalues are the
+nonzero eigenvalues of H. Only index-1 matrices (semisimple zero
+eigenvalue) have a group inverse, H^D = C (F C)^{-2} F; nilpotent
+structure raises ``IndexGreaterThanOne``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,39 +68,51 @@ def group_inverse(h, tol: Tolerance = DEFAULT_TOL) -> GroupInverseResult:
     return _group_inverse(kernel.as_matrix(h, square=True, name="H"), tol)[0]
 
 
+def _core_chain(a: np.ndarray, tol: Tolerance):
+    """Cline's core-nilpotent chain of a validated H: H = C_1 F_1, then
+    F_i C_i = C_{i+1} F_{i+1}, until the core F_k C_k is nonsingular.
+
+    Returns the levels ((C_1, F_1), ..., (C_k, F_k)), the core and its
+    inverse, which H^D is built from: k is the index of H, n - size(core)
+    its algebraic nullity, and the core's spectrum is the nonzero spectrum
+    of H. A nonsingular H is its own core (k = 0), tested by the one rank
+    test of its factorization; a later core is tested by ``kernel.inverse``.
+    Every level is judged on H's cutoff: a core's own would pass a
+    rounding residue of the nilpotent part as a nonzero eigenvalue.
+    """
+    floor = Tolerance(rel=tol.rel, abs=tol.cutoff(a))
+    levels, core = [], a
+    c, f = kernel.full_rank_factorization(a, floor)
+    while c.shape[1] < core.shape[0]:
+        levels.append((c, f))
+        core = f @ c
+        if not core.size:
+            break
+        try:
+            return levels, core, kernel.inverse(core, floor)
+        except Singular:
+            c, f = kernel.full_rank_factorization(core, floor)
+    return levels, core, np.linalg.inv(core)
+
+
 def _group_inverse(a: np.ndarray, tol: Tolerance):
-    """group_inverse of a validated H, plus F C: for index 1 its spectrum
-    is the nonzero spectrum of H, so det(F C) = pdet(H). A nonsingular H
-    factors as H I, so F C = H, and the rank test's singular values are
-    the only SVD before LAPACK's LU inverse."""
-    n = a.shape[0]
-    c, f = kernel.full_rank_factorization(a, tol)
-    fc = f @ c
-    r = fc.shape[0]
-    if r == 0:
-        return GroupInverseResult(
-            h_drazin=np.zeros((n, n)), projector=np.eye(n), rank_q=0, nullity_nu=n
-        ), fc
-    if r == n:
-        hd = np.linalg.inv(a)
-        return GroupInverseResult(
-            h_drazin=hd, projector=np.zeros((n, n)), rank_q=n, nullity_nu=0
-        ), fc
-    # F C carries the nonzero eigenvalues of H, so its singularity is
-    # judged on H's scale: its own cutoff would pass a 1x1 rounding residue
-    try:
-        g = kernel.inverse(fc, Tolerance(rel=tol.rel, abs=tol.cutoff(a)))
-    except Singular:
+    """group_inverse of a validated H, plus the core F C of its chain,
+    whose determinant is pdet(H). A nonsingular H is its own core, and
+    the rank test's singular values are the only SVD before LAPACK's LU
+    inverse."""
+    levels, core, g = _core_chain(a, tol)
+    if len(levels) > 1:
         raise IndexGreaterThanOne(
             "F C singular at tolerance: zero eigenvalue is not semisimple"
-        ) from None
-    hd = c @ g @ g @ f
-    return GroupInverseResult(
-        h_drazin=hd,
-        projector=np.eye(n) - a @ hd,
-        rank_q=r,
-        nullity_nu=n - r,
-    ), fc
+        )
+    n, q = a.shape[0], core.shape[0]
+    hd, p0 = g, np.zeros((n, n))
+    if levels:
+        (c, f), = levels
+        hd = c @ g @ g @ f
+        p0 = np.eye(n) - a @ hd
+    return GroupInverseResult(h_drazin=hd, projector=p0, rank_q=q,
+                              nullity_nu=n - q), core
 
 
 def spectral_projector(h, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -109,41 +123,32 @@ def spectral_projector(h, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 _UNDEFINED = "no nonzero eigenvalue detected, pseudodeterminant undefined"
 
 
-def pdet(h, tol: Tolerance = DEFAULT_TOL, method: str = "charpoly") -> PdetResult:
+def pdet(h, tol: Tolerance = DEFAULT_TOL, method: str = "eigenproduct") -> PdetResult:
     """Pseudodeterminant: product of all nonzero eigenvalues.
 
-    The primary route reads it off the characteristic polynomial of H/s,
-    s = max|H|, so the nullity decision does not depend on the scale of H:
-    with nu trailing coefficients below tolerance and c_{n-nu} above it,
-    the value is (-1)^{n-nu} s^{n-nu} c_{n-nu}. The cross-check route
-    multiplies the eigenvalues whose magnitude clears sqrt(tol.rel) times
-    the spectral radius (multiple zero roots of a perturbed polynomial
-    drift like noise^(1/nu), hence the square root).
+    The nullity nu is n minus the size of the core of H's core-nilpotent
+    chain, decided by the same rank rule at H's cutoff as group_inverse,
+    so it does not depend on the scale of H. The default route multiplies
+    the eigenvalues of the core, which are the nonzero eigenvalues of H.
+    method="charpoly" reads the Faddeev-LeVerrier coefficient c_{n-nu}
+    of H/s, s = max|H|, as (-1)^{n-nu} s^{n-nu} c_{n-nu}: exact on small
+    integer input, but even at the right nu its median relative error on
+    orthogonal Q diag(d, 0, 0) Q^T, |d| in [0.5, 2], is about 5e-11 at
+    n = 32, 1e-6 at n = 48 and 0.2 at n = 64.
     """
+    if method not in ("charpoly", "eigenproduct"):
+        raise ValueError(f"unknown pdet method {method!r}")
     a = kernel.as_matrix(h, square=True, name="H")
-    n = a.shape[0]
-    if method == "charpoly":
-        s = float(np.max(np.abs(a))) or 1.0
-        coeffs = np.asarray(kernel.charpoly(a / s).coeffs)
-        cut = tol.cutoff(coeffs)
-        nu = 0
-        while nu < n and abs(coeffs[n - nu]) <= cut:
-            nu += 1
-        if nu >= n:
-            raise AllCoefficientsBelowTolerance(_UNDEFINED)
-        value = float(coeffs[n - nu] * np.float64(s) ** (n - nu))
-        if (n - nu) % 2 == 1:
-            value = -value
-        return PdetResult(value=value, nullity=nu, method="charpoly")
+    core = _core_chain(a, tol)[1]
+    q = core.shape[0]
+    if q == 0:
+        raise AllCoefficientsBelowTolerance(_UNDEFINED)
     if method == "eigenproduct":
-        eigs = kernel.eigenvalues(a, tol).eigenvalues
-        cut = math.sqrt(tol.rel) * max(abs(z) for z in eigs)
-        kept = [z for z in eigs if abs(z) > cut]
-        if not kept:
-            raise AllCoefficientsBelowTolerance(_UNDEFINED)
-        return PdetResult(value=float(math.prod(kept).real), nullity=n - len(kept),
-                          method="eigenproduct")
-    raise ValueError(f"unknown pdet method {method!r}")
+        value = float(np.prod(kernel.eigenvalues(core, tol).eigenvalues).real)
+    else:
+        s = float(np.max(np.abs(a)))
+        value = (-1) ** q * float(kernel.charpoly(a / s).coeffs[q] * np.float64(s) ** q)
+    return PdetResult(value=value, nullity=a.shape[0] - q, method=method)
 
 
 def _as_factor(m, n: int, name: str) -> np.ndarray:
@@ -158,12 +163,17 @@ def _as_factor(m, n: int, name: str) -> np.ndarray:
     return a
 
 
-def _compatibility(gi: GroupInverseResult, u: np.ndarray, v: np.ndarray,
-                   tol: Tolerance) -> CompatibilityReport:
+def _compatibility(a: np.ndarray, gi: GroupInverseResult, u: np.ndarray,
+                   v: np.ndarray, tol: Tolerance) -> CompatibilityReport:
+    """P0 U and V^T P0 against the cutoffs of U and V, scaled by the
+    rounding level n max|H| max|H^D| (at least 1) that P0 = I - H H^D
+    carries from forming H^D."""
     p0 = gi.projector
+    level = max(1.0, a.shape[0] * float(np.max(np.abs(a)))
+                * float(np.max(np.abs(gi.h_drazin))))
     norm_p0u = float(np.max(np.abs(p0 @ u))) if u.size else 0.0
     norm_vtp0 = float(np.max(np.abs(v.T @ p0))) if v.size else 0.0
-    ok = norm_p0u <= tol.cutoff(u) and norm_vtp0 <= tol.cutoff(v)
+    ok = norm_p0u <= level * tol.cutoff(u) and norm_vtp0 <= level * tol.cutoff(v)
     return CompatibilityReport(norm_p0u=norm_p0u, norm_vtp0=norm_vtp0, passed=ok)
 
 
@@ -174,8 +184,7 @@ def compatibility_check(h, u, v, tol: Tolerance = DEFAULT_TOL) -> CompatibilityR
     n = a.shape[0]
     uu = _as_factor(u, n, "U")
     vv = _as_factor(v, n, "V")
-    gi = group_inverse(a, tol)
-    return _compatibility(gi, uu, vv, tol)
+    return _compatibility(a, group_inverse(a, tol), uu, vv, tol)
 
 
 def _lemma(h, u, v, tol: Tolerance):
@@ -190,13 +199,13 @@ def _lemma(h, u, v, tol: Tolerance):
         raise DimensionMismatch(
             f"U has {uu.shape[1]} columns, V has {vv.shape[1]}"
         )
-    gi, fc = _group_inverse(a, tol)
-    report = _compatibility(gi, uu, vv, tol)
+    gi, core = _group_inverse(a, tol)
+    report = _compatibility(a, gi, uu, vv, tol)
     if not report.passed:
         raise CompatibilityViolated(report)
     if gi.rank_q == 0:
         raise AllCoefficientsBelowTolerance(_UNDEFINED)
-    value = float(np.linalg.det(fc))
+    value = float(np.linalg.det(core))
     r = uu.shape[1]
     if r:
         value *= kernel.det(np.eye(r) + vv.T @ gi.h_drazin @ uu, tol)

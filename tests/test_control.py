@@ -24,7 +24,6 @@ from detdyn import (
 )
 
 from detdyn import control
-from detdyn.control import _ball_sample
 
 from conftest import count_calls, count_linalg, random_spd
 
@@ -706,10 +705,13 @@ class TestPerturbedExperiment:
 def displaced_directions(g, noise_scale: float, seed: int, t: int) -> list:
     """Trial t's directions, drawn as perturbed_gramian_experiment draws them."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(t,)))
+    n = len(g.directions[0])
+    z = rng.standard_normal((len(g.directions), n))
+    frac = rng.random(len(g.directions)) ** (1.0 / n)
     norms = [math.sqrt(float(u @ u)) for u in g.directions]
     family = max(norms)
-    return [u + _ball_sample(rng, len(u), noise_scale * (nrm if nrm > 0.0 else family))
-            for u, nrm in zip(g.directions, norms)]
+    return [u + noise_scale * (nrm if nrm > 0.0 else family) * f / math.sqrt(float(w @ w)) * w
+            for u, nrm, f, w in zip(g.directions, norms, frac, z)]
 
 
 # (n, inputs, horizon, noise): L = inputs * horizon runs past n in most, so

@@ -154,7 +154,7 @@ class TestPdet:
         res = pdet(A_SING, TOL9)
         assert res.value == 2.0
         assert res.nullity == 1
-        assert res.method == "charpoly"
+        assert res.method == "eigenproduct"
 
     def test_identity(self):
         res = pdet(np.eye(4))
@@ -214,6 +214,79 @@ class TestPdet:
                 assert abs(res.value - ref) <= 1e-9 * abs(ref)
 
 
+def symmetric_probe(seed: int, n: int):
+    """Q diag(d, 0, 0) Q^T with |d| in [0.5, 2] and random signs, plus
+    pdet = prod(d) at 50 digits."""
+    rng = np.random.default_rng(seed)
+    d = rng.uniform(0.5, 2.0, n - 2) * rng.choice([-1.0, 1.0], n - 2)
+    q = random_orthogonal(rng, n)
+    with mpmath.workdps(50):
+        ref = mpmath.fprod([mpmath.mpf(x) for x in d])
+    return q @ np.diag(np.concatenate([d, [0.0, 0.0]])) @ q.T, ref
+
+
+class TestCoreChain:
+    """One rank rule, Cline's core-nilpotent chain, decides the rank of
+    group_inverse, the nullity of both pdet routes and pdet_lemma."""
+
+    @pytest.mark.parametrize("n", [16, 24, 32, 64])
+    def test_symmetric_probe_at_default_tolerance(self, n):
+        # trailing Faddeev-LeVerrier coefficients decided the nullity here
+        # and got it wrong on most draws from n = 24 up
+        for seed in range(10):
+            h, ref = symmetric_probe(seed, n)
+            default = pdet(h)
+            assert default.method == "eigenproduct" and default.nullity == 2
+            assert abs(default.value - ref) <= 1e-12 * abs(ref)
+            assert pdet(h, method="charpoly").nullity == 2
+            assert group_inverse(h).nullity_nu == 2
+            lemma = pdet_lemma(h, np.zeros(n), np.zeros(n))
+            assert abs(lemma - ref) <= 1e-12 * abs(ref)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_nilpotent_block_of_index_k(self, k):
+        # S diag(J, N_k) S^-1: the chain takes k levels, the nullity is the
+        # algebraic one, k, and pdet is det(J)
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            q = int(rng.integers(2, 9))
+            n = q + k
+            j = rng.standard_normal((q, q)) / np.sqrt(q) + 2.0 * np.eye(q)
+            block = np.zeros((n, n))
+            block[:q, :q] = j
+            block[q:, q:] = np.diag(np.ones(k - 1), 1)
+            s = np.eye(n) + rng.standard_normal((n, n)) / (2.0 * np.sqrt(n))
+            h = s @ block @ np.linalg.inv(s)
+            with mpmath.workdps(50):
+                ref = mpmath.det(mpmath.matrix(j.tolist()))
+            for method in ("eigenproduct", "charpoly"):
+                res = pdet(h, TOL9, method=method)
+                assert res.nullity == k
+                assert abs(res.value - ref) <= 1e-12 * abs(ref)
+            with pytest.raises(IndexGreaterThanOne):
+                group_inverse(h, TOL9)
+            with pytest.raises(IndexGreaterThanOne):
+                pdet_lemma(h, np.zeros(n), np.zeros(n), TOL9)
+
+    def test_small_eigenvalue_above_cutoff(self):
+        # the eigenproduct route used to drop 1e-6 below sqrt(rel) rho(H)
+        # and report nullity 2, pdet 1.0
+        h = np.diag([1.0, 1e-6, 0.0])
+        for method in ("eigenproduct", "charpoly"):
+            res = pdet(h, TOL9, method=method)
+            assert res.nullity == 1
+            assert abs(res.value - 1e-6) <= 1e-10 * 1e-6
+        assert group_inverse(h, TOL9).nullity_nu == 1
+        assert abs(pdet_lemma(h, np.zeros(3), np.zeros(3), TOL9) - 1e-6) <= 1e-15 * 1e-6
+
+    def test_default_pdet_takes_no_charpoly(self, monkeypatch):
+        charpolys = count_calls(monkeypatch, "charpoly")
+        factorizations = count_calls(monkeypatch, "full_rank_factorization")
+        assert pdet(A_SING, TOL9).value == 2.0
+        assert charpolys == []
+        assert len(factorizations) == 1
+
+
 class TestCompatibility:
     def test_informative_subspace_passes(self):
         u = np.array([[1.0], [0.0], [0.0]])
@@ -227,6 +300,30 @@ class TestCompatibility:
         rep = compatibility_check(A_SING, u, u, TOL9)
         assert not rep.passed
         assert rep.norm_p0u == 1.0
+
+    @pytest.mark.parametrize("n", [4, 8, 16, 32])
+    def test_gaussian_similarity_at_default_tolerance(self, n):
+        # P0 = I - H H^D carries the rounding of H H^D: measured against
+        # n eps max|U| alone, most of these compatible factors were refused
+        rng = np.random.default_rng(n)
+        q = n - 2
+        for _ in range(25):
+            d = rng.uniform(0.5, 2.0, q) * rng.choice([-1.0, 1.0], q)
+            s = rng.standard_normal((n, n))
+            s_inv = np.linalg.inv(s)
+            h = s @ np.diag(np.concatenate([d, [0.0, 0.0]])) @ s_inv
+            a, b = rng.standard_normal((q, 2)), rng.standard_normal((q, 2))
+            u, v = s[:, :q] @ a, s_inv.T[:, :q] @ b
+            assert compatibility_check(h, u, v).passed
+            ref = mp_det(np.diag(d) + a @ b.T)
+            assert abs(pdet_lemma(h, u, v) - ref) <= 1e-8 * abs(ref)
+            # a null-space component of 1e-3 relative is still refused
+            null = s[:, q:] @ rng.standard_normal((2, 2))
+            moved = u + 1e-3 * np.max(np.abs(u)) * null / np.max(np.abs(null))
+            assert not compatibility_check(h, moved, v).passed
+            null = s_inv.T[:, q:] @ rng.standard_normal((2, 2))
+            moved = v + 1e-3 * np.max(np.abs(v)) * null / np.max(np.abs(null))
+            assert not compatibility_check(h, u, moved).passed
 
     def test_nonsingular_always_passes(self, rng):
         h = rng.standard_normal((3, 3)) + 3.0 * np.eye(3)
