@@ -6,12 +6,18 @@ against ``Tolerance.cutoff``. When the smallest is not above the cutoff,
 ``det`` returns exactly 0.0 and ``solve`` and ``inverse`` raise
 ``Singular``; otherwise their values come from LAPACK's LU (``det``,
 ``solve``, ``inv``). ``rank`` and ``full_rank_factorization`` count the
-same values above the cutoff. The adjugate is det(A) A^{-1} for A
-invertible at tolerance and the SVD form of G. W. Stewart ("On the
-adjugate matrix", LAA 283, 1998) otherwise, so it stays valid for
-singular input at any size. Faddeev-LeVerrier is kept only in
-``charpoly``, where its exactness on integer input is the point. Spectra
-come from ``eigvalsh`` for symmetric input and ``eigvals`` for the rest.
+same values above the cutoff. A path that forms the inverse anyway
+(``inverse``, the det(A) A^{-1} branch of ``adjugate``, the base of an
+update stream) first reads the decision off the inverse's residual: a
+bound on sigma_min that clears the cutoff with room for the SVD's own
+error proves what the SVD would decide, and only an inconclusive bound
+runs the SVD. The decision, and so ``det``'s exact 0.0, is the same
+either way. The adjugate is det(A) A^{-1} for A invertible at tolerance
+and the SVD form of G. W. Stewart ("On the adjugate matrix", LAA 283,
+1998) otherwise, so it stays valid for singular input at any size.
+Faddeev-LeVerrier is kept only in ``charpoly``, where its exactness on
+integer input is the point. Spectra come from ``eigvalsh`` for symmetric
+input and ``eigvals`` for the rest.
 
 ``as_matrix`` keeps complex input complex, so ``det``, ``solve``,
 ``inverse`` and ``adjugate`` also serve the resolvent evaluations at
@@ -22,6 +28,7 @@ A and B of a Gramian) refuses complex input with ValueError.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,6 +148,51 @@ def _nonsingular(a: np.ndarray, tol: Tolerance) -> float:
     return s
 
 
+def _certified(a: np.ndarray, x: np.ndarray, tol: Tolerance) -> bool:
+    """True when the residual of X, a computed inverse of ``a``, proves
+    that the smallest singular value clears the cutoff by more than the
+    SVD's own error, so ``_nonsingular`` would pass ``a``.
+
+    With R = A X - I, sigma_min(A) >= (1 - |R|_2) / |X|_2 (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., ch. 14),
+    with Frobenius norms in place of 2-norms. The computed R is off by at
+    most gamma_{n+1} (|A| |X| + I) entrywise (ch. 3), so its rounding is
+    charged as gamma_{n+1} (|A|_F |X|_F + sqrt(n)); a complex product
+    errs by up to sqrt(2) gamma_2 (sec. 3.6), which makes that
+    sqrt(2) gamma_{n+2}. The bound must exceed 2 cutoff + 8 n u |A|_F: the
+    cutoff's second share and the last term leave room for the SVD's
+    backward error and for the rounding of the bound itself. A NaN or
+    inf anywhere fails the comparison, and since |A|_F |X|_F >= |A X|_F,
+    a norm whose squares underflow comes with one whose squares overflow.
+    """
+    n, u = a.shape[0], EPS / 2
+    k, c = (n + 2, math.sqrt(2.0)) if np.iscomplexobj(a) else (n + 1, 1.0)
+    gamma = c * k * u / (1.0 - k * u)
+    r = a @ x
+    r.flat[::n + 1] -= 1.0
+    na, nx = np.linalg.norm(a), np.linalg.norm(x)
+    rho = np.linalg.norm(r) + gamma * (na * nx + math.sqrt(n))
+    return bool((1.0 - rho) / nx > 2.0 * tol.cutoff(a) + 8.0 * n * u * na)
+
+
+def _inverse(a: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """LAPACK's inverse of a validated square ``a``, or Singular when its
+    smallest singular value is not above the cutoff: ``_certified`` on
+    the inverse decides where it can, ``_nonsingular`` where it cannot,
+    and the inverse already formed is returned either way."""
+    with np.errstate(all="ignore"):
+        try:
+            x = np.linalg.inv(a)
+        except np.linalg.LinAlgError:
+            x = None
+        else:
+            if _certified(a, x, tol):
+                return x
+    _nonsingular(a, tol)
+    # an LU that refused a matrix the SVD passes refuses it again here
+    return np.linalg.inv(a) if x is None else x
+
+
 def det(m, tol: Tolerance = DEFAULT_TOL) -> float:
     """Determinant from LAPACK's LU.
 
@@ -163,16 +215,20 @@ def solve(m, b, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 
 
 def inverse(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    a = as_matrix(m, square=True)
-    _nonsingular(a, tol)
-    return np.linalg.inv(a)
+    """LAPACK's inverse, or Singular when the smallest singular value is
+    not above the cutoff. The decision may be certified from the
+    inverse's own residual instead of an SVD (``_certified``); it is the
+    same decision."""
+    return _inverse(as_matrix(m, square=True), tol)
 
 
 def adjugate(m) -> np.ndarray:
     """Adjugate; satisfies M adj(M) = adj(M) M = det(M) I for every square
     M, singular ones included.
 
-    M invertible at the default tolerance gives det(M) M^{-1}. Otherwise,
+    M invertible at the default tolerance gives det(M) M^{-1}, with the
+    decision certified from that inverse's residual where it can be
+    (``_inverse``). Otherwise,
     with M = U S V^H, adj(M) = det(U) det(V^H) V adj(S) U^H where adj(S)
     is diagonal with entries prod_{j != k} s_j, from the prefix and suffix
     products: no division, so zeros in s are fine. The 1x1 adjugate is
@@ -182,8 +238,7 @@ def adjugate(m) -> np.ndarray:
     if a.shape[0] == 1:
         return np.ones_like(a)
     try:
-        _nonsingular(a, DEFAULT_TOL)
-        return np.linalg.det(a) * np.linalg.inv(a)
+        return np.linalg.det(a) * _inverse(a, DEFAULT_TOL)
     except Singular:
         pass
     u, s, vh = np.linalg.svd(a)

@@ -177,12 +177,14 @@ def det_rank_one(h, update) -> float:
 
 def _base(a: np.ndarray, tol: Tolerance):
     """(det H, H^{-1}), or (0.0, None) when H is singular at tolerance:
-    one singular-value test, the one ``kernel.det`` reports 0.0 on."""
+    the decision ``kernel.det`` reports 0.0 on, certified from the LU
+    inverse's residual where it can be and by the singular values where
+    it cannot (``kernel._inverse``)."""
     try:
-        kernel._nonsingular(a, tol)
+        minv = kernel._inverse(a, tol)
     except Singular:
         return 0.0, None
-    return np.linalg.det(a).item(), np.linalg.inv(a)
+    return np.linalg.det(a).item(), minv
 
 
 def _refresh(m: np.ndarray, tol: Tolerance):
@@ -315,7 +317,7 @@ def _capacitance(k: np.ndarray, tol: Tolerance, cut: float, fresh: bool,
       a full block);
     - after the first step outside the walk's guard
       tol.rel <= |1 + s| <= 1 / sqrt(tol.rel) (then "check": an inverse
-      behind the singular-value test of ``kernel.inverse``).
+      behind the nonsingularity test of ``kernel.inverse``).
     The pivots past the end are dropped; past a failed guard they may
     divide by zero, so ``_pivots`` runs under np.errstate.
     """

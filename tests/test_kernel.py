@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -12,18 +13,27 @@ from detdyn import (
     DimensionMismatch,
     NonSquare,
     Tolerance,
+    UpdateSequence,
     adjugate,
     charpoly,
     det,
+    det_product,
+    det_sequence,
     eigenvalues,
     full_rank_factorization,
     inverse,
     rank,
 )
-from detdyn.errors import RootFindDivergence, Singular
-from detdyn.kernel import EPS
+from detdyn.errors import IntermediateSingular, RootFindDivergence, Singular
+from detdyn.kernel import EPS, _singular_values
 
-from conftest import cofactor_adjugate, cofactor_det, count_calls, random_orthogonal
+from conftest import (
+    cofactor_adjugate,
+    cofactor_det,
+    count_calls,
+    count_linalg,
+    random_orthogonal,
+)
 
 TOL9 = Tolerance(rel=1e-9)
 
@@ -88,6 +98,110 @@ class TestInverse:
     def test_rank_deficient_integer_raises(self):
         with pytest.raises(Singular):
             inverse(RANK4)
+
+
+def near_cutoff(rng, n, family, complex_, scale, tol, k):
+    """An n x n matrix at ``scale`` whose smallest singular value sits
+    near tol.cutoff * 10**k: Q diag(s) Q^H with s_n set exactly, or an
+    upper triangular T with T_nn = 0 moved off singular by the first-order
+    sigma_min(T + t e_n e_n^T) = |t| / |v|, v the null vector of T."""
+    def draw(*shape):
+        g = rng.standard_normal(shape)
+        return g + 1j * rng.standard_normal(shape) if complex_ else g
+
+    if family == "normal":
+        q = np.linalg.qr(draw(n, n))[0]
+        s = np.logspace(0.0, -2.0, n)
+        s[-1] = 0.0
+        s[-1] = tol.cutoff(scale * (q * s) @ q.conj().T) * 10.0 ** k / scale
+        return scale * (q * s) @ q.conj().T
+    t = np.diag(rng.uniform(1.0, 2.0, n) * rng.choice([-1.0, 1.0], n))
+    t = t + np.triu(draw(n, n), 1) / (2.0 * np.sqrt(n))
+    t[-1, -1] = 0.0
+    v = np.append(np.linalg.solve(t[:-1, :-1], -t[:-1, -1]), 1.0)
+    t[-1, -1] = tol.cutoff(scale * t) * 10.0 ** k / scale * np.linalg.norm(v)
+    return scale * t
+
+
+class TestCertifiedInverse:
+    """A nonsingular decision read off the inverse's residual is the
+    singular-value decision, and the values are LAPACK's either way."""
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("family", ["normal", "triangular"])
+    @pytest.mark.parametrize("n", [2, 8, 64])
+    def test_decisions_match_the_singular_values(self, n, family, complex_):
+        rng = np.random.default_rng(n)
+        seq = UpdateSequence.from_pairs([(rng.standard_normal(n), rng.standard_normal(n))])
+        for tol in (Tolerance(), TOL9):
+            for k in (-1.0, 0.0, 0.5, 1.0, 2.0, 3.0, 6.0):
+                for scale in (1e-6, 1e-3, 1.0, 1e3, 1e6):
+                    a = near_cutoff(rng, n, family, complex_, scale, tol, k)
+                    singular = not _singular_values(a)[-1] > tol.cutoff(a)
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")
+                        try:
+                            x = inverse(a, tol)
+                        except Singular:
+                            assert singular
+                        else:
+                            assert not singular
+                            assert np.array_equal(x, np.linalg.inv(a))
+                        assert (rank(a, tol) == n) is not singular
+                    # at n = 64 and scale 1e6 the determinants themselves
+                    # leave float range, and det(A) A^{-1} meets inf * 0
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        self.assert_determinants_match(a, seq, tol, singular)
+
+    def assert_determinants_match(self, a, seq, tol, singular):
+        n = a.shape[0]
+        if np.iscomplexobj(a):
+            if tol == Tolerance():
+                base = det_sequence(a, seq).values[0]
+                assert np.array_equal(base, det(a), equal_nan=True)
+        elif singular:
+            with pytest.raises(IntermediateSingular):
+                det_product(a, seq, tol)
+            assert det(a, tol) == 0.0
+        else:
+            assert det_product(a, seq, tol).base_det == det(a, tol)
+        if n > 1 and _singular_values(a)[-1] > Tolerance().cutoff(a):
+            want = np.linalg.det(a) * np.linalg.inv(a)
+            assert np.array_equal(adjugate(a), want, equal_nan=True)
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_well_conditioned_takes_no_svd(self, complex_, rng, monkeypatch):
+        svds = count_linalg(monkeypatch, ("detdyn.kernel",), ("linalg.svd",))
+        for n in (1, 2, 16, 64):
+            a = np.eye(n) + rng.standard_normal((n, n)) / (2.0 * np.sqrt(n))
+            if complex_:
+                a = a + 1j * rng.standard_normal((n, n)) / (2.0 * np.sqrt(n))
+            assert np.array_equal(inverse(a), np.linalg.inv(a))
+            if n > 1:
+                want = np.linalg.det(a) * np.linalg.inv(a)
+                assert np.array_equal(adjugate(a), want)
+        assert svds == []
+
+    @pytest.mark.parametrize("ratio, singular", [(1e-12, False), (1e-18, True)])
+    def test_overflowing_inverse_is_silent(self, ratio, singular):
+        # at scale 1e-300 the inverse of a nearly singular matrix leaves
+        # float range; the residual is then NaN and the SVD decides
+        rng = np.random.default_rng(5)
+        n = 64
+        q = random_orthogonal(rng, n)
+        s = np.ones(n)
+        s[-1] = ratio
+        a = 1e-300 * (q * s) @ q.T
+        tol = Tolerance(abs=0.0)
+        with np.errstate(over="ignore"):
+            assert not np.all(np.isfinite(np.linalg.inv(a)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if singular:
+                with pytest.raises(Singular):
+                    inverse(a, tol)
+            else:
+                assert np.array_equal(inverse(a, tol), np.linalg.inv(a), equal_nan=True)
 
 
 class TestAdjugate:

@@ -178,7 +178,8 @@ class TestDetSequence:
     def test_singular_intermediate_switches_to_adjugate(self, monkeypatch):
         # M_1 = diag(0, 1) has rank n-1: the failed guard refreshes to the
         # bordered frame, which takes the last two steps as one block; the
-        # one LU inverse is the base's
+        # LU inverses are the base's, certified by its residual, and the
+        # one kernel.inverse tries on M_1, which LAPACK refuses
         adj = count_calls(monkeypatch, "adjugate")
         frames = record_refreshes(monkeypatch)
         lapack = count_factorizations(monkeypatch)
@@ -187,7 +188,8 @@ class TestDetSequence:
         tr = det_sequence(np.eye(2), seq)
         assert adj == []
         assert frames == ["bordered"]
-        assert [c for c in lapack if c[1] == "inv"] == [("detdyn.updates", "inv")]
+        assert lapack == [("detdyn.kernel", "inv"), ("detdyn.kernel", "inv"),
+                          ("detdyn.kernel", "svd"), ("detdyn.updates", "svd")]
         assert tr.values == (1.0, 0.0, 1.0, 2.0)
 
     def test_n64_final_against_mpmath(self, rng):
@@ -476,9 +478,9 @@ class TestCapacitanceBlocks:
 
     @pytest.mark.parametrize("route", [det_product, logdet_sequence, det_sequence])
     def test_benign_stream_refactors_between_blocks(self, route, rng, monkeypatch):
-        # r = 3 n: the base's singular-value test and LU inverse, then one
-        # LU inverse between consecutive blocks, and no O(n^2) outer
-        # product per step
+        # r = 3 n: the base's LU inverse, whose residual certifies it
+        # without an SVD, then one LU inverse between consecutive blocks,
+        # and no O(n^2) outer product per step
         n = 16
         h = np.eye(n) + rng.standard_normal((n, n)) / (2.0 * np.sqrt(n))
         seq = UpdateSequence.from_pairs(
@@ -487,7 +489,7 @@ class TestCapacitanceBlocks:
         calls = count_linalg(monkeypatch, ("detdyn.updates", "detdyn.kernel"),
                              ("linalg.svd", "linalg.inv", "outer"))
         route(h, seq)
-        assert calls == [("detdyn.kernel", "svd")] + [("detdyn.updates", "inv")] * 3
+        assert calls == [("detdyn.kernel", "inv")] + [("detdyn.updates", "inv")] * 2
 
     def test_guard_trip_refactors_through_kernel(self, monkeypatch):
         # the fifth of ten factors is 2 / sqrt(tol.rel), above the guard:
@@ -618,9 +620,10 @@ class TestCapacitanceBlocks:
 
 
 class TestDetProduct:
-    def test_nonsingular_base_takes_one_svd(self, monkeypatch, rng):
-        # one singular-value test serves det H and H^{-1}, and both still
-        # come from LAPACK's LU as kernel.det and kernel.inverse give them
+    def test_nonsingular_base_takes_no_svd(self, monkeypatch, rng):
+        # the LU inverse's residual certifies H nonsingular, so no
+        # singular-value test runs, and det H and H^{-1} still come from
+        # LAPACK's LU as kernel.det and kernel.inverse give them
         n = 64
         h = np.eye(n) + rng.standard_normal((n, n)) / (2.0 * np.sqrt(n))
         seq = UpdateSequence.from_pairs(
@@ -628,7 +631,7 @@ class TestDetProduct:
              for _ in range(4)])
         calls = count_factorizations(monkeypatch)
         lp = det_product(h, seq)
-        assert calls == [("detdyn.kernel", "svd"), ("detdyn.updates", "inv")]
+        assert calls == [("detdyn.kernel", "inv")]
         assert lp.base_det == det(h)
 
     def test_single_update(self):
