@@ -68,20 +68,19 @@ def group_inverse(h, tol: Tolerance = DEFAULT_TOL) -> GroupInverseResult:
     return _group_inverse(kernel.as_matrix(h, square=True, name="H"), tol)[0]
 
 
-def _core_chain(a: np.ndarray, tol: Tolerance, invert: bool = True):
+def _core_chain(a: np.ndarray, tol: Tolerance):
     """Cline's core-nilpotent chain of a validated H: H = C_1 F_1, then
     F_i C_i = C_{i+1} F_{i+1}, until the core F_k C_k is nonsingular.
 
     Returns the levels ((C_1, F_1), ..., (C_k, F_k)), the core and its
-    inverse (None without ``invert``), which H^D is built from: k is the
-    index of H, n - size(core) its algebraic nullity, and the core's
-    spectrum is the nonzero spectrum of H. A nonsingular H is its own core
-    (k = 0), tested by the one rank test of its factorization. A later
-    core is tested by ``kernel.inverse``, whose decision may be certified
-    from the inverse it forms, or, without ``invert``, by the rank test
-    alone, which forms no inverse; the two decide alike. Every level is
-    judged on H's cutoff: a core's own would pass a rounding residue of
-    the nilpotent part as a nonzero eigenvalue.
+    inverse, which H^D is built from: k is the index of H, n - size(core)
+    its algebraic nullity, and the core's spectrum is the nonzero spectrum
+    of H. A nonsingular H is its own core (k = 0), tested by the one rank
+    test of its factorization; a later core is tested by
+    ``kernel.inverse``, whose nonsingular decision may be certified from
+    the residual of the inverse it forms. Every level is judged on H's
+    cutoff: a core's own would pass a rounding residue of the nilpotent
+    part as a nonzero eigenvalue.
     """
     floor = Tolerance(rel=tol.rel, abs=tol.cutoff(a))
     levels, core = [], a
@@ -91,15 +90,11 @@ def _core_chain(a: np.ndarray, tol: Tolerance, invert: bool = True):
         core = f @ c
         if not core.size:
             break
-        if invert:
-            try:
-                return levels, core, kernel.inverse(core, floor)
-            except Singular:
-                pass
-        elif kernel._rank(core, floor) == core.shape[0]:
-            return levels, core, None
-        c, f = kernel.full_rank_factorization(core, floor)
-    return levels, core, np.linalg.inv(core) if invert else None
+        try:
+            return levels, core, kernel.inverse(core, floor)
+        except Singular:
+            c, f = kernel.full_rank_factorization(core, floor)
+    return levels, core, np.linalg.inv(core)
 
 
 def _group_inverse(a: np.ndarray, tol: Tolerance):
@@ -146,7 +141,7 @@ def pdet(h, tol: Tolerance = DEFAULT_TOL, method: str = "eigenproduct") -> PdetR
     if method not in ("charpoly", "eigenproduct"):
         raise ValueError(f"unknown pdet method {method!r}")
     a = kernel.as_matrix(h, square=True, name="H")
-    core = _core_chain(a, tol, invert=False)[1]
+    core = _core_chain(a, tol)[1]
     q = core.shape[0]
     if q == 0:
         raise AllCoefficientsBelowTolerance(_UNDEFINED)
