@@ -10,6 +10,9 @@ echoed matrix reparses to the exact same bits.
 Exit codes: 0 success, 1 input, parse or usage errors, 2 violated
 mathematical hypotheses (singular intermediate, nonpositive determinant,
 index > 1, failed compatibility, and kin).
+
+Only ``errors`` and ``kernel`` are imported here; each handler imports
+the module it calls, so a call loads what its kind needs and no more.
 """
 
 from __future__ import annotations
@@ -24,8 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import control, drazin, kernel, spectral, updates
-from .drazin import default_eps_schedule
+from . import kernel
 from .errors import (
     DetDynError,
     HypothesisViolation,
@@ -211,7 +213,9 @@ def _echo_vector(lines: list, name: str, v: np.ndarray) -> None:
     lines.append(",".join(fmt(x) for x in v))
 
 
-def _seq_from(s: Scenario) -> updates.UpdateSequence:
+def _seq_from(s: Scenario):
+    from . import updates
+
     us = _resolve_vector_list(s, "us")
     vs = _resolve_vector_list(s, "vs")
     if len(us) != len(vs):
@@ -240,6 +244,8 @@ def _schedule_from(params: dict):
     if "eps_schedule" in params:
         return _param(params, "eps_schedule", lambda x: [float(e) for e in x])
     if "eps_min" in params:
+        from .drazin import default_eps_schedule
+
         return list(default_eps_schedule(eps_min=_param(params, "eps_min", float)))
     return None
 
@@ -296,6 +302,8 @@ def _error_payload(lines: list, exc: Exception) -> None:
 # --- handlers --------------------------------------------------------------
 
 def _h_det_update(s, tol, lines):
+    from . import updates
+
     h = _resolve_matrix(s, "H")
     u = _resolve_vector(s, "u")
     v = _resolve_vector(s, "v")
@@ -307,6 +315,8 @@ def _h_det_update(s, tol, lines):
 
 
 def _h_det_sequence(s, tol, lines):
+    from . import updates
+
     h = _resolve_matrix(s, "H")
     seq = _seq_from(s)
     _echo_matrix(lines, "H", h)
@@ -322,6 +332,8 @@ def _h_det_sequence(s, tol, lines):
 
 
 def _h_logdet(s, tol, lines):
+    from . import updates
+
     h = _resolve_matrix(s, "H")
     seq = _seq_from(s)
     _echo_matrix(lines, "H", h)
@@ -338,6 +350,8 @@ def _h_logdet(s, tol, lines):
 
 
 def _h_drazin(s, tol, lines):
+    from . import drazin
+
     h = _resolve_matrix(s, "H")
     _echo_matrix(lines, "H", h)
     gi = drazin.group_inverse(h, tol)
@@ -349,6 +363,8 @@ def _h_drazin(s, tol, lines):
 
 
 def _h_pdet(s, tol, lines):
+    from . import drazin
+
     h = _resolve_matrix(s, "H")
     _echo_matrix(lines, "H", h)
     res = drazin.pdet(h, tol)
@@ -359,6 +375,8 @@ def _h_pdet(s, tol, lines):
 
 
 def _h_pdet_lemma(s, tol, lines):
+    from . import drazin
+
     h = _resolve_matrix(s, "H")
     u = _resolve_matrix(s, "U")
     v = _resolve_matrix(s, "V")
@@ -375,6 +393,8 @@ def _h_pdet_lemma(s, tol, lines):
 
 
 def _h_regularized_limit(s, tol, lines):
+    from . import drazin
+
     h = _resolve_matrix(s, "H")
     u = _resolve_matrix(s, "U")
     v = _resolve_matrix(s, "V")
@@ -391,6 +411,8 @@ def _h_regularized_limit(s, tol, lines):
 
 
 def _h_secular(s, tol, lines):
+    from . import spectral, updates
+
     a = _resolve_matrix(s, "A")
     u = _resolve_vector(s, "u")
     v = _resolve_vector(s, "v")
@@ -410,6 +432,8 @@ def _h_secular(s, tol, lines):
 
 
 def _h_stability(s, tol, lines):
+    from . import spectral
+
     a = _resolve_matrix(s, "A")
     u = _resolve_vector(s, "u")
     v = _resolve_vector(s, "v")
@@ -428,6 +452,8 @@ def _h_stability(s, tol, lines):
 
 
 def _h_covariance(s, tol, lines):
+    from . import control
+
     p = _resolve_matrix(s, "P")
     us = _resolve_vector_list(s, "us")
     _echo_matrix(lines, "P", p)
@@ -445,6 +471,8 @@ def _h_covariance(s, tol, lines):
 
 
 def _h_info_filter(s, tol, lines):
+    from . import control
+
     p = _resolve_matrix(s, "P")
     vs = _resolve_vector_list(s, "vs")
     _echo_matrix(lines, "P", p)
@@ -460,6 +488,8 @@ def _h_info_filter(s, tol, lines):
 
 
 def _gramian_inputs(s: Scenario):
+    from . import control
+
     a = _resolve_matrix(s, "A")
     b = _resolve_matrix(s, "B")
     horizon = _param(s.parameters, "horizon", int, 1)
@@ -467,6 +497,8 @@ def _gramian_inputs(s: Scenario):
 
 
 def _h_gramian(s, tol, lines):
+    from . import control
+
     g = _gramian_inputs(s)
     _echo_matrix(lines, "A", g.a)
     _echo_matrix(lines, "B", g.b)
@@ -506,6 +538,8 @@ def _h_ellipse_plot(s, tol, lines):
 
 
 def _h_perturb(s, tol, lines):
+    from . import control
+
     g = _gramian_inputs(s)
     noise = _param(s.parameters, "noise_scale", float, 0.0)
     trials = _param(s.parameters, "trials", int, 10)
@@ -552,13 +586,16 @@ _HANDLERS = {
 # ---------------------------------------------------------------------------
 # SVG emission
 
-def emit_ellipse_svg(g: control.GramianBuild, eps: float, out_path) -> list:
+def emit_ellipse_svg(g, eps: float, out_path) -> list:
     """Write the regularized reachable-ellipse evolution (one ellipse per
     partial sum, step 0 is eps*I) as a standalone SVG 1.1 document.
 
-    Output bytes are deterministic for fixed inputs. Returns the ellipse
-    geometry list. Only 2-state systems can be drawn.
+    ``g`` is a ``control.GramianBuild``. Output bytes are deterministic
+    for fixed inputs. Returns the ellipse geometry list. Only 2-state
+    systems can be drawn.
     """
+    from . import control
+
     n = g.w.shape[0]
     if n != 2:
         raise NotTwoDimensional(f"ellipse emission needs n = 2, got n = {n}")
@@ -608,7 +645,7 @@ def emit_ellipse_svg(g: control.GramianBuild, eps: float, out_path) -> list:
 
 class _Parser(argparse.ArgumentParser):
     """Usage errors exit 1, the input-error code: argparse's own 2 is the
-    violated-hypothesis code here. Subparsers inherit the class."""
+    violated-hypothesis code here."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -618,21 +655,20 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="detdyn",
+        usage="%(prog)s KIND --scenario SCENARIO [options]",
         description="determinant dynamics under rank-one updates",
     )
-    sub = parser.add_subparsers(dest="kind", required=True)
-    for kind in KINDS:
-        sp = sub.add_parser(kind)
-        sp.add_argument("--scenario", required=True, help="scenario JSON file")
-        sp.add_argument("--out", help="write the report here instead of stdout")
-        sp.add_argument("--svg", help="SVG output path (ellipse-plot)")
-        sp.add_argument("--eps-min", type=float,
+    parser.add_argument("kind", choices=KINDS, metavar="KIND",
+                        help="scenario kind: " + ", ".join(KINDS))
+    parser.add_argument("--scenario", required=True, help="scenario JSON file")
+    parser.add_argument("--out", help="write the report here instead of stdout")
+    parser.add_argument("--svg", help="SVG output path (ellipse-plot)")
+    parser.add_argument("--eps-min", type=float,
                         help="absolute eps schedule 1e-1 down to this (default: "
                              "relative to the smallest retained eigenvalue)")
-        sp.add_argument("--seed", type=int, help="override the scenario seed")
-        sp.add_argument("--tol-rel", type=float,
-                        help="relative tolerance (beats scenario and "
-                             f"{ENV_TOL})")
+    parser.add_argument("--seed", type=int, help="override the scenario seed")
+    parser.add_argument("--tol-rel", type=float,
+                        help=f"relative tolerance (beats scenario and {ENV_TOL})")
     return parser
 
 

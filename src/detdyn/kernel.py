@@ -193,18 +193,26 @@ def _inverse(a: np.ndarray, tol: Tolerance) -> np.ndarray:
     return np.linalg.inv(a) if x is None else x
 
 
+def _det(a: np.ndarray):
+    """LAPACK's determinant of a validated square ``a``; one beyond float
+    range is +-inf (or 0.0 below it), without a RuntimeWarning."""
+    with np.errstate(over="ignore"):
+        return np.linalg.det(a)
+
+
 def det(m, tol: Tolerance = DEFAULT_TOL) -> float:
     """Determinant from LAPACK's LU.
 
     Reports exactly 0.0 whenever the matrix is singular at tolerance, so
-    sign noise never leaks out of a numerically singular matrix.
+    sign noise never leaks out of a numerically singular matrix. A
+    determinant beyond float range is +-inf, silently.
     """
     a = as_matrix(m, square=True)
     try:
         _nonsingular(a, tol)
     except Singular:
         return a.dtype.type(0).item()
-    return np.linalg.det(a).item()
+    return _det(a).item()
 
 
 def solve(m, b, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -232,15 +240,20 @@ def adjugate(m) -> np.ndarray:
     with M = U S V^H, adj(M) = det(U) det(V^H) V adj(S) U^H where adj(S)
     is diagonal with entries prod_{j != k} s_j, from the prefix and suffix
     products: no division, so zeros in s are fine. The 1x1 adjugate is
-    [[1]].
+    [[1]]. In the invertible branch an entry beyond float range is
+    +-inf without a RuntimeWarning; an infinite determinant times an
+    exact zero of the inverse is NaN, and numpy warns of it.
     """
     a = as_matrix(m, square=True)
     if a.shape[0] == 1:
         return np.ones_like(a)
     try:
-        return np.linalg.det(a) * _inverse(a, DEFAULT_TOL)
+        x = _inverse(a, DEFAULT_TOL)
     except Singular:
         pass
+    else:
+        with np.errstate(over="ignore"):
+            return np.linalg.det(a) * x
     u, s, vh = np.linalg.svd(a)
     one = np.ones(1)
     adj_s = (np.concatenate((one, np.cumprod(s[:-1])))

@@ -184,7 +184,7 @@ def _base(a: np.ndarray, tol: Tolerance):
         minv = kernel._inverse(a, tol)
     except Singular:
         return 0.0, None
-    return np.linalg.det(a).item(), minv
+    return kernel._det(a).item(), minv
 
 
 def _refresh(m: np.ndarray, tol: Tolerance):
@@ -211,7 +211,10 @@ def _refresh(m: np.ndarray, tol: Tolerance):
     binv[:n, n:] = v[:, k:]
     binv[n:, :n] = uh[k:]
     binv[n:, n:] = np.diag(-s[k:])
-    det_b = np.linalg.det(u) * np.linalg.det(vh) * np.prod(s[:k]) * (-1) ** d
+    # the unit-modulus factors first: a product of s beyond float range
+    # then meets no exact zero
+    with np.errstate(over="ignore"):
+        det_b = (-1) ** d * np.linalg.det(u) * np.linalg.det(vh) * np.prod(s[:k])
     return binv, det_b.item()
 
 

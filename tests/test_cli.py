@@ -1,11 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from detdyn import ParseError, RaggedRows, build_gramian
 from detdyn.cli import (
+    KINDS,
     Scenario,
     emit_ellipse_svg,
     fmt,
@@ -250,6 +255,36 @@ class TestEveryKind:
         text = rep.render()
         assert rep.exit_code == 0, text
         assert spec["expect"] in text
+
+    # the package modules beyond errors, kernel and cli that a call loads
+    LOADS = {
+        **dict.fromkeys(("det-update", "det-sequence", "logdet"), {"updates"}),
+        **dict.fromkeys(("drazin", "pdet", "pdet-lemma", "regularized-limit"),
+                        {"drazin"}),
+        # spectral runs on the update walk; control on the eps-limit engine
+        **dict.fromkeys(("secular", "stability"), {"spectral", "updates"}),
+        **dict.fromkeys(("covariance", "info-filter", "gramian", "ellipse-plot",
+                         "perturb-experiment"), {"control", "drazin"}),
+    }
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_main_loads_only_its_modules(self, tmp_path, kind):
+        spec = self.SCENARIOS.get(kind, {
+            "inputs": {"A": [[0.72, 0.55], [-0.18, 0.78]], "B": [[1.0], [0.15]]},
+            "parameters": {"horizon": 4, "eps": 0.05, "svg": "out.svg"},
+        })
+        sc = write_scenario(tmp_path, {"kind": kind, "inputs": spec["inputs"],
+                                       "parameters": spec["parameters"]})
+        argv = [kind, "--scenario", str(sc), "--out", str(tmp_path / "report.txt")]
+        code = (f"import sys\nfrom detdyn.cli import main\nprint(main({argv!r}))\n"
+                "print(' '.join(m for m in sys.modules if m.startswith('detdyn')))")
+        src = Path(main.__code__.co_filename).resolve().parents[1]
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": str(src)}).stdout.split()
+        assert out[0] == "0"
+        base = {"detdyn", "detdyn.errors", "detdyn.kernel", "detdyn.cli"}
+        assert set(out[1:]) == base | {f"detdyn.{m}" for m in self.LOADS[kind]}
 
     def test_ellipse_plot_kind(self, tmp_path):
         sc = load_scenario(write_scenario(tmp_path, {

@@ -204,6 +204,51 @@ class TestCertifiedInverse:
                 assert np.array_equal(inverse(a, tol), np.linalg.inv(a), equal_nan=True)
 
 
+class TestOutOfRange:
+    """A determinant beyond float range is +-inf (0.0 below it), and no
+    RuntimeWarning escapes: at n = 64 a scale of 1e6 puts |det| near
+    1e384 and a scale of 1e-6 near 1e-384."""
+
+    def test_det_overflows_and_underflows_silently(self):
+        n = 64
+        flip = np.diag([-1.0] + [1.0] * (n - 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert det(1e6 * np.eye(n)) == math.inf
+            assert det(1e6 * flip) == -math.inf
+            assert det(1e-6 * np.eye(n)) == 0.0
+            assert not np.isfinite(det(1e6 * np.exp(0.3j) * np.eye(n)))
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_stream_base_overflows_silently(self, complex_, rng):
+        n = 64
+        a = np.eye(n) + rng.standard_normal((n, n)) / (2.0 * np.sqrt(n))
+        if complex_:
+            a = a + 1j * rng.standard_normal((n, n)) / (2.0 * np.sqrt(n))
+        a = 1e6 * a
+        seq = UpdateSequence.from_pairs([(rng.standard_normal(n), rng.standard_normal(n))])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = det(a)
+            if complex_:
+                base = det_sequence(a, seq).values[0]
+            else:
+                base = det_product(a, seq).base_det
+        assert not np.isfinite(d)
+        assert np.array_equal(base, d)
+
+    def test_adjugate_overflows_silently(self, rng):
+        n = 64
+        a = 1e6 * (np.eye(n) + rng.standard_normal((n, n)) / (2.0 * np.sqrt(n)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            adj = adjugate(a)
+        # a dense inverse: inf meets no exact zero
+        assert np.all(np.isinf(adj))
+        with np.errstate(over="ignore"):
+            assert np.array_equal(adj, np.linalg.det(a) * np.linalg.inv(a))
+
+
 class TestAdjugate:
     def test_identity(self):
         for n in (1, 2, 4):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -316,6 +317,19 @@ class TestSingularWalk:
         for k in (k_fix + 1, n):
             ref = mp_det(mats[k])
             assert abs(tr.values[k] - ref) <= 1e-9 * abs(ref)
+
+    @pytest.mark.parametrize("imag", [0.0, 1.0])
+    def test_out_of_range_frame_is_silent(self, imag):
+        # at n = 64 and c = 1e6 the bordered frame's det B is about 1e378:
+        # it overflows to inf without a RuntimeWarning, and so do the
+        # determinants of the nonsingular tail, about 1e384
+        n, k_fix = 64, 32
+        h, seq = deficient_stream(np.random.default_rng(64), n, 1, n, k_fix, 1e6, imag)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tr = det_sequence(h, seq)
+        assert tr.values[0] == 0.0
+        assert not np.any(np.isfinite(tr.values[k_fix + 1:]))
 
     def test_singular_start_factorizes_at_most_three_times(self, monkeypatch):
         # kernel.inverse's singular-value test on the base, one SVD refresh
