@@ -11,8 +11,10 @@ Exit codes: 0 success, 1 input, parse or usage errors, 2 violated
 mathematical hypotheses (singular intermediate, nonpositive determinant,
 index > 1, failed compatibility, and kin).
 
-Only ``errors`` and ``kernel`` are imported here; each handler imports
-the module it calls, so a call loads what its kind needs and no more.
+The handlers call the package's names (``dd.det_sequence``, ...), so the
+package's name-to-module table decides which module a call loads: a
+kind's module loads when its handler first calls into it, and only
+``errors`` and ``kernel`` load with the CLI itself.
 """
 
 from __future__ import annotations
@@ -22,28 +24,23 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
+
+import detdyn as dd
 
 from . import kernel
 from .errors import (
     DetDynError,
     HypothesisViolation,
     InputError,
-    NotConverged,
     NotTwoDimensional,
     ParseError,
     RaggedRows,
 )
 from .kernel import Tolerance
-
-KINDS = (
-    "det-update", "det-sequence", "logdet", "drazin", "pdet", "pdet-lemma",
-    "regularized-limit", "secular", "stability", "covariance", "info-filter",
-    "gramian", "ellipse-plot", "perturb-experiment",
-)
 
 ENV_TOL = "DETDYN_TOL_REL"
 
@@ -114,19 +111,26 @@ def _matrix_from_json(obj) -> np.ndarray:
     return a
 
 
+def _read_json(text: str, **options):
+    """``text`` as JSON; a syntax error is a ParseError at its line and
+    column in ``text``."""
+    try:
+        return json.loads(text, **options)
+    except json.JSONDecodeError as exc:
+        raise ParseError(exc.lineno, exc.colno, exc.msg) from None
+
+
+def _reject_constant(token):
+    raise ParseError(1, 1, f"non-finite constant {token!r}")
+
+
 def parse_matrix_file(path) -> np.ndarray:
     """Read a matrix from a CSV file (one row per line, comma-separated
-    decimal literals) or from a JSON document embedding row-arrays."""
-    text = Path(path).read_text(encoding="utf-8")
-    stripped = text.lstrip("﻿").lstrip()
-    if stripped.startswith("{") or stripped.startswith("["):
-        def _reject(tok):
-            raise ParseError(1, 1, f"non-finite constant {tok!r}")
-        try:
-            obj = json.loads(stripped, parse_constant=_reject)
-        except json.JSONDecodeError as exc:
-            raise ParseError(exc.lineno, exc.colno, exc.msg) from None
-        return _matrix_from_json(obj)
+    decimal literals) or from a JSON document embedding row-arrays. A
+    leading UTF-8 byte-order mark is dropped."""
+    text = Path(path).read_text(encoding="utf-8-sig")
+    if text.lstrip().startswith(("{", "[")):
+        return _matrix_from_json(_read_json(text, parse_constant=_reject_constant))
     return _parse_csv_text(text)
 
 
@@ -140,10 +144,7 @@ class Scenario:
 
 def load_scenario(path) -> Scenario:
     p = Path(path)
-    try:
-        obj = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(exc.lineno, exc.colno, exc.msg) from None
+    obj = _read_json(p.read_text(encoding="utf-8-sig"))
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ParseError(1, 1, "scenario document must be an object with a 'kind'")
     kind = obj["kind"]
@@ -157,37 +158,44 @@ def load_scenario(path) -> Scenario:
                     base_dir=p.parent)
 
 
-def _resolve_matrix(s: Scenario, name: str) -> np.ndarray:
+def _input(s: Scenario, name: str):
     if name not in s.inputs:
         raise InputError(f"scenario is missing input {name!r}")
-    val = s.inputs[name]
+    return s.inputs[name]
+
+
+def _floats(name: str, val) -> np.ndarray:
+    try:
+        return np.asarray(val, dtype=float)
+    except TypeError:
+        raise InputError(f"input {name!r} holds a non-numeric value") from None
+
+
+def _resolve_matrix(s: Scenario, name: str) -> np.ndarray:
+    val = _input(s, name)
     if isinstance(val, str):
         return parse_matrix_file(s.base_dir / val)
     return _matrix_from_json(val)
 
 
 def _resolve_vector(s: Scenario, name: str) -> np.ndarray:
-    if name not in s.inputs:
-        raise InputError(f"scenario is missing input {name!r}")
-    val = s.inputs[name]
+    val = _input(s, name)
     if isinstance(val, str):
         a = parse_matrix_file(s.base_dir / val)
         if 1 not in a.shape:
             raise InputError(f"input {name!r} is not a vector")
         return a.reshape(-1)
-    arr = np.asarray(val, dtype=float)
+    arr = _floats(name, val)
     if arr.ndim != 1:
         raise InputError(f"input {name!r} is not a flat array")
     return arr
 
 
 def _resolve_vector_list(s: Scenario, name: str) -> list:
-    if name not in s.inputs:
-        raise InputError(f"scenario is missing input {name!r}")
-    val = s.inputs[name]
+    val = _input(s, name)
     if not isinstance(val, list):
         raise InputError(f"input {name!r} must be an array of vectors")
-    return [np.asarray(v, dtype=float) for v in val]
+    return [_floats(name, v) for v in val]
 
 
 # ---------------------------------------------------------------------------
@@ -202,25 +210,30 @@ class Report:
         return "\n".join(self.lines) + "\n"
 
 
-def _echo_matrix(lines: list, name: str, a: np.ndarray) -> None:
-    lines.append(f"matrix {name} ({a.shape[0]}x{a.shape[1]}):")
-    for row in a:
-        lines.append(",".join(fmt(x) for x in row))
+def _echo(lines: list, **arrays) -> None:
+    """Echo each array in turn: a matrix row by row, a vector on one line."""
+    for name, a in arrays.items():
+        label = "matrix" if a.ndim == 2 else "vector"
+        lines.append(f"{label} {name} ({'x'.join(map(str, a.shape))}):")
+        lines.extend(",".join(fmt(x) for x in row) for row in np.atleast_2d(a))
 
 
-def _echo_vector(lines: list, name: str, v: np.ndarray) -> None:
-    lines.append(f"vector {name} ({v.shape[0]}):")
-    lines.append(",".join(fmt(x) for x in v))
+def _compatibility(lines: list, rep) -> None:
+    lines += [f"compatibility.norm_p0u: {fmt(rep.norm_p0u)}",
+              f"compatibility.norm_vtp0: {fmt(rep.norm_vtp0)}",
+              f"compatibility.passed: {str(rep.passed).lower()}"]
+
+
+def _per_eps(lines: list, per_eps) -> None:
+    lines.extend(f"per_eps: {fmt(eps)} -> {fmt(val)}" for eps, val in per_eps)
 
 
 def _seq_from(s: Scenario):
-    from . import updates
-
     us = _resolve_vector_list(s, "us")
     vs = _resolve_vector_list(s, "vs")
     if len(us) != len(vs):
         raise InputError("'us' and 'vs' must have the same length")
-    return updates.UpdateSequence.from_pairs(list(zip(us, vs)))
+    return dd.UpdateSequence.from_pairs(list(zip(us, vs)))
 
 
 def _param(params: dict, key: str, convert, default=None):
@@ -244,9 +257,7 @@ def _schedule_from(params: dict):
     if "eps_schedule" in params:
         return _param(params, "eps_schedule", lambda x: [float(e) for e in x])
     if "eps_min" in params:
-        from .drazin import default_eps_schedule
-
-        return list(default_eps_schedule(eps_min=_param(params, "eps_min", float)))
+        return list(dd.default_eps_schedule(eps_min=_param(params, "eps_min", float)))
     return None
 
 
@@ -269,17 +280,13 @@ def run_scenario(s: Scenario) -> Report:
             lines.append(f"parameter.{key}: {s.parameters[key]}")
         handler = _HANDLERS[s.kind]
         handler(s, tol, lines)
-    except HypothesisViolation as exc:
-        lines.append(f"error: {type(exc).__name__}")
-        lines.append(f"error.detail: {exc}")
-        _error_payload(lines, exc)
-        lines.append("status: hypothesis-violation")
-        return Report(lines=lines, exit_code=2)
     except (DetDynError, ValueError, OSError) as exc:
-        lines.append(f"error: {type(exc).__name__}")
-        lines.append(f"error.detail: {exc}")
-        lines.append("status: input-error")
-        return Report(lines=lines, exit_code=1)
+        violated = isinstance(exc, HypothesisViolation)
+        lines += [f"error: {type(exc).__name__}", f"error.detail: {exc}"]
+        if violated:
+            _error_payload(lines, exc)
+        lines.append(f"status: {'hypothesis-violation' if violated else 'input-error'}")
+        return Report(lines=lines, exit_code=2 if violated else 1)
     lines.append("status: ok")
     return Report(lines=lines, exit_code=0)
 
@@ -287,198 +294,147 @@ def run_scenario(s: Scenario) -> Report:
 def _error_payload(lines: list, exc: Exception) -> None:
     report = getattr(exc, "report", None)
     if report is not None:
-        lines.append(f"compatibility.norm_p0u: {fmt(report.norm_p0u)}")
-        lines.append(f"compatibility.norm_vtp0: {fmt(report.norm_vtp0)}")
-        lines.append(f"compatibility.passed: {str(report.passed).lower()}")
-    per_eps = getattr(exc, "per_eps", None)
-    if per_eps:
-        for eps, val in per_eps:
-            lines.append(f"per_eps: {fmt(eps)} -> {fmt(val)}")
+        _compatibility(lines, report)
+    _per_eps(lines, getattr(exc, "per_eps", None) or ())
     step = getattr(exc, "step", None)
     if step is not None:
         lines.append(f"error.step: {step}")
 
 
 # --- handlers --------------------------------------------------------------
+# Each resolves its inputs and parameters, echoes the inputs, then calls;
+# an error report holds the lines appended before the error.
+
+def _rank_one_inputs(s: Scenario, name: str):
+    """Matrix ``name`` and the vectors u and v."""
+    return _resolve_matrix(s, name), _resolve_vector(s, "u"), _resolve_vector(s, "v")
+
+
+def _stream_inputs(s: Scenario, lines: list):
+    """H and the us/vs sequence, echoed."""
+    h = _resolve_matrix(s, "H")
+    seq = _seq_from(s)
+    _echo(lines, H=h, **{f"{x}{i}": getattr(up, x)
+                         for i, up in enumerate(seq.updates, start=1) for x in "uv"})
+    return h, seq
+
+
+def _lemma_inputs(s: Scenario, lines: list):
+    """H, U and V, echoed."""
+    h, u, v = (_resolve_matrix(s, name) for name in "HUV")
+    _echo(lines, H=h, U=u, V=v)
+    return h, u, v
+
+
+def _gramian_inputs(s: Scenario):
+    a = _resolve_matrix(s, "A")
+    b = _resolve_matrix(s, "B")
+    horizon = _param(s.parameters, "horizon", int, 1)
+    return dd.build_gramian(a, b, horizon)
+
 
 def _h_det_update(s, tol, lines):
-    from . import updates
-
-    h = _resolve_matrix(s, "H")
-    u = _resolve_vector(s, "u")
-    v = _resolve_vector(s, "v")
-    _echo_matrix(lines, "H", h)
-    _echo_vector(lines, "u", u)
-    _echo_vector(lines, "v", v)
-    lines.append("results:")
-    lines.append(f"det: {fmt(updates.det_rank_one(h, (u, v)))}")
+    h, u, v = _rank_one_inputs(s, "H")
+    _echo(lines, H=h, u=u, v=v)
+    lines.append("results:")  # before the call, so an error report holds it
+    lines.append(f"det: {fmt(dd.det_rank_one(h, (u, v)))}")
 
 
 def _h_det_sequence(s, tol, lines):
-    from . import updates
-
-    h = _resolve_matrix(s, "H")
-    seq = _seq_from(s)
-    _echo_matrix(lines, "H", h)
-    for i, up in enumerate(seq.updates, start=1):
-        _echo_vector(lines, f"u{i}", up.u)
-        _echo_vector(lines, f"v{i}", up.v)
-    trace = updates.det_sequence(h, seq)
-    lines.append("results:")
-    lines.append(f"det.initial: {fmt(trace.values[0])}")
+    trace = dd.det_sequence(*_stream_inputs(s, lines))
+    lines += ["results:", f"det.initial: {fmt(trace.values[0])}"]
     for k, (inc, val) in enumerate(zip(trace.increments, trace.values[1:]), start=1):
         lines.append(f"step {k}: increment: {fmt(inc)} value: {fmt(val)}")
     lines.append(f"det.final: {fmt(trace.final)}")
 
 
 def _h_logdet(s, tol, lines):
-    from . import updates
-
-    h = _resolve_matrix(s, "H")
-    seq = _seq_from(s)
-    _echo_matrix(lines, "H", h)
-    for i, up in enumerate(seq.updates, start=1):
-        _echo_vector(lines, f"u{i}", up.u)
-        _echo_vector(lines, f"v{i}", up.v)
-    trace = updates.logdet_sequence(h, seq, tol)
-    lines.append("results:")
-    lines.append(f"logdet.initial: {fmt(trace.base_logdet)}")
+    trace = dd.logdet_sequence(*_stream_inputs(s, lines), tol)
+    lines += ["results:", f"logdet.initial: {fmt(trace.base_logdet)}"]
     for k, (f, inc) in enumerate(zip(trace.factors, trace.log_increments), start=1):
         lines.append(f"step {k}: factor: {fmt(f)} log_increment: {fmt(inc)}")
-    lines.append(f"logdet.final: {fmt(trace.final_logdet)}")
-    lines.append(f"det.final: {fmt(trace.final_det)}")
+    lines += [f"logdet.final: {fmt(trace.final_logdet)}",
+              f"det.final: {fmt(trace.final_det)}"]
 
 
 def _h_drazin(s, tol, lines):
-    from . import drazin
-
     h = _resolve_matrix(s, "H")
-    _echo_matrix(lines, "H", h)
-    gi = drazin.group_inverse(h, tol)
+    _echo(lines, H=h)
+    gi = dd.group_inverse(h, tol)
     lines.append("results:")
-    _echo_matrix(lines, "H_drazin", gi.h_drazin)
-    _echo_matrix(lines, "P0", gi.projector)
-    lines.append(f"rank_q: {gi.rank_q}")
-    lines.append(f"nullity_nu: {gi.nullity_nu}")
+    _echo(lines, H_drazin=gi.h_drazin, P0=gi.projector)
+    lines += [f"rank_q: {gi.rank_q}", f"nullity_nu: {gi.nullity_nu}"]
 
 
 def _h_pdet(s, tol, lines):
-    from . import drazin
-
     h = _resolve_matrix(s, "H")
-    _echo_matrix(lines, "H", h)
-    res = drazin.pdet(h, tol)
-    lines.append("results:")
-    lines.append(f"pdet.value: {fmt(res.value)}")
-    lines.append(f"pdet.nullity: {res.nullity}")
-    lines.append(f"pdet.method: {res.method}")
+    _echo(lines, H=h)
+    res = dd.pdet(h, tol)
+    lines += ["results:", f"pdet.value: {fmt(res.value)}",
+              f"pdet.nullity: {res.nullity}", f"pdet.method: {res.method}"]
 
 
 def _h_pdet_lemma(s, tol, lines):
-    from . import drazin
-
-    h = _resolve_matrix(s, "H")
-    u = _resolve_matrix(s, "U")
-    v = _resolve_matrix(s, "V")
-    _echo_matrix(lines, "H", h)
-    _echo_matrix(lines, "U", u)
-    _echo_matrix(lines, "V", v)
-    rep = drazin.compatibility_check(h, u, v, tol)
+    h, u, v = _lemma_inputs(s, lines)
+    rep = dd.compatibility_check(h, u, v, tol)
     lines.append("results:")
-    lines.append(f"compatibility.norm_p0u: {fmt(rep.norm_p0u)}")
-    lines.append(f"compatibility.norm_vtp0: {fmt(rep.norm_vtp0)}")
-    lines.append(f"compatibility.passed: {str(rep.passed).lower()}")
-    value = drazin.pdet_lemma(h, u, v, tol)
-    lines.append(f"pdet_lemma.value: {fmt(value)}")
+    _compatibility(lines, rep)
+    lines.append(f"pdet_lemma.value: {fmt(dd.pdet_lemma(h, u, v, tol))}")
 
 
 def _h_regularized_limit(s, tol, lines):
-    from . import drazin
-
-    h = _resolve_matrix(s, "H")
-    u = _resolve_matrix(s, "U")
-    v = _resolve_matrix(s, "V")
-    _echo_matrix(lines, "H", h)
-    _echo_matrix(lines, "U", u)
-    _echo_matrix(lines, "V", v)
-    schedule = _schedule_from(s.parameters)
-    res = drazin.regularized_limit(h, u, v, schedule, tol)
+    h, u, v = _lemma_inputs(s, lines)
+    res = dd.regularized_limit(h, u, v, _schedule_from(s.parameters), tol)
     lines.append("results:")
-    for eps, val in res.per_eps:
-        lines.append(f"per_eps: {fmt(eps)} -> {fmt(val)}")
-    lines.append(f"estimate: {fmt(res.estimate)}")
-    lines.append(f"converged: {str(res.converged).lower()}")
+    _per_eps(lines, res.per_eps)
+    lines += [f"estimate: {fmt(res.estimate)}",
+              f"converged: {str(res.converged).lower()}"]
 
 
 def _h_secular(s, tol, lines):
-    from . import spectral, updates
-
-    a = _resolve_matrix(s, "A")
-    u = _resolve_vector(s, "u")
-    v = _resolve_vector(s, "v")
+    a, u, v = _rank_one_inputs(s, "A")
     z = _param(s.parameters, "lambda", _complex, 0.0)
-    if "us" in s.inputs:
-        prefix = _seq_from(s)
-    else:
-        prefix = updates.UpdateSequence(base_dim=a.shape[0])
-    _echo_matrix(lines, "A", a)
-    _echo_vector(lines, "u", u)
-    _echo_vector(lines, "v", v)
-    ev = spectral.secular_value(a, prefix, u, v, z, tol)
-    lines.append("results:")
-    lines.append(f"lambda: {fmt_complex(ev.lam)}")
-    lines.append(f"secular.value: {fmt_complex(ev.value)}")
-    lines.append(f"secular.resolvent_cond_flag: {str(ev.resolvent_cond_flag).lower()}")
+    prefix = _seq_from(s) if "us" in s.inputs else dd.UpdateSequence(base_dim=a.shape[0])
+    _echo(lines, A=a, u=u, v=v)
+    ev = dd.secular_value(a, prefix, u, v, z, tol)
+    lines += ["results:", f"lambda: {fmt_complex(ev.lam)}",
+              f"secular.value: {fmt_complex(ev.value)}",
+              f"secular.resolvent_cond_flag: {str(ev.resolvent_cond_flag).lower()}"]
 
 
 def _h_stability(s, tol, lines):
-    from . import spectral
-
-    a = _resolve_matrix(s, "A")
-    u = _resolve_vector(s, "u")
-    v = _resolve_vector(s, "v")
+    a, u, v = _rank_one_inputs(s, "A")
     samples = _param(s.parameters, "samples", int, 4096)
-    _echo_matrix(lines, "A", a)
-    _echo_vector(lines, "u", u)
-    _echo_vector(lines, "v", v)
-    cert = spectral.stability_preserved(a, u, v, samples, tol)
-    lines.append("results:")
-    lines.append(f"base_hurwitz: {str(cert.base_hurwitz).lower()}")
-    lines.append(f"winding: {cert.winding}")
-    lines.append(f"contour_radius: {fmt(cert.contour_radius)}")
-    lines.append(f"samples: {cert.samples}")
-    lines.append(f"rhp_eigs_oracle: {cert.rhp_eigs_oracle}")
-    lines.append(f"stable: {str(cert.stable).lower()}")
+    _echo(lines, A=a, u=u, v=v)
+    cert = dd.stability_preserved(a, u, v, samples, tol)
+    lines += ["results:", f"base_hurwitz: {str(cert.base_hurwitz).lower()}",
+              f"winding: {cert.winding}", f"contour_radius: {fmt(cert.contour_radius)}",
+              f"samples: {cert.samples}", f"rhp_eigs_oracle: {cert.rhp_eigs_oracle}",
+              f"stable: {str(cert.stable).lower()}"]
 
 
 def _h_covariance(s, tol, lines):
-    from . import control
-
     p = _resolve_matrix(s, "P")
     us = _resolve_vector_list(s, "us")
-    _echo_matrix(lines, "P", p)
-    trace = control.covariance_trace(p, us, tol)
-    lines.append("results:")
-    lines.append(f"logdet.initial: {fmt(trace.logdets[0])}")
+    _echo(lines, P=p)
+    trace = dd.covariance_trace(p, us, tol)
+    lines += ["results:", f"logdet.initial: {fmt(trace.logdets[0])}"]
     for k, (x, inc, ld) in enumerate(
         zip(trace.quad_forms, trace.increments, trace.logdets[1:]), start=1
     ):
         lines.append(
             f"step {k}: quad_form: {fmt(x)} increment: {fmt(inc)} logdet: {fmt(ld)}"
         )
-    lines.append(f"lower_bound: {fmt(trace.lower_bound)}")
-    lines.append(f"upper_bound: {fmt(trace.upper_bound)}")
+    lines += [f"lower_bound: {fmt(trace.lower_bound)}",
+              f"upper_bound: {fmt(trace.upper_bound)}"]
 
 
 def _h_info_filter(s, tol, lines):
-    from . import control
-
     p = _resolve_matrix(s, "P")
     vs = _resolve_vector_list(s, "vs")
-    _echo_matrix(lines, "P", p)
-    trace = control.info_filter_trace(p, vs, tol)
-    lines.append("results:")
-    lines.append(f"det.initial: {fmt(trace.dets[0])}")
+    _echo(lines, P=p)
+    trace = dd.info_filter_trace(p, vs, tol)
+    lines += ["results:", f"det.initial: {fmt(trace.dets[0])}"]
     for k, (f, d) in enumerate(zip(trace.factors, trace.dets[1:]), start=1):
         lines.append(f"step {k}: factor: {fmt(f)} det: {fmt(d)}")
     if trace.beta is not None:
@@ -487,34 +443,19 @@ def _h_info_filter(s, tol, lines):
         lines.append(f"geometric_bound: {fmt(trace.geometric_bound)}")
 
 
-def _gramian_inputs(s: Scenario):
-    from . import control
-
-    a = _resolve_matrix(s, "A")
-    b = _resolve_matrix(s, "B")
-    horizon = _param(s.parameters, "horizon", int, 1)
-    return control.build_gramian(a, b, horizon)
-
-
 def _h_gramian(s, tol, lines):
-    from . import control
-
     g = _gramian_inputs(s)
-    _echo_matrix(lines, "A", g.a)
-    _echo_matrix(lines, "B", g.b)
-    _echo_matrix(lines, "W", g.w)
-    schedule = _schedule_from(s.parameters)
-    growth = control.gramian_pdet_growth(g, schedule, tol)
-    lines.append("results:")
-    lines.append(f"rank_r: {growth.rank_r}")
+    _echo(lines, A=g.a, B=g.b, W=g.w)
+    growth = dd.gramian_pdet_growth(g, _schedule_from(s.parameters), tol)
+    lines += ["results:", f"rank_r: {growth.rank_r}"]
     eps_min = growth.eps_schedule[-1]
     for k, f in enumerate(growth.factors_per_eps[-1], start=1):
         lines.append(f"factor[{k}] at eps={fmt(eps_min)}: {fmt(f)}")
     for eps, res in zip(growth.eps_schedule, growth.identity_residuals):
         lines.append(f"identity_residual at eps={fmt(eps)}: {fmt(res)}")
-    lines.append(f"pdet.normalized_det: {fmt(growth.normalized_det_values[-1])}")
-    lines.append(f"pdet.factor_product: {fmt(growth.factor_product_values[-1])}")
-    lines.append(f"pdet.estimate: {fmt(growth.pdet_estimate)}")
+    lines += [f"pdet.normalized_det: {fmt(growth.normalized_det_values[-1])}",
+              f"pdet.factor_product: {fmt(growth.factor_product_values[-1])}",
+              f"pdet.estimate: {fmt(growth.pdet_estimate)}"]
     if growth.log_pdet is not None:
         lines.append(f"log_pdet: {fmt(growth.log_pdet)}")
 
@@ -525,8 +466,7 @@ def _h_ellipse_plot(s, tol, lines):
     if s.parameters.get("svg") is None:
         raise InputError("ellipse-plot needs an SVG output path (--svg)")
     path = _param(s.parameters, "svg", Path)
-    _echo_matrix(lines, "A", g.a)
-    _echo_matrix(lines, "B", g.b)
+    _echo(lines, A=g.a, B=g.b)
     if not path.is_absolute():
         path = s.base_dir / path
     ellipses = emit_ellipse_svg(g, eps, path)
@@ -538,29 +478,21 @@ def _h_ellipse_plot(s, tol, lines):
 
 
 def _h_perturb(s, tol, lines):
-    from . import control
-
     g = _gramian_inputs(s)
     noise = _param(s.parameters, "noise_scale", float, 0.0)
     trials = _param(s.parameters, "trials", int, 10)
     seed = _param(s.parameters, "seed", int, 0)
     schedule = _schedule_from(s.parameters)
-    _echo_matrix(lines, "A", g.a)
-    _echo_matrix(lines, "B", g.b)
-    rep = control.perturbed_gramian_experiment(g, noise, trials, seed,
-                                               schedule, tol)
-    lines.append("results:")
-    lines.append(f"noise_scale: {fmt(rep.noise_scale)}")
-    lines.append(f"trials: {rep.trials}")
-    lines.append(f"seed: {rep.seed}")
-    lines.append(f"nominal.rank: {rep.nominal_rank}")
-    lines.append(f"nominal.pdet: {fmt(rep.nominal_pdet)}")
+    _echo(lines, A=g.a, B=g.b)
+    rep = dd.perturbed_gramian_experiment(g, noise, trials, seed, schedule, tol)
+    lines += ["results:", f"noise_scale: {fmt(rep.noise_scale)}",
+              f"trials: {rep.trials}", f"seed: {rep.seed}",
+              f"nominal.rank: {rep.nominal_rank}", f"nominal.pdet: {fmt(rep.nominal_pdet)}"]
     for k, f in enumerate(rep.nominal_factors, start=1):
         lines.append(f"nominal.factor[{k}]: {fmt(f)}")
     for t, tr in enumerate(rep.per_trial):
         lines.append(f"trial {t}: rank: {tr.rank} pdet: {fmt(tr.pdet)}")
-    lines.append(f"mean.rank: {fmt(rep.mean_rank)}")
-    lines.append(f"mean.pdet: {fmt(rep.mean_pdet)}")
+    lines += [f"mean.rank: {fmt(rep.mean_rank)}", f"mean.pdet: {fmt(rep.mean_pdet)}"]
     for k, f in enumerate(rep.mean_factors, start=1):
         lines.append(f"mean.factor[{k}]: {fmt(f)}")
 
@@ -581,6 +513,7 @@ _HANDLERS = {
     "ellipse-plot": _h_ellipse_plot,
     "perturb-experiment": _h_perturb,
 }
+KINDS = tuple(_HANDLERS)
 
 
 # ---------------------------------------------------------------------------
@@ -594,19 +527,19 @@ def emit_ellipse_svg(g, eps: float, out_path) -> list:
     for fixed inputs. Returns the ellipse geometry list. Only 2-state
     systems can be drawn.
     """
-    from . import control
-
     n = g.w.shape[0]
     if n != 2:
         raise NotTwoDimensional(f"ellipse emission needs n = 2, got n = {n}")
     eps = float(eps)
     if eps <= 0.0:
         raise InputError("eps must be positive")
+    if not math.isfinite(eps):
+        raise InputError(f"eps must be finite, got {eps}")
     acc = eps * np.eye(2)
-    shapes = [control.reach_ellipse(acc)]
+    shapes = [dd.reach_ellipse(acc)]
     for u in g.directions:
         acc = acc + np.outer(u, u)
-        shapes.append(control.reach_ellipse(acc))
+        shapes.append(dd.reach_ellipse(acc))
     span = max(e.semi_axis_a for e in shapes) * 1.1
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -686,20 +619,16 @@ def main(argv=None) -> int:
         )
         return 1
     params = dict(scenario.parameters)
-    if args.tol_rel is not None:
-        params["tol_rel"] = args.tol_rel
     if args.eps_min is not None:
         params.pop("eps_schedule", None)
-        params["eps_min"] = args.eps_min
-    if args.seed is not None:
-        params["seed"] = args.seed
     if args.svg is not None:
         # flag paths anchor at the working directory, scenario-document
         # paths at the scenario file
-        params["svg"] = str(Path(args.svg).absolute())
-    scenario = Scenario(kind=scenario.kind, inputs=scenario.inputs,
-                        parameters=params, base_dir=scenario.base_dir)
-    report = run_scenario(scenario)
+        args.svg = str(Path(args.svg).absolute())
+    for key in ("tol_rel", "eps_min", "seed", "svg"):
+        if getattr(args, key) is not None:
+            params[key] = getattr(args, key)
+    report = run_scenario(replace(scenario, parameters=params))
     text = report.render()
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")

@@ -486,6 +486,8 @@ def perturbed_gramian_experiment(g: GramianBuild, noise_scale: float,
     """
     if noise_scale < 0.0:
         raise ValueError("noise_scale must be >= 0")
+    if not math.isfinite(noise_scale):
+        raise ValueError(f"noise_scale must be finite, got {noise_scale}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     n = g.w.shape[0]

@@ -234,6 +234,9 @@ class RegularizedLimitResult:
 def default_eps_schedule(eps_max: float = 1e-1, eps_min: float = 1e-8,
                          ratio: float = 0.1) -> tuple:
     """Geometric schedule, eps_max down to eps_min."""
+    if eps_min <= 0.0 or ratio >= 1.0 or eps_max == np.inf:
+        raise ValueError("an eps schedule ends only for eps_min > 0, ratio < 1 "
+                         f"and a finite eps_max, got {eps_min}, {ratio}, {eps_max}")
     out = []
     e = eps_max
     while e >= eps_min * (1.0 - 1e-12):

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -23,6 +24,7 @@ from detdyn.errors import (
     CompatibilityViolated,
     HypothesisViolation,
     IndexGreaterThanOne,
+    InputError,
     IntermediateSingular,
     NonPositiveDeterminant,
     NotTwoDimensional,
@@ -77,6 +79,25 @@ class TestParseMatrixFile:
         p = tmp_path / "m.json"
         p.write_text('{"matrix": [[5]]}')
         assert np.array_equal(parse_matrix_file(p), np.array([[5.0]]))
+
+    def test_csv_with_byte_order_mark(self, tmp_path):
+        p = tmp_path / "m.csv"
+        p.write_bytes(b"\xef\xbb\xbf1,2\n3,4\n")
+        assert np.array_equal(parse_matrix_file(p), np.array([[1.0, 2.0], [3.0, 4.0]]))
+
+    def test_json_error_position_counts_leading_blank_lines(self, tmp_path):
+        p = tmp_path / "m.json"
+        p.write_text("\n\n[[1, 2],\n [3 4]]")
+        with pytest.raises(ParseError) as exc:
+            parse_matrix_file(p)
+        assert (exc.value.line, exc.value.column) == (4, 5)
+
+    def test_scenario_with_byte_order_mark(self, tmp_path):
+        p = tmp_path / "s.json"
+        p.write_bytes(b"\xef\xbb\xbf" + json.dumps(
+            {"kind": "pdet", "inputs": {"H": A_SING}}).encode("utf-8"))
+        sc = load_scenario(p)
+        assert sc.kind == "pdet" and sc.inputs == {"H": A_SING}
 
 
 class TestRunScenario:
@@ -297,6 +318,72 @@ class TestEveryKind:
         assert (tmp_path / "out.svg").exists()
 
 
+LAYOUTS = Path(__file__).with_name("report_layouts.txt")
+FLOAT = re.compile(r"(?<![\w.])-?(?:\d+\.\d*(?:e[+-]?\d+)?|\d+e[+-]?\d+|inf|nan)(?![\w.])")
+
+
+def report_layout(text: str, base_dir) -> str:
+    """A report with its scenario directory masked as <dir> and every float
+    literal as <f>: its line order, labels and echo blocks, not its digits."""
+    return FLOAT.sub("<f>", text.replace(str(base_dir), "<dir>"))
+
+
+def pinned_layouts() -> dict:
+    """The layouts in LAYOUTS, by case name (its ``=== name`` line)."""
+    out, name = {}, None
+    for line in LAYOUTS.read_text(encoding="utf-8").splitlines():
+        if line.startswith("=== "):
+            name = line[4:]
+            out[name] = ""
+        elif name is not None:
+            out[name] += line + "\n"
+    return out
+
+
+class TestReportLayout:
+    """Every kind's report, and an exit-1 and an exit-2 report per handler
+    family, keep the layout pinned in report_layouts.txt."""
+
+    GRAMIAN = {"A": [[0.72, 0.55], [-0.18, 0.78]], "B": [[1.0], [0.15]]}
+    CASES = {
+        **{f"{kind}.exit-0": (kind, spec["inputs"], spec["parameters"])
+           for kind, spec in TestEveryKind.SCENARIOS.items()},
+        "ellipse-plot.exit-0": ("ellipse-plot", GRAMIAN,
+                                {"horizon": 4, "eps": 0.05, "svg": "out.svg"}),
+        # updates: u too short, after the echo; a negative determinant
+        "det-update.exit-1": ("det-update", {"H": A_SING, "u": [0.0, 1.0],
+                                             "v": [0.3, -1.2, 2.0]}, {}),
+        "logdet.exit-2": ("logdet", {"H": [[1.0, 0.0], [0.0, 1.0]], "us": [[1.0, 0.0]],
+                                     "vs": [[-2.0, 0.0]]}, {}),
+        # drazin: U of the wrong height; U outside the range of H
+        "pdet-lemma.exit-1": ("pdet-lemma", {"H": A_SING, "U": [[1.0], [0.0]],
+                                             "V": [[0.25], [0.7], [0.0]]}, {"tol_rel": 1e-9}),
+        "pdet-lemma.exit-2": ("pdet-lemma", {"H": A_SING, "U": [[0.0], [0.0], [1.0]],
+                                             "V": [[0.25], [0.7], [0.0]]}, {"tol_rel": 1e-9}),
+        # spectral: a one-entry lambda; an unstable base
+        "secular.exit-1": ("secular", {"A": [[-1.0, 0.0], [0.0, -2.0]], "u": [1.0, 0.0],
+                                       "v": [3.0, 0.0]}, {"lambda": [1]}),
+        "stability.exit-2": ("stability", {"A": [[1.0, 0.0], [0.0, -2.0]], "u": [1.0, 0.0],
+                                           "v": [3.0, 0.0]}, {}),
+        # control: a negative noise scale; a sweep too coarse to settle
+        "perturb-experiment.exit-1": ("perturb-experiment", GRAMIAN,
+                                      {"horizon": 4, "trials": 2, "noise_scale": -0.1}),
+        "gramian.exit-2": ("gramian", GRAMIAN, {"horizon": 4, "tol_rel": 1e-9,
+                                                "eps_schedule": [1.0, 0.5, 0.25]}),
+    }
+
+    def test_every_pinned_layout_has_a_case(self):
+        assert set(pinned_layouts()) == set(self.CASES)
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_layout_is_pinned(self, tmp_path, name):
+        kind, inputs, params = self.CASES[name]
+        rep = run_scenario(load_scenario(write_scenario(tmp_path, {
+            "kind": kind, "inputs": inputs, "parameters": params})))
+        assert rep.exit_code == int(name[-1])
+        assert report_layout(rep.render(), tmp_path) == pinned_layouts()[name]
+
+
 class TestRoundTrip:
     def test_echoed_matrix_reparses_exactly(self, tmp_path, rng):
         h = rng.standard_normal((3, 3)) / 3.0
@@ -357,6 +444,12 @@ class TestSvg:
         g = build_gramian(np.zeros((3, 3)), np.ones((3, 1)), 2)
         with pytest.raises(NotTwoDimensional):
             emit_ellipse_svg(g, 0.1, tmp_path / "x.svg")
+
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf")])
+    def test_non_finite_eps_rejected(self, tmp_path, eps):
+        with pytest.raises(InputError, match="eps must be finite"):
+            emit_ellipse_svg(self.build(), eps, tmp_path / "x.svg")
+        assert not (tmp_path / "x.svg").exists()
 
 
 class TestMain:
@@ -509,3 +602,29 @@ class TestBadParameters:
         out = self.run(tmp_path, capsys, "gramian", self.GRAMIAN,
                        {"horizon": 4, "eps_schedule": 5})
         assert "error: InputError" in out and "'eps_schedule'" in out
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_perturb_non_finite_noise(self, tmp_path, capsys, value):
+        out = self.run(tmp_path, capsys, "perturb-experiment", self.GRAMIAN,
+                       {"horizon": 4, "trials": 2, "noise_scale": value})
+        assert "error: ValueError" in out and "noise_scale must be finite" in out
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_ellipse_non_finite_eps(self, tmp_path, capsys, value):
+        out = self.run(tmp_path, capsys, "ellipse-plot", self.GRAMIAN,
+                       {"horizon": 4, "eps": value, "svg": "out.svg"})
+        assert "error: InputError" in out and "eps must be finite" in out
+
+    @pytest.mark.parametrize("value", ["0", "-1e-3", "-inf"])
+    def test_eps_min_not_positive(self, tmp_path, capsys, value):
+        out = self.run(tmp_path, capsys, "gramian", self.GRAMIAN, {"horizon": 4},
+                       f"--eps-min={value}")
+        assert "error: ValueError" in out and "eps_min > 0" in out
+
+    @pytest.mark.parametrize("kind,inputs", [
+        ("det-update", {"H": A_SING, "u": {"a": 1}, "v": [0.3, -1.2, 2.0]}),
+        ("covariance", {"P": [[1.0, 0.0], [0.0, 1.0]], "us": [{"a": 1}]}),
+    ])
+    def test_vector_given_as_object(self, tmp_path, capsys, kind, inputs):
+        out = self.run(tmp_path, capsys, kind, inputs, {})
+        assert "error: InputError" in out and "non-numeric" in out

@@ -701,6 +701,12 @@ class TestPerturbedExperiment:
         with pytest.raises(ValueError):
             perturbed_gramian_experiment(g, 0.1, trials=0, seed=0)
 
+    @pytest.mark.parametrize("noise", [math.nan, math.inf])
+    def test_rejects_non_finite_noise(self, noise):
+        g = build_gramian(A_DEMO, B_DEMO, 2)
+        with pytest.raises(ValueError, match="noise_scale must be finite"):
+            perturbed_gramian_experiment(g, noise, trials=2, seed=0)
+
 
 def displaced_directions(g, noise_scale: float, seed: int, t: int) -> list:
     """Trial t's directions, drawn as perturbed_gramian_experiment draws them."""

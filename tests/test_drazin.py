@@ -485,6 +485,13 @@ class TestRegularizedLimit:
         assert sched[0] == 1e-1
         assert abs(sched[-1] - 1e-8) <= 1e-22
 
+    @pytest.mark.parametrize("kwargs", [{"eps_min": 0.0}, {"eps_min": -1e-3},
+                                        {"eps_min": -math.inf}, {"ratio": 1.0},
+                                        {"eps_max": math.inf}])
+    def test_default_schedule_that_never_ends_is_refused(self, kwargs):
+        with pytest.raises(ValueError, match="eps_min > 0"):
+            default_eps_schedule(**kwargs)
+
 
 def lemma_case(seed: int):
     rng = np.random.default_rng(seed)
