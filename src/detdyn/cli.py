@@ -247,6 +247,21 @@ def _param(params: dict, key: str, convert, default=None):
                          f"{value!r}") from None
 
 
+_COUNT_CAP = 2 ** 16  # the most trials, or horizon x columns of B, a scenario takes
+
+
+def _count(params: dict, key: str, default: int, cap: float = math.inf) -> int:
+    """Integer parameter ``key``; a bool, a number with a fraction part or
+    a value above ``cap`` is refused before the work it sizes is allocated."""
+    value = params.get(key, default)
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise InputError(f"parameter {key!r} is not an integer: {value!r}")
+    value = _param(params, key, int, default)
+    if value > cap:
+        raise InputError(f"parameter {key!r} is {value}, above its cap {cap}")
+    return value
+
+
 def _complex(x) -> complex:
     """A real number, or [re, im]."""
     re, im = x if isinstance(x, list) else (x, 0.0)
@@ -329,7 +344,7 @@ def _lemma_inputs(s: Scenario, lines: list):
 def _gramian_inputs(s: Scenario):
     a = _resolve_matrix(s, "A")
     b = _resolve_matrix(s, "B")
-    horizon = _param(s.parameters, "horizon", int, 1)
+    horizon = _count(s.parameters, "horizon", 1, _COUNT_CAP // max(1, b.shape[1]))
     return dd.build_gramian(a, b, horizon)
 
 
@@ -404,7 +419,7 @@ def _h_secular(s, tol, lines):
 
 def _h_stability(s, tol, lines):
     a, u, v = _rank_one_inputs(s, "A")
-    samples = _param(s.parameters, "samples", int, 4096)
+    samples = _count(s.parameters, "samples", 4096, dd.spectral._SAMPLE_CAP)
     _echo(lines, A=a, u=u, v=v)
     cert = dd.stability_preserved(a, u, v, samples, tol)
     lines += ["results:", f"base_hurwitz: {str(cert.base_hurwitz).lower()}",
@@ -480,8 +495,8 @@ def _h_ellipse_plot(s, tol, lines):
 def _h_perturb(s, tol, lines):
     g = _gramian_inputs(s)
     noise = _param(s.parameters, "noise_scale", float, 0.0)
-    trials = _param(s.parameters, "trials", int, 10)
-    seed = _param(s.parameters, "seed", int, 0)
+    trials = _count(s.parameters, "trials", 10, _COUNT_CAP)
+    seed = _count(s.parameters, "seed", 0)
     schedule = _schedule_from(s.parameters)
     _echo(lines, A=g.a, B=g.b)
     rep = dd.perturbed_gramian_experiment(g, noise, trials, seed, schedule, tol)

@@ -74,9 +74,10 @@ class GramianGrowth:
     counting those above the tolerance cutoff of W. For
     each eps the per-step factors 1 + u_l^T Wtil_{l-1}(eps)^{-1} u_l are
     recorded together with the relative residual of the product identity
-    det(Wtil(eps)) = eps^n prod(factors); normalized_det_values hold the
-    limit eps^{-(n-r)} det(eps I + W) and factor_product_values the
-    equivalent eps^r prod(factors), the sweep that confirms the estimate.
+    det(Wtil(eps)) = eps^n prod(factors), divided by eps^(n-r): the sweep
+    normalized_det_values holds eps^{-(n-r)} det(eps I + W) as prod_{i<r}
+    (sigma_i^2 + eps) prod_{i>=r} (1 + sigma_i^2 / eps), and
+    factor_product_values holds exp(sum log(factors) + r log eps).
     """
 
     eps_schedule: tuple
@@ -388,21 +389,18 @@ def growth_from_directions(directions, n: int, schedule=None,
     schedule, s2, ranks, pdets, factors = _grow(dirs, schedule, tol)
     s2, factors, r, pdet_est = s2[0], factors[0], int(ranks[0]), float(pdets[0])
     eps = np.array(schedule)
-    k = s2.size
-    prod = np.prod(factors, axis=0)
-    lhs = eps ** (n - k) * np.prod(s2[:, None] + eps, axis=0)
-    residuals = np.abs(lhs - eps ** n * prod) / np.maximum(np.abs(lhs), 1e-300)
-    norm_det = tuple((lhs / eps ** (n - r)).tolist())
-    fac_prod = tuple((eps ** r * prod).tolist())
+    norm_det = np.prod(s2[:r, None] + eps, axis=0) * np.prod(1.0 + s2[r:, None] / eps, axis=0)
+    fac_prod = np.exp(np.sum(np.log(factors), axis=0) + r * np.log(eps))
+    residuals = np.abs(norm_det - fac_prod) / np.maximum(norm_det, 1e-300)
     if raise_on_diverge:
         _require_settled(pdet_est, (norm_det[-1], fac_prod[-1]),
-                         tuple(zip(schedule, norm_det)))
+                         tuple(zip(schedule, norm_det.tolist())))
     return GramianGrowth(
         eps_schedule=schedule,
         factors_per_eps=tuple(map(tuple, factors.T.tolist())),
         identity_residuals=tuple(residuals.tolist()),
-        normalized_det_values=norm_det,
-        factor_product_values=fac_prod,
+        normalized_det_values=tuple(norm_det.tolist()),
+        factor_product_values=tuple(fac_prod.tolist()),
         rank_r=r,
         pdet_estimate=pdet_est,
         log_pdet=math.log(pdet_est) if pdet_est > 0.0 else None,
@@ -477,12 +475,13 @@ def perturbed_gramian_experiment(g: GramianBuild, noise_scale: float,
     Trial t draws its L Gaussian directions and L radius fractions at
     once from a child seed (seed, t), so runs are reproducible and trials
     are independent. noise_scale = 0 reproduces the nominal
-    directions exactly. The schedule is resolved once by the nominal run,
-    so eps_reference names one eps. The trials then grow on that schedule
-    as one stack, every factorization one batched LAPACK call for all of
-    them, each trial keeping its own cutoff, rank and estimate. When the
-    stack would pass _STACK_FLOATS floats, consecutive chunks of trials go
-    through in turn, with the same report.
+    directions exactly. The nominal directions are set 0 of the stack and
+    the trials follow, all grown in one pass, every factorization one
+    batched LAPACK call for all of them, each set keeping its own cutoff,
+    rank and estimate; a default schedule is scaled by the nominal set, so
+    eps_reference names one eps. When the stack would pass _STACK_FLOATS
+    floats, consecutive chunks go through in turn on the first chunk's
+    schedule, with the same report.
     """
     if noise_scale < 0.0:
         raise ValueError("noise_scale must be >= 0")
@@ -491,44 +490,37 @@ def perturbed_gramian_experiment(g: GramianBuild, noise_scale: float,
     if trials < 1:
         raise ValueError("trials must be >= 1")
     n = g.w.shape[0]
-    nominal = growth_from_directions(g.directions, n, schedule, tol,
-                                     raise_on_diverge=False)
-    schedule = nominal.eps_schedule
     nsteps = len(g.directions)
     nominal_dirs = np.reshape(g.directions, (nsteps, n))
     norms = np.linalg.norm(nominal_dirs, axis=1)
     radii = noise_scale * np.where(norms > 0.0, norms, np.max(norms, initial=0.0))
     width = min(n, nsteps)
-    chunk = max(1, _STACK_FLOATS // max(1, nsteps * width * (width + len(schedule))))
-    per_trial = []
-    for first in range(0, trials, chunk):
-        dirs = np.empty((min(chunk, trials - first), nsteps, n))
-        for b, t in enumerate(range(first, first + len(dirs))):
+    schedule = None if schedule is None else _eps_schedule(schedule, 1.0)
+    per_set = nsteps * width * (width + len(_eps_schedule(schedule, 1.0)))
+    chunk = max(1, _STACK_FLOATS // per_set)
+    grown = []
+    for first in range(0, trials + 1, chunk):
+        dirs = np.repeat(nominal_dirs[None], min(chunk, trials + 1 - first), axis=0)
+        for s in range(max(first, 1), first + len(dirs)):  # set s is trial s - 1
             rng = np.random.default_rng(np.random.SeedSequence(entropy=int(seed),
-                                                               spawn_key=(t,)))
+                                                               spawn_key=(s - 1,)))
             z = rng.standard_normal((nsteps, n))
             frac = rng.random(nsteps) ** (1.0 / n)
-            dirs[b] = nominal_dirs + (radii * frac / np.linalg.norm(z, axis=1))[:, None] * z
-        _, _, ranks, pdets, factors = _grow(dirs, schedule, tol)
-        per_trial.extend(
-            PerturbationTrial(rank=rank, pdet=pdet, factors=tuple(last))
-            for rank, pdet, last in zip(ranks.tolist(), pdets.tolist(),
-                                        factors[:, :, -1].tolist()))
-    mean_rank = sum(tr.rank for tr in per_trial) / trials
-    mean_pdet = sum(tr.pdet for tr in per_trial) / trials
-    mean_factors = tuple(
-        sum(tr.factors[k] for tr in per_trial) / trials for k in range(nsteps)
-    )
+            dirs[s - first] += (radii * frac / np.linalg.norm(z, axis=1))[:, None] * z
+        schedule, _, ranks, pdets, factors = _grow(dirs, schedule, tol)
+        grown += zip(ranks.tolist(), pdets.tolist(), factors[:, :, -1].tolist())
+    (nominal_rank, nominal_pdet, nominal_factors), *rest = grown
+    ranks, pdets, lasts = zip(*rest)
     return PerturbationReport(
         noise_scale=float(noise_scale),
         trials=int(trials),
         seed=int(seed),
         eps_reference=schedule[-1],
-        nominal_rank=nominal.rank_r,
-        nominal_pdet=nominal.pdet_estimate,
-        nominal_factors=nominal.factors_per_eps[-1],
-        per_trial=tuple(per_trial),
-        mean_rank=mean_rank,
-        mean_pdet=mean_pdet,
-        mean_factors=mean_factors,
+        nominal_rank=nominal_rank,
+        nominal_pdet=nominal_pdet,
+        nominal_factors=tuple(nominal_factors),
+        per_trial=tuple(PerturbationTrial(rank, pdet, tuple(last)) for rank, pdet, last in rest),
+        mean_rank=sum(ranks) / trials,
+        mean_pdet=sum(pdets) / trials,
+        mean_factors=tuple(sum(column) / trials for column in zip(*lasts)),
     )

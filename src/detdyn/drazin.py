@@ -263,10 +263,9 @@ def _eps_schedule(schedule, smallest: float) -> tuple:
     schedule = tuple(float(e) for e in schedule)
     if len(schedule) < 3:
         raise ScheduleTooShort(f"need at least 3 epsilons, got {len(schedule)}")
-    if any(e <= 0 for e in schedule) or any(
-        y >= x for x, y in zip(schedule, schedule[1:])
-    ):
-        raise ValueError("schedule must be strictly decreasing and positive")
+    if not (np.isfinite(schedule[0]) and schedule[-1] > 0.0
+            and all(x > y for x, y in zip(schedule, schedule[1:]))):
+        raise ValueError("schedule must be finite, positive and strictly decreasing")
     return schedule
 
 
@@ -289,22 +288,16 @@ def regularized_limit(h, u, v, schedule=None,
 
     The default schedule is default_eps_schedule() scaled by the smallest
     of the n - nu largest eigenvalue magnitudes of H + U V^T (never below
-    H's cutoff); an explicit one is taken as absolute. NotConverged is
-    raised unless the smallest-eps value lies within 1e-6 relative of the
-    closed form, or as soon as eps ** nu underflows to zero, with the sweep
-    up to there. The determinants use machine tolerance regardless of
-    ``tol``, which governs rank and compatibility decisions only (a loose
-    cutoff would zero the eps-sized singular values being measured).
+    H's cutoff); an explicit one is taken as absolute. The sweep is one
+    batched LU over the schedule, read as sign exp(log|det| - nu log eps),
+    so no power of eps can under- or overflow. NotConverged, with the
+    sweep, is raised unless the smallest-eps value lies within 1e-6
+    relative of the closed form. ``tol`` governs rank and compatibility.
     """
     a, m, nu, estimate = _lemma(h, u, v, tol)
     mags = np.sort(np.abs(kernel.eigenvalues(m).eigenvalues))
-    schedule = _eps_schedule(schedule, max(float(mags[nu]), tol.cutoff(a)))
-    eye = np.eye(a.shape[0])
-    per_eps = ()
-    for eps in schedule:
-        if eps ** nu == 0.0:
-            raise NotConverged(f"eps ** {nu} underflows at eps = {eps:.3e}", per_eps)
-        per_eps += ((eps, kernel.det(m + eps * eye) / eps ** nu),)
+    eps = np.array(_eps_schedule(schedule, max(float(mags[nu]), tol.cutoff(a))))
+    sign, logdet = np.linalg.slogdet(m + eps[:, None, None] * np.eye(a.shape[0]))
+    per_eps = tuple(zip(eps.tolist(), (sign * np.exp(logdet - nu * np.log(eps))).tolist()))
     _require_settled(estimate, (per_eps[-1][1],), per_eps)
-    return RegularizedLimitResult(estimate=estimate, per_eps=per_eps,
-                                  converged=True)
+    return RegularizedLimitResult(estimate=estimate, per_eps=per_eps, converged=True)

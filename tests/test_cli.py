@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from detdyn import ParseError, RaggedRows, build_gramian
+from detdyn import ParseError, RaggedRows, build_gramian, cli, spectral
 from detdyn.cli import (
     KINDS,
     Scenario,
@@ -620,6 +620,49 @@ class TestBadParameters:
         out = self.run(tmp_path, capsys, "gramian", self.GRAMIAN, {"horizon": 4},
                        f"--eps-min={value}")
         assert "error: ValueError" in out and "eps_min > 0" in out
+
+    STABILITY = {"A": [[-1.0, 0.0], [0.0, -2.0]], "u": [1.0, 0.0], "v": [0.5, 0.0]}
+
+    @pytest.mark.parametrize("kind,key,value", [
+        ("gramian", "horizon", 2.7),  # once a horizon-2 Gramian
+        ("gramian", "horizon", True),
+        ("gramian", "horizon", float("inf")),  # once an OverflowError traceback
+        ("perturb-experiment", "trials", True),  # once one trial
+        ("perturb-experiment", "trials", 2.5),
+        ("perturb-experiment", "seed", 1.5),
+        ("perturb-experiment", "seed", False),
+        ("stability", "samples", 9.9),  # once 9 samples
+    ])
+    def test_count_not_an_integer(self, tmp_path, capsys, kind, key, value):
+        inputs = self.STABILITY if kind == "stability" else self.GRAMIAN
+        out = self.run(tmp_path, capsys, kind, inputs, {"horizon": 2, "trials": 2, key: value})
+        assert "error: InputError" in out and f"'{key}' is not an integer" in out
+
+    @pytest.mark.parametrize("kind,key,value", [
+        ("gramian", "horizon", 1e308),  # once allocated until MemoryError
+        ("ellipse-plot", "horizon", cli._COUNT_CAP + 1),
+        ("perturb-experiment", "trials", 1e308),  # once ran without end
+        ("perturb-experiment", "trials", cli._COUNT_CAP + 1),
+        ("stability", "samples", spectral._SAMPLE_CAP + 1),
+    ])
+    def test_count_above_cap(self, tmp_path, capsys, kind, key, value):
+        inputs = self.STABILITY if kind == "stability" else self.GRAMIAN
+        out = self.run(tmp_path, capsys, kind, inputs,
+                       {"horizon": 2, "trials": 2, "svg": "out.svg", key: value})
+        assert "error: InputError" in out and f"'{key}' is {int(value)}, above its cap" in out
+        assert not (tmp_path / "out.svg").exists()
+
+    def test_directions_above_cap(self, tmp_path, capsys):
+        # the cap bounds horizon times the columns of B, the direction count
+        inputs = {"A": self.GRAMIAN["A"], "B": [[1.0, 0.0], [0.15, 1.0]]}
+        out = self.run(tmp_path, capsys, "gramian", inputs,
+                       {"horizon": cli._COUNT_CAP // 2 + 1})
+        assert f"above its cap {cli._COUNT_CAP // 2}" in out
+
+    def test_b_without_columns(self, tmp_path, capsys):
+        out = self.run(tmp_path, capsys, "gramian", {"A": self.GRAMIAN["A"], "B": [[], []]},
+                       {"horizon": 2})
+        assert "error: DimensionMismatch" in out
 
     @pytest.mark.parametrize("kind,inputs", [
         ("det-update", {"H": A_SING, "u": {"a": 1}, "v": [0.3, -1.2, 2.0]}),

@@ -563,6 +563,39 @@ def test_growth_against_mpmath(name):
     assert np.max(np.abs(got - want) / want) <= 1e-11
 
 
+@pytest.mark.parametrize("n", [32, 48, 64])
+def test_growth_of_gaussian_directions_at_size(n):
+    # n directions in R^n: eps^n and the product of the factors under- and
+    # overflowed while the sweep formed them as powers
+    dirs = list(np.random.default_rng(n).standard_normal((n, n)))
+    growth = growth_from_directions(dirs, n)
+    with mpmath.workdps(30):
+        ref = float(mpmath.det(mpmath.matrix(np.array(dirs).tolist())) ** 2)
+    assert growth.rank_r == n
+    assert abs(growth.pdet_estimate - ref) <= 1e-12 * ref
+    assert max(growth.identity_residuals) <= 1e-10
+
+
+@pytest.mark.parametrize("schedule", [[math.inf, 1e-3, 1e-4], [0.1, math.nan, 1e-4]])
+def test_non_finite_schedule_refused(schedule):
+    # NaN once passed the schedule check and came back as NaN sweep values
+    g = build_gramian(A_DEMO, B_DEMO, 4)
+    with pytest.raises(ValueError, match="finite"):
+        gramian_pdet_growth(g, schedule, TOL9)
+    with pytest.raises(ValueError, match="finite"):
+        perturbed_gramian_experiment(g, 0.1, 2, 0, schedule, TOL9)
+
+
+def test_growth_of_one_unit_direction_in_r64():
+    # eps^(n-k) with n - k = 63 underflowed to zero at every eps
+    e = np.zeros(64)
+    e[0] = 1.0
+    growth = growth_from_directions([e], 64)
+    assert growth.rank_r == 1
+    assert growth.pdet_estimate == 1.0
+    assert max(growth.identity_residuals) <= 1e-10
+
+
 def count_lapack(monkeypatch) -> list:
     """Calls of np.linalg.qr, svd and eigh made from detdyn.control."""
     return count_linalg(monkeypatch, ("detdyn.control",),
@@ -612,14 +645,18 @@ def test_generic_stable_growth(n):
         assert abs(growth.pdet_estimate - ref) <= 1e-10 * ref
 
 
-def test_overflowing_factor_product_not_converged():
-    # n = 32, horizon 32: eps^r times the product of the factors overflows
-    # to inf * 0 = NaN in factor_product_values, which the gate must refuse
+def test_overflowing_factor_product_converges():
+    # n = 32, horizon 32: eps^r times the product of the factors overflowed
+    # to inf * 0 = NaN in factor_product_values while both are formed as
+    # powers; in log form the sweep settles on the closed form
     rng = np.random.default_rng(0)
     a = 0.9 * rng.standard_normal((32, 32)) / np.sqrt(32)
     g = build_gramian(a, rng.standard_normal((32, 2)), 32)
-    with np.errstate(all="ignore"), pytest.raises(NotConverged):
-        gramian_pdet_growth(g)
+    growth = gramian_pdet_growth(g)
+    _, r, ref = mp_gramian_spectrum(g.directions, 2.0 ** -52)
+    assert growth.rank_r == r == 32
+    assert abs(growth.pdet_estimate - ref) <= 1e-10 * ref
+    assert max(growth.identity_residuals) <= 1e-10
 
 
 class TestReachEllipse:
@@ -772,27 +809,27 @@ def test_experiment_factorizations_do_not_grow_with_trials(monkeypatch):
     one = tally(calls)
     calls.clear()
     perturbed_gramian_experiment(g, 0.1, trials=16, seed=1, tol=TOL9)
-    # the nominal growth and one stacked pass, each with one QR of the
+    # one stacked pass, the nominal as its set 0, with one QR of the
     # directions and one between consecutive blocks, one SVD of the
     # directions and one per block
-    assert tally(calls) == one == {"qr": 2 * 3, "svd": 2 * 4, "eigh": 0}
+    assert tally(calls) == one == {"qr": 3, "svd": 4, "eigh": 0}
 
 
 def test_experiment_chunks_match_one_pass(monkeypatch):
-    # n = 6, horizon 40: each trial holds L k (k + 8) = 3360 floats, so 200
-    # trials cross the stack budget; per pass, 7 blocks of 6 steps take 7
-    # QRs and 8 SVDs
+    # n = 6, horizon 40: each set holds L k (k + 8) = 3360 floats, so the
+    # nominal and 200 trials cross the stack budget; per pass, 7 blocks of
+    # 6 steps take 7 QRs and 8 SVDs
     a, b = stable_system(8, 6)
     g = build_gramian(a, b, 40)
     trials = 200
     chunk = control._STACK_FLOATS // (40 * 6 * (6 + 8))
-    chunks = -(-trials // chunk)
+    chunks = -(-(trials + 1) // chunk)
     assert chunks > 1
     calls = count_lapack(monkeypatch)
     chunked = perturbed_gramian_experiment(g, 0.1, trials=trials, seed=5, tol=TOL9)
-    assert tally(calls) == {"qr": (1 + chunks) * 7, "svd": (1 + chunks) * 8, "eigh": 0}
+    assert tally(calls) == {"qr": chunks * 7, "svd": chunks * 8, "eigh": 0}
     monkeypatch.setattr(control, "_STACK_FLOATS", 1 << 40)
     calls.clear()
     whole = perturbed_gramian_experiment(g, 0.1, trials=trials, seed=5, tol=TOL9)
-    assert tally(calls) == {"qr": 2 * 7, "svd": 2 * 8, "eigh": 0}
+    assert tally(calls) == {"qr": 7, "svd": 8, "eigh": 0}
     assert chunked == whole

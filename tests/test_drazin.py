@@ -452,6 +452,13 @@ class TestRegularizedLimit:
         with pytest.raises(ScheduleTooShort):
             regularized_limit(A_SING, u, u, schedule=[1e-1, 1e-2], tol=TOL9)
 
+    @pytest.mark.parametrize("schedule", [[math.inf, 1e-3, 1e-4], [0.1, math.nan, 1e-4],
+                                          [0.1, 1e-3, math.nan]])
+    def test_non_finite_schedule_refused(self, schedule):
+        u = np.array([1.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="finite"):
+            regularized_limit(A_SING, u, np.array([0.25, 0.7, 0.0]), schedule, TOL9)
+
     def test_not_converged_carries_table(self):
         u = np.array([1.0, 0.0, 0.0])
         v = np.array([0.25, 0.7, 0.0])
@@ -464,14 +471,37 @@ class TestRegularizedLimit:
         with pytest.raises(CompatibilityViolated):
             regularized_limit(A_SING, u, u, tol=TOL9)
 
-    def test_eps_power_underflow_not_converged(self):
+    def test_eps_power_underflow_converges(self):
         # nu = 15 on a scaled schedule down to eps = 1e-22: eps ** 15
-        # underflows to 0.0 before the sweep ends
+        # underflows to 0.0 before the sweep ends, which the log-form sweep
+        # never forms
         h = np.diag([1.0, 1e-14] + [0.0] * 15)
         u = np.zeros((17, 1))
-        with pytest.raises(NotConverged) as exc:
-            regularized_limit(h, u, u)
-        assert all(eps ** 15 > 0.0 for eps, _ in exc.value.per_eps)
+        res = regularized_limit(h, u, u)
+        assert res.per_eps[-1][0] ** 15 == 0.0
+        assert abs(res.estimate - 1e-14) <= 1e-12 * 1e-14
+        assert abs(res.per_eps[-1][1] - 1e-14) <= 1e-6 * 1e-14
+
+    @pytest.mark.parametrize("n", [48, 64])
+    def test_large_nullity_converges(self, n):
+        # nu = n - 2 >= 41: eps ** nu underflowed at the smallest scaled eps
+        h = np.diag([1.0, -2.0] + [0.0] * (n - 2))
+        u, v = np.zeros(n), np.zeros(n)
+        u[0], v[:2] = 1.0, [0.25, 0.7]
+        res = regularized_limit(h, u, v)
+        assert abs(res.estimate + 2.5) <= 1e-15
+        assert abs(res.per_eps[-1][1] + 2.5) <= 1e-6 * 2.5
+
+    @pytest.mark.parametrize("schedule", [None, [1e-1 / 2 ** k for k in range(20)]])
+    def test_one_eigensolve_and_one_small_det(self, schedule, monkeypatch):
+        # the sweep is one batched LU over the schedule; kernel.det forms
+        # only the r x r det(I + V^T H^D U)
+        eigs = count_calls(monkeypatch, "eigenvalues")
+        dets = count_calls(monkeypatch, "det")
+        regularized_limit(A_SING, np.array([1.0, 0.0, 0.0]), np.array([0.25, 0.7, 0.0]),
+                          schedule, TOL9)
+        assert len(eigs) == 1
+        assert [a[0].shape for a in dets] == [(1, 1)]
 
     def test_settle_gate_fails_on_nan(self):
         with pytest.raises(NotConverged):
