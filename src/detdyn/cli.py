@@ -470,9 +470,8 @@ def _h_gramian(s, tol, lines):
         lines.append(f"identity_residual at eps={fmt(eps)}: {fmt(res)}")
     lines += [f"pdet.normalized_det: {fmt(growth.normalized_det_values[-1])}",
               f"pdet.factor_product: {fmt(growth.factor_product_values[-1])}",
-              f"pdet.estimate: {fmt(growth.pdet_estimate)}"]
-    if growth.log_pdet is not None:
-        lines.append(f"log_pdet: {fmt(growth.log_pdet)}")
+              f"pdet.estimate: {fmt(growth.pdet_estimate)}",
+              f"log_pdet: {fmt(growth.log_pdet)}"]
 
 
 def _h_ellipse_plot(s, tol, lines):

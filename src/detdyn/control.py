@@ -71,12 +71,12 @@ class GramianGrowth:
 
     pdet_estimate is the closed form: the product of the r largest
     eigenvalues of W, the squared singular values of the directions, r
-    counting those above the tolerance cutoff of W. For
-    each eps the per-step factors 1 + u_l^T Wtil_{l-1}(eps)^{-1} u_l are
-    recorded together with the relative residual of the product identity
-    det(Wtil(eps)) = eps^n prod(factors), divided by eps^(n-r): the sweep
-    normalized_det_values holds eps^{-(n-r)} det(eps I + W) as prod_{i<r}
-    (sigma_i^2 + eps) prod_{i>=r} (1 + sigma_i^2 / eps), and
+    counting those above the tolerance cutoff of W; log_pdet sums their
+    logs. For each eps the per-step factors 1 + u_l^T Wtil_{l-1}(eps)^{-1}
+    u_l are recorded together with the relative residual of the product
+    identity det(Wtil(eps)) = eps^n prod(factors), divided by eps^(n-r):
+    the sweep normalized_det_values holds eps^{-(n-r)} det(eps I + W) as
+    prod_{i<r} (sigma_i^2 + eps) prod_{i>=r} (1 + sigma_i^2 / eps), and
     factor_product_values holds exp(sum log(factors) + r log eps).
     """
 
@@ -87,7 +87,7 @@ class GramianGrowth:
     factor_product_values: tuple
     rank_r: int
     pdet_estimate: float
-    log_pdet: float | None
+    log_pdet: float
 
 
 @dataclass(frozen=True)
@@ -208,7 +208,7 @@ def covariance_trace(p, updates, tol: Tolerance = DEFAULT_TOL) -> CovarianceTrac
     compensated running sum (``_running_sum``) of the increments
     log1p(x_i).
     """
-    base = kernel.as_matrix(p, square=True, name="P")
+    base = kernel.as_matrix(kernel.as_real(p, "P"), square=True, name="P")
     low = _assert_spd(base, tol)
     n = base.shape[0]
     quad_forms = _spd_stream(low, _columns(updates, n, "u_i")).tolist()
@@ -240,7 +240,7 @@ def info_filter_trace(p, measurements, tol: Tolerance = DEFAULT_TOL) -> InfoFilt
     coordinates, where each v_i enters as J v_i; only the triangular L is
     inverted, never P.
     """
-    base = kernel.as_matrix(p, square=True, name="P")
+    base = kernel.as_matrix(kernel.as_real(p, "P"), square=True, name="P")
     low = _assert_spd(base, tol)
     n = base.shape[0]
     cols = _columns(measurements, n, "v_i")[::-1]
@@ -367,7 +367,8 @@ def _grow(dirs: np.ndarray, schedule, tol: Tolerance):
     inv = 1.0 / (lam[..., None] + np.array(schedule))
     factors = 1.0 + np.einsum("bli,blie->ble", weights, inv)
     kept = np.arange(s2.shape[1]) < ranks[:, None]
-    pdets = np.prod(np.where(kept, s2, 1.0), axis=1)
+    with np.errstate(over="ignore"):
+        pdets = np.prod(np.where(kept, s2, 1.0), axis=1)
     return schedule, s2, ranks, pdets, factors
 
 
@@ -382,19 +383,24 @@ def growth_from_directions(directions, n: int, schedule=None,
     default_eps_schedule() scaled by the smallest retained eigenvalue; an
     explicit schedule is taken as absolute eps values. With
     ``raise_on_diverge``, NotConverged is raised unless both sweep routes
-    lie within 1e-6 relative of pdet_estimate at the smallest eps.
+    match pdet_estimate to 1e-6 in log form at the smallest eps.
     """
     dirs = np.array([kernel.as_vector(u, dim=n, name="direction")
                      for u in directions]).reshape(1, -1, n)
     schedule, s2, ranks, pdets, factors = _grow(dirs, schedule, tol)
     s2, factors, r, pdet_est = s2[0], factors[0], int(ranks[0]), float(pdets[0])
     eps = np.array(schedule)
-    norm_det = np.prod(s2[:r, None] + eps, axis=0) * np.prod(1.0 + s2[r:, None] / eps, axis=0)
-    fac_prod = np.exp(np.sum(np.log(factors), axis=0) + r * np.log(eps))
-    residuals = np.abs(norm_det - fac_prod) / np.maximum(norm_det, 1e-300)
+    log_pdet = float(np.sum(np.log(s2[:r])))
+    log_norm = (np.sum(np.log(s2[:r, None] + eps), axis=0)
+                + np.sum(np.log1p(s2[r:, None] / eps), axis=0))
+    log_fac = np.sum(np.log(factors), axis=0) + r * np.log(eps)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm_det = np.prod(s2[:r, None] + eps, axis=0) * np.prod(1.0 + s2[r:, None] / eps, axis=0)
+        fac_prod = np.exp(log_fac)
+        residuals = np.abs(norm_det - fac_prod) / np.maximum(norm_det, 1e-300)
     if raise_on_diverge:
-        _require_settled(pdet_est, (norm_det[-1], fac_prod[-1]),
-                         tuple(zip(schedule, norm_det.tolist())))
+        finals = ((norm_det[-1], 1.0, log_norm[-1]), (fac_prod[-1], 1.0, log_fac[-1]))
+        _require_settled((pdet_est, 1.0, log_pdet), finals, tuple(zip(schedule, norm_det.tolist())))
     return GramianGrowth(
         eps_schedule=schedule,
         factors_per_eps=tuple(map(tuple, factors.T.tolist())),
@@ -403,7 +409,7 @@ def growth_from_directions(directions, n: int, schedule=None,
         factor_product_values=tuple(fac_prod.tolist()),
         rank_r=r,
         pdet_estimate=pdet_est,
-        log_pdet=math.log(pdet_est) if pdet_est > 0.0 else None,
+        log_pdet=log_pdet,
     )
 
 
@@ -415,7 +421,7 @@ def gramian_pdet_growth(g: GramianBuild, schedule=None,
 
 def reach_ellipse(w, tol: Tolerance = DEFAULT_TOL) -> Ellipse2D:
     """Unit-energy reachable ellipse of a 2x2 symmetric PSD matrix."""
-    a = kernel.as_matrix(w, name="W")
+    a = kernel.as_matrix(kernel.as_real(w, "W"), name="W")
     if a.shape != (2, 2):
         raise DimensionMismatch(f"W must be 2x2, got {a.shape}")
     if not kernel._is_symmetric(a, tol):

@@ -5,9 +5,10 @@ One rule decides rank, index and nullity: Cline's core-nilpotent chain
 H = C_1 F_1, F_i C_i = C_{i+1} F_{i+1}, each level a full-rank
 factorization at H's cutoff, ends at a nonsingular core F_k C_k. k is the
 index, n - size(core) the nullity, and the core's eigenvalues are the
-nonzero eigenvalues of H. Only index-1 matrices (semisimple zero
-eigenvalue) have a group inverse, H^D = C (F C)^{-2} F; nilpotent
-structure raises ``IndexGreaterThanOne``.
+nonzero eigenvalues of H: pdet(H) = det(F_k C_k), for ``pdet`` and the
+lemma alike. Only index-1 matrices (semisimple zero eigenvalue) have a
+group inverse, H^D = C (F C)^{-2} F; nilpotent structure raises
+``IndexGreaterThanOne``. H, U and V are real (complex: ValueError).
 """
 
 from __future__ import annotations
@@ -65,7 +66,8 @@ def group_inverse(h, tol: Tolerance = DEFAULT_TOL) -> GroupInverseResult:
     matrix returns H^D = 0 with P0 = I. F C singular at H's cutoff means
     the zero eigenvalue is not semisimple and raises IndexGreaterThanOne.
     """
-    return _group_inverse(kernel.as_matrix(h, square=True, name="H"), tol)[0]
+    a = kernel.as_matrix(kernel.as_real(h, "H"), square=True, name="H")
+    return _group_inverse(a, tol)[0]
 
 
 def _core_chain(a: np.ndarray, tol: Tolerance):
@@ -128,10 +130,11 @@ _UNDEFINED = "no nonzero eigenvalue detected, pseudodeterminant undefined"
 def pdet(h, tol: Tolerance = DEFAULT_TOL, method: str = "eigenproduct") -> PdetResult:
     """Pseudodeterminant: product of all nonzero eigenvalues.
 
-    The nullity nu is n minus the size of the core of H's core-nilpotent
-    chain, decided by the same rank rule at H's cutoff as group_inverse,
-    so it does not depend on the scale of H. The default route multiplies
-    the eigenvalues of the core, which are the nonzero eigenvalues of H.
+    The nullity nu is n minus the size of the core F_k C_k of H's
+    core-nilpotent chain, decided by the same rank rule at H's cutoff as
+    group_inverse, so it does not depend on the scale of H. The default
+    route reads the product of the core's eigenvalues, the nonzero ones
+    of H, as det(F_k C_k) (``kernel._det``), as the lemma does.
     method="charpoly" reads the Faddeev-LeVerrier coefficient c_{n-nu}
     of H/s, s = max|H|, as (-1)^{n-nu} s^{n-nu} c_{n-nu}: exact on small
     integer input, but even at the right nu its median relative error on
@@ -140,13 +143,13 @@ def pdet(h, tol: Tolerance = DEFAULT_TOL, method: str = "eigenproduct") -> PdetR
     """
     if method not in ("charpoly", "eigenproduct"):
         raise ValueError(f"unknown pdet method {method!r}")
-    a = kernel.as_matrix(h, square=True, name="H")
+    a = kernel.as_matrix(kernel.as_real(h, "H"), square=True, name="H")
     core = _core_chain(a, tol)[1]
     q = core.shape[0]
     if q == 0:
         raise AllCoefficientsBelowTolerance(_UNDEFINED)
     if method == "eigenproduct":
-        value = float(np.prod(kernel.eigenvalues(core, tol).eigenvalues).real)
+        value = kernel._det(core)[0]
     else:
         s = float(np.max(np.abs(a)))
         value = (-1) ** q * float(kernel.charpoly(a / s).coeffs[q] * np.float64(s) ** q)
@@ -182,7 +185,7 @@ def _compatibility(a: np.ndarray, gi: GroupInverseResult, u: np.ndarray,
 def compatibility_check(h, u, v, tol: Tolerance = DEFAULT_TOL) -> CompatibilityReport:
     """Check P0 U = 0 and V^T P0 = 0 at tolerance (the hypotheses under
     which the singular determinant identity applies)."""
-    a = kernel.as_matrix(h, square=True, name="H")
+    a = kernel.as_matrix(kernel.as_real(h, "H"), square=True, name="H")
     n = a.shape[0]
     uu = _as_factor(u, n, "U")
     vv = _as_factor(v, n, "V")
@@ -191,9 +194,9 @@ def compatibility_check(h, u, v, tol: Tolerance = DEFAULT_TOL) -> CompatibilityR
 
 def _lemma(h, u, v, tol: Tolerance):
     """The validated prologue of both lemma routes: (H, H + U V^T, nu,
-    the closed form pdet(H) det(I_r + V^T H^D U)), with pdet(H) = det(F C)
-    from the group inverse's own factorization."""
-    a = kernel.as_matrix(h, square=True, name="H")
+    (value, sign, log|value|) of the closed form pdet(H) det(I_r + V^T H^D U)),
+    with pdet(H) = det(F C) of the group inverse's own core, as in ``pdet``."""
+    a = kernel.as_matrix(kernel.as_real(h, "H"), square=True, name="H")
     n = a.shape[0]
     uu = _as_factor(u, n, "U")
     vv = _as_factor(v, n, "V")
@@ -207,17 +210,19 @@ def _lemma(h, u, v, tol: Tolerance):
         raise CompatibilityViolated(report)
     if gi.rank_q == 0:
         raise AllCoefficientsBelowTolerance(_UNDEFINED)
-    value = float(np.linalg.det(core))
+    value, sign, log = kernel._det(core)
     r = uu.shape[1]
     if r:
-        value *= kernel.det(np.eye(r) + vv.T @ gi.h_drazin @ uu, tol)
-    return a, a + uu @ vv.T, gi.nullity_nu, value
+        dk = kernel.det(np.eye(r) + vv.T @ gi.h_drazin @ uu, tol)
+        value, sign = value * dk, sign * float(np.sign(dk))
+        log += np.log(abs(dk)) if dk else -np.inf
+    return a, a + uu @ vv.T, gi.nullity_nu, (value, sign, log)
 
 
 def pdet_lemma(h, u, v, tol: Tolerance = DEFAULT_TOL) -> float:
     """pdet(H + U V^T) = pdet(H) det(I_r + V^T H^D U) for index-1 H with
     U, V compatible with the nullspace (P0 U = 0, V^T P0 = 0)."""
-    return _lemma(h, u, v, tol)[3]
+    return _lemma(h, u, v, tol)[3][0]
 
 
 @dataclass(frozen=True)
@@ -269,16 +274,20 @@ def _eps_schedule(schedule, smallest: float) -> tuple:
     return schedule
 
 
-def _require_settled(closed: float, finals, per_eps) -> None:
-    """NotConverged, carrying the sweep, unless every smallest-eps value
-    in ``finals`` lies within _CONV_REL of the closed form; a NaN or inf
-    among them fails, since numpy's max propagates it."""
-    gap = float(np.max(np.abs(np.subtract(finals, closed))))
-    if not gap <= _CONV_REL * max(abs(closed), 1e-300):
-        raise NotConverged(
-            f"smallest-eps value is {gap:.3e} from the closed form {closed:.6e}",
-            per_eps,
-        )
+def _require_settled(closed, finals, per_eps) -> None:
+    """NotConverged, carrying the sweep, unless every smallest-eps value in
+    ``finals`` has the sign of ``closed`` and its log|.| within _CONV_REL;
+    all are (value, sign, log|value|), so the test holds beyond float
+    range. A zero closed form is met only by zeros, and a NaN fails."""
+    value, sign, log = closed
+    values, signs, logs = zip(*finals)
+    if all(s == sign for s in signs) and (
+            sign == 0.0 or np.max(np.abs(np.subtract(logs, log))) <= _CONV_REL):
+        return
+    with np.errstate(invalid="ignore"):
+        gap = float(np.max(np.abs(np.subtract(values, value))))
+    raise NotConverged(f"smallest-eps value is {gap:.3e} from the closed form {value:.6e}",
+                       per_eps)
 
 
 def regularized_limit(h, u, v, schedule=None,
@@ -292,12 +301,15 @@ def regularized_limit(h, u, v, schedule=None,
     batched LU over the schedule, read as sign exp(log|det| - nu log eps),
     so no power of eps can under- or overflow. NotConverged, with the
     sweep, is raised unless the smallest-eps value lies within 1e-6
-    relative of the closed form. ``tol`` governs rank and compatibility.
+    relative of the closed form, in log form. ``tol`` governs rank and
+    compatibility.
     """
-    a, m, nu, estimate = _lemma(h, u, v, tol)
+    a, m, nu, closed = _lemma(h, u, v, tol)
     mags = np.sort(np.abs(kernel.eigenvalues(m).eigenvalues))
     eps = np.array(_eps_schedule(schedule, max(float(mags[nu]), tol.cutoff(a))))
     sign, logdet = np.linalg.slogdet(m + eps[:, None, None] * np.eye(a.shape[0]))
-    per_eps = tuple(zip(eps.tolist(), (sign * np.exp(logdet - nu * np.log(eps))).tolist()))
-    _require_settled(estimate, (per_eps[-1][1],), per_eps)
-    return RegularizedLimitResult(estimate=estimate, per_eps=per_eps, converged=True)
+    logs = logdet - nu * np.log(eps)
+    with np.errstate(over="ignore"):
+        per_eps = tuple(zip(eps.tolist(), (sign * np.exp(logs)).tolist()))
+    _require_settled(closed, ((per_eps[-1][1], sign[-1], logs[-1]),), per_eps)
+    return RegularizedLimitResult(estimate=closed[0], per_eps=per_eps, converged=True)

@@ -39,7 +39,7 @@ class Singular(InputError):
 
 
 class RootFindDivergence(InputError):
-    """Eigenvalue iteration exceeded its cap without converging."""
+    """LAPACK's eigensolver failed to converge."""
 
 
 class NotPositiveDefinite(InputError):

@@ -4,26 +4,26 @@ One quantity decides every singular-at-tolerance and rank question: the
 singular values from ``np.linalg.svd(..., compute_uv=False)``, read
 against ``Tolerance.cutoff``. When the smallest is not above the cutoff,
 ``det`` returns exactly 0.0 and ``solve`` and ``inverse`` raise
-``Singular``; otherwise their values come from LAPACK's LU (``det``,
-``solve``, ``inv``). ``rank`` and ``full_rank_factorization`` count the
-same values above the cutoff. A path that forms the inverse anyway
-(``inverse``, the det(A) A^{-1} branch of ``adjugate``, the base of an
-update stream) first reads the decision off the inverse's residual: a
-bound on sigma_min that clears the cutoff with room for the SVD's own
-error proves what the SVD would decide, and only an inconclusive bound
-runs the SVD. The decision, and so ``det``'s exact 0.0, is the same
-either way. The adjugate is det(A) A^{-1} for A invertible at tolerance
-and the SVD form of G. W. Stewart ("On the adjugate matrix", LAA 283,
-1998) otherwise, so it stays valid for singular input at any size.
-Faddeev-LeVerrier is kept only in ``charpoly``, where its exactness on
-integer input is the point. Spectra come from ``eigvalsh`` for symmetric
-input and ``eigvals`` for the rest.
+``Singular``; otherwise their values come from LAPACK's LU (``solve``,
+``inv``, and the ``slogdet`` of ``_det``, the one determinant reader).
+``rank`` and ``full_rank_factorization`` count the same values above the
+cutoff. A path that forms the inverse anyway (``inverse``, the det(A)
+A^{-1} branch of ``adjugate``, the base of an update stream) first reads
+the decision off the inverse's residual: a bound on sigma_min that
+clears the cutoff with room for the SVD's own error proves what the SVD
+would decide, and only an inconclusive bound runs the SVD. The decision,
+and so ``det``'s exact 0.0, is the same either way. The adjugate is
+det(A) A^{-1} for A invertible at tolerance and the SVD form of G. W.
+Stewart ("On the adjugate matrix", LAA 283, 1998) otherwise, so it stays
+valid for singular input at any size. Faddeev-LeVerrier is kept only in
+``charpoly``, where its exactness on integer input is the point. Spectra
+come from ``eigvalsh`` for symmetric input and ``eigvals`` for the rest.
 
 ``as_matrix`` keeps complex input complex, so ``det``, ``solve``,
-``inverse`` and ``adjugate`` also serve the resolvent evaluations at
-complex lambda; the other operations take real matrices. ``as_real``
-(behind ``as_vector``, the factors U and V of the Drazin lemma and the
-A and B of a Gramian) refuses complex input with ValueError.
+``inverse``, ``adjugate``, ``rank`` and ``full_rank_factorization`` also
+serve the resolvents at complex lambda. ``as_real`` (behind ``as_vector``,
+``charpoly``, ``eigenvalues`` and every real-only entry of the other
+modules) refuses complex input with ValueError.
 """
 
 from __future__ import annotations
@@ -194,10 +194,15 @@ def _inverse(a: np.ndarray, tol: Tolerance) -> np.ndarray:
 
 
 def _det(a: np.ndarray):
-    """LAPACK's determinant of a validated square ``a``; one beyond float
-    range is +-inf (or 0.0 below it), without a RuntimeWarning."""
-    with np.errstate(over="ignore"):
-        return np.linalg.det(a)
+    """(det, sign, log|det|) of a validated square ``a`` from one LU:
+    det = sign exp(log|det|) with the C library's exp, bit for bit numpy's
+    ``np.linalg.det``, but +-inf (0.0) beyond float range, silently."""
+    sign, logdet = np.linalg.slogdet(a)
+    try:
+        mag = math.exp(logdet)
+    except OverflowError:
+        mag = math.inf
+    return (sign * mag).item(), sign.item(), float(logdet)
 
 
 def det(m, tol: Tolerance = DEFAULT_TOL) -> float:
@@ -212,7 +217,7 @@ def det(m, tol: Tolerance = DEFAULT_TOL) -> float:
         _nonsingular(a, tol)
     except Singular:
         return a.dtype.type(0).item()
-    return _det(a).item()
+    return _det(a)[0]
 
 
 def solve(m, b, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -253,7 +258,7 @@ def adjugate(m) -> np.ndarray:
         pass
     else:
         with np.errstate(over="ignore"):
-            return np.linalg.det(a) * x
+            return _det(a)[0] * x
     u, s, vh = np.linalg.svd(a)
     one = np.ones(1)
     adj_s = (np.concatenate((one, np.cumprod(s[:-1])))
@@ -265,20 +270,20 @@ def adjugate(m) -> np.ndarray:
 # Characteristic polynomial (Faddeev-LeVerrier)
 
 def charpoly(m) -> CharPoly:
-    """Monic characteristic polynomial det(lambda*I - M).
+    """Monic characteristic polynomial det(lambda*I - M) of a real M.
 
     The Faddeev-LeVerrier recursion N_k = A N_{k-1} + c_{k-1} I,
     c_k = -tr(A N_k)/k never divides by a pivot and is exact on small
     integer input; it degrades with n beyond about 16.
     """
-    a = as_matrix(m, square=True)
+    a = as_matrix(as_real(m, "matrix"), square=True)
     n = a.shape[0]
     coeffs = [1.0]
-    nk = np.zeros_like(a)
+    ank = np.zeros_like(a)
     eye = np.eye(n)
     for k in range(1, n + 1):
-        nk = a @ nk + coeffs[-1] * eye
-        coeffs.append(float(-np.trace(a @ nk) / k))
+        ank = a @ (ank + coeffs[-1] * eye)
+        coeffs.append(float(-np.trace(ank) / k))
     return CharPoly(degree=n, coeffs=tuple(coeffs))
 
 
@@ -286,13 +291,11 @@ def charpoly(m) -> CharPoly:
 # Eigenvalues through LAPACK
 
 def _is_symmetric(a: np.ndarray, tol: Tolerance) -> bool:
-    if a.shape[0] != a.shape[1]:
-        return False
     return float(np.max(np.abs(a - a.T))) <= tol.cutoff(a)
 
 
 def eigenvalues(m, tol: Tolerance = DEFAULT_TOL) -> Spectrum:
-    """Full spectrum with multiplicity.
+    """Full spectrum with multiplicity of a real matrix.
 
     Matrices symmetric at tolerance go to LAPACK ``syevd`` (through
     ``np.linalg.eigvalsh`` on the symmetric part); everything else goes to
@@ -300,7 +303,7 @@ def eigenvalues(m, tol: Tolerance = DEFAULT_TOL) -> Spectrum:
     matrix come in exact conjugate pairs. Sorted by descending real part,
     then descending imaginary part.
     """
-    a = as_matrix(m, square=True)
+    a = as_matrix(as_real(m, "matrix"), square=True)
     try:
         if _is_symmetric(a, tol):
             vals = np.linalg.eigvalsh(0.5 * (a + a.T))

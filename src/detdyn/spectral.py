@@ -125,7 +125,7 @@ def stability_preserved(a, u, v, samples: int = 4096,
     identical and vectorizes over the whole contour. The sample count
     doubles adaptively while any phase step exceeds pi/2.
     """
-    base = kernel.as_matrix(a, square=True, name="A")
+    base = kernel.as_matrix(kernel.as_real(a, "A"), square=True, name="A")
     n = base.shape[0]
     uu = kernel.as_vector(u, dim=n, name="u")
     vv = kernel.as_vector(v, dim=n, name="v")

@@ -13,10 +13,11 @@ running matrix M that are too small to trust (d = 0, B = M, while M is
 safely invertible). The factors det B_j / det B_{j-1} of up to n steps
 are the pivots of one capacitance matrix (the matrix determinant lemma):
 two GEMMs a block, and one LU inverse of M, or one SVD while d > 0,
-between blocks. Its unpivoted LU is taken by halving: the pivots are
-those of the leading half and then those of its Schur complement, one
-batched solve and one batched GEMM per level, about log2(b / 4) levels
-for a block of b steps. With d > 0 the border rides along, and Jacobi's
+between blocks; det H, its sign and log come from the kernel's one LU
+reader. The unpivoted LU is taken by halving: the pivots are those of
+the leading half and then those of its Schur complement, one batched
+solve and one batched GEMM per level, about log2(b / 4) levels for a
+block of b steps. With d > 0 the border rides along, and Jacobi's
 identity det M = det B det T, where T is the trailing d x d block of
 B^{-1}, reads v^T adj(M) u off the same elimination, with no division by
 det M.
@@ -139,10 +140,7 @@ class LogDetTrace:
 
     @property
     def final_det(self) -> float:
-        acc = self.base_det
-        for f in self.factors:
-            acc *= f
-        return acc
+        return math.prod(self.factors, start=self.base_det)
 
     @property
     def final_logdet(self) -> float:
@@ -176,15 +174,14 @@ def det_rank_one(h, update) -> float:
 
 
 def _base(a: np.ndarray, tol: Tolerance):
-    """(det H, H^{-1}), or (0.0, None) when H is singular at tolerance:
-    the decision ``kernel.det`` reports 0.0 on, certified from the LU
-    inverse's residual where it can be and by the singular values where
-    it cannot (``kernel._inverse``)."""
+    """(det H, its sign, log|det H|) from ``kernel._det`` and H^{-1}, or
+    (0.0, 0.0, None, None) when H is singular at tolerance, as
+    ``kernel.det`` decides it (``kernel._inverse``)."""
     try:
         minv = kernel._inverse(a, tol)
     except Singular:
-        return 0.0, None
-    return kernel._det(a).item(), minv
+        return 0.0, 0.0, None, None
+    return (*kernel._det(a), minv)
 
 
 def _refresh(m: np.ndarray, tol: Tolerance):
@@ -434,7 +431,7 @@ def det_sequence(h, seq: UpdateSequence) -> DetTrace:
     (the updates stay real), whose values come out complex.
     """
     a = _check_base(h, seq)
-    d, minv = _base(a, DEFAULT_TOL)
+    d, _, _, minv = _base(a, DEFAULT_TOL)
     values = [d]
     increments = []
     for s, t in _inverse_walk(a, seq, DEFAULT_TOL, minv, adjugate=True):
@@ -445,36 +442,34 @@ def det_sequence(h, seq: UpdateSequence) -> DetTrace:
     return DetTrace(values=tuple(values), increments=tuple(increments))
 
 
-def _multiplicative_walk(a: np.ndarray, seq: UpdateSequence, tol: Tolerance,
-                         require_positive: bool):
-    """Determinants, factors 1 + s_k and log det H (None unless det H > 0)
-    for det_product / logdet_sequence along the capacitance blocks of the
-    walk; a singular intermediate raises IntermediateSingular, and complex
-    H, which has no positivity or log form, a ValueError.
-
-    The sign and log|det H| come from one slogdet and positivity from the
-    signs of the base and the factors, so a determinant that leaves float
-    range (the determinants then read 0.0 or inf) is still told apart
-    from a nonpositive one.
-    """
+def _multiplicative_walk(h, seq: UpdateSequence, tol: Tolerance,
+                         require_positive: bool) -> LogDetTrace:
+    """The LogDetTrace of det_product / logdet_sequence: factors 1 + s_k
+    along the walk's capacitance blocks on det H, its sign and log from
+    ``_base``. A singular intermediate raises IntermediateSingular, and
+    complex H (no positivity or log form) a ValueError. Positivity is read
+    off the signs of the base and the factors, so a determinant that
+    leaves float range (reading 0.0 or inf) is told from a nonpositive
+    one."""
+    a = _check_base(h, seq)
     if np.iscomplexobj(a):
         raise ValueError("the multiplicative forms take real H; use det_sequence")
-    d, minv = _base(a, tol)
-    sign, logdet = np.linalg.slogdet(a) if minv is not None else (0.0, None)
+    d, sign, logdet, minv = _base(a, tol)
     if require_positive and not sign > 0.0:
         raise NonPositiveDeterminant(0, d)
-    dets = [d]
     factors = []
     for i, (s, _) in enumerate(_inverse_walk(a, seq, tol, minv)):
         if s is None:
             raise IntermediateSingular(i)
-        f = 1.0 + s
-        factors.append(f)
-        d = d * f
-        dets.append(d)
-        if require_positive and not f > 0.0:
-            raise NonPositiveDeterminant(i + 1, d)
-    return dets, factors, logdet.item() if sign > 0.0 else None
+        factors.append(1.0 + s)
+        if require_positive and not factors[-1] > 0.0:
+            raise NonPositiveDeterminant(i + 1, math.prod(factors, start=d))
+    return LogDetTrace(
+        base_det=d,
+        base_logdet=logdet if sign > 0.0 else None,
+        factors=tuple(factors),
+        log_increments=tuple(math.log(f) if f > 0.0 else None for f in factors),
+    )
 
 
 def det_product(h, seq: UpdateSequence, tol: Tolerance = DEFAULT_TOL) -> LogDetTrace:
@@ -484,15 +479,7 @@ def det_product(h, seq: UpdateSequence, tol: Tolerance = DEFAULT_TOL) -> LogDetT
     nonsingular at tolerance; raises IntermediateSingular(k) otherwise
     (use det_sequence in that case).
     """
-    a = _check_base(h, seq)
-    dets, factors, base_logdet = _multiplicative_walk(a, seq, tol, require_positive=False)
-    logs = tuple(math.log(f) if f > 0.0 else None for f in factors)
-    return LogDetTrace(
-        base_det=dets[0],
-        base_logdet=base_logdet,
-        factors=tuple(factors),
-        log_increments=logs,
-    )
+    return _multiplicative_walk(h, seq, tol, require_positive=False)
 
 
 def logdet_sequence(h, seq: UpdateSequence, tol: Tolerance = DEFAULT_TOL) -> LogDetTrace:
@@ -500,14 +487,7 @@ def logdet_sequence(h, seq: UpdateSequence, tol: Tolerance = DEFAULT_TOL) -> Log
     the signs of det H and of the factors, else NonPositiveDeterminant(k).
     The log form holds where the determinants themselves under- or
     overflow."""
-    a = _check_base(h, seq)
-    dets, factors, base_logdet = _multiplicative_walk(a, seq, tol, require_positive=True)
-    return LogDetTrace(
-        base_det=dets[0],
-        base_logdet=base_logdet,
-        factors=tuple(factors),
-        log_increments=tuple(math.log(f) for f in factors),
-    )
+    return _multiplicative_walk(h, seq, tol, require_positive=True)
 
 
 @dataclass(frozen=True)

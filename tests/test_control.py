@@ -576,6 +576,20 @@ def test_growth_of_gaussian_directions_at_size(n):
     assert max(growth.identity_residuals) <= 1e-10
 
 
+@pytest.mark.parametrize("scale", [1e-6, 1e3, 1e6])
+def test_growth_beyond_float_range(scale):
+    # 64 directions in R^64 at these scales put pdet(W) near 1e-683, 1e469
+    # and 1e853: the product reads 0.0 or inf, so the sweep is settled on
+    # logs, and log_pdet is their sum
+    dirs = scale * np.random.default_rng(64).standard_normal((64, 64))
+    growth = growth_from_directions(list(dirs), 64)
+    with mpmath.workdps(30):
+        ref = float(2 * mpmath.log(abs(mpmath.det(mpmath.matrix(dirs.tolist())))))
+    assert growth.rank_r == 64
+    assert growth.pdet_estimate == (0.0 if scale < 1.0 else math.inf)
+    assert abs(growth.log_pdet - ref) <= 1e-13 * abs(ref)
+
+
 @pytest.mark.parametrize("schedule", [[math.inf, 1e-3, 1e-4], [0.1, math.nan, 1e-4]])
 def test_non_finite_schedule_refused(schedule):
     # NaN once passed the schedule check and came back as NaN sweep values

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -197,6 +198,27 @@ class TestPdet:
             res = pdet(h, TOL9, method="eigenproduct")
             assert res.nullity == nu
             assert abs(res.value - ref) <= 1e-12 * abs(ref)
+
+    def test_pdet_is_the_lemmas_core_det(self):
+        # pdet(H) and the lemma with r = 0 read det(F C) of one chain core
+        rng = np.random.default_rng(3)
+        for k in range(40):
+            n = (4, 8, 12, 16)[k % 4]
+            h, _ = scaled_index1(rng, n, 1 + k % 3, 10.0 ** rng.uniform(-3.0, 3.0))
+            empty = np.zeros((n, 0))
+            assert pdet_lemma(h, empty, empty, TOL9) == pdet(h, TOL9).value
+
+    def test_beyond_float_range(self):
+        # det(F C) = 1e420 reads +inf, where the product of the core's
+        # eigenvalues turned to NaN; the eps sweep settles in log form
+        h = np.diag([1e7] * 60 + [0.0] * 4)
+        u = np.zeros((64, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert pdet(h).value == math.inf
+            assert pdet_lemma(h, u, u) == math.inf
+            res = regularized_limit(h, u, u)
+        assert res.estimate == math.inf and res.per_eps[-1][1] == math.inf
 
     @pytest.mark.parametrize("n", [8, 12, 16])
     @pytest.mark.parametrize("c", [1e-3, 1e-2, 0.5])
@@ -504,10 +526,12 @@ class TestRegularizedLimit:
         assert [a[0].shape for a in dets] == [(1, 1)]
 
     def test_settle_gate_fails_on_nan(self):
+        # the gate reads (value, sign, log|value|) triples
+        one = (1.0, 1.0, 0.0)
         with pytest.raises(NotConverged):
-            _require_settled(1.0, (1.0, math.nan), ())
+            _require_settled(one, (one, (math.nan, math.nan, math.nan)), ())
         with pytest.raises(NotConverged):
-            _require_settled(1.0, (math.inf,), ())
+            _require_settled(one, ((math.inf, 1.0, math.inf),), ())
 
     def test_default_schedule_shape(self):
         sched = default_eps_schedule()

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
+import detdyn
 from detdyn import (
     CharPoly,
     DimensionMismatch,
@@ -25,7 +26,7 @@ from detdyn import (
     rank,
 )
 from detdyn.errors import IntermediateSingular, RootFindDivergence, Singular
-from detdyn.kernel import EPS, _singular_values
+from detdyn.kernel import EPS, _det, _singular_values
 
 from conftest import (
     cofactor_adjugate,
@@ -209,6 +210,22 @@ class TestOutOfRange:
     RuntimeWarning escapes: at n = 64 a scale of 1e6 puts |det| near
     1e384 and a scale of 1e-6 near 1e-384."""
 
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_reader_is_numpys_det(self, complex_, rng):
+        # one slogdet gives det = sign exp(log|det|), the way numpy forms
+        # np.linalg.det, bit for bit and without its overflow warning
+        for n in (1, 2, 7, 64, 100):
+            for scale in (1e-12, 1e-6, 1.0, 1e6, 1e12):
+                a = scale * rng.standard_normal((n, n))
+                if complex_:
+                    a = a + 1j * scale * rng.standard_normal((n, n))
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    d, sign, logdet = _det(a)
+                with np.errstate(over="ignore"):
+                    assert np.array_equal(d, np.linalg.det(a))
+                assert (sign, logdet) == tuple(np.linalg.slogdet(a))
+
     def test_det_overflows_and_underflows_silently(self):
         n = 64
         flip = np.diag([-1.0] + [1.0] * (n - 1))
@@ -326,6 +343,21 @@ class TestCharPoly:
     def test_callable_evaluation(self):
         cp = charpoly(np.diag([1.0, 2.0]))
         assert abs(cp(3.0) - 2.0) < 1e-12  # (3-1)(3-2)
+
+    def test_one_product_per_step(self, rng):
+        # the recursion as written forms A N_k twice per step:
+        # N_k = A N_{k-1} + c_{k-1} I, then c_k = -tr(A N_k) / k
+        for k in range(120):
+            n = int(rng.integers(1, 40))
+            if k % 2:
+                a = rng.standard_normal((n, n))
+            else:
+                a = rng.integers(-3, 4, (n, n)).astype(float)
+            coeffs, nk = [1.0], np.zeros((n, n))
+            for j in range(1, n + 1):
+                nk = a @ nk + coeffs[-1] * np.eye(n)
+                coeffs.append(float(-np.trace(a @ nk) / j))
+            assert charpoly(a).coeffs == tuple(coeffs)
 
 
 class TestEigenvalues:
@@ -547,6 +579,29 @@ class TestTolerance:
         t = Tolerance(rel=1e-9)
         assert t.cutoff(np.eye(4)) == 1e-9 * 4
         assert t.cutoff(np.zeros((4, 4))) == t.abs
+
+
+# Entries that take real matrices only. Before they refused complex input,
+# most read its real part (eigenvalues the Hermitian part) and returned a
+# wrong answer.
+REAL_ONLY = [
+    ("charpoly", (np.diag([1j, 2.0]),)),
+    ("eigenvalues", (np.diag([1j, 2.0]),)),
+    ("pdet", (np.diag([1j, 2.0, 0.0]),)),
+    ("pdet_lemma", (np.diag([1j, 2.0, 0.0]), np.zeros((3, 0)), np.zeros((3, 0)))),
+    ("group_inverse", (np.diag([1j, 2.0, 0.0]),)),
+    ("regularized_limit", (np.diag([1j, 2.0, 0.0]), np.zeros(3), np.zeros(3))),
+    ("covariance_trace", (np.diag([2.0 + 1j, 3.0]), [np.ones(2)])),
+    ("info_filter_trace", (np.diag([2.0 + 1j, 3.0]), [np.ones(2)])),
+    ("reach_ellipse", (np.diag([2.0 + 1j, 3.0]),)),
+    ("stability_preserved", (np.diag([-1.0 + 1j, -2.0]), np.ones(2), np.ones(2))),
+]
+
+
+@pytest.mark.parametrize("name, args", REAL_ONLY, ids=[name for name, _ in REAL_ONLY])
+def test_complex_input_refused(name, args):
+    with pytest.raises(ValueError, match="is complex; it must be real"):
+        getattr(detdyn, name)(*args)
 
 
 class TestValidation:
