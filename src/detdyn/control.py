@@ -78,6 +78,8 @@ class GramianGrowth:
     the sweep normalized_det_values holds eps^{-(n-r)} det(eps I + W) as
     prod_{i<r} (sigma_i^2 + eps) prod_{i>=r} (1 + sigma_i^2 / eps), and
     factor_product_values holds exp(sum log(factors) + r log eps).
+    Beyond float range the values read +inf; log_pdet, the convergence
+    test and identity_residuals = |expm1(log fac - log norm)| use logs.
     """
 
     eps_schedule: tuple
@@ -394,10 +396,10 @@ def growth_from_directions(directions, n: int, schedule=None,
     log_norm = (np.sum(np.log(s2[:r, None] + eps), axis=0)
                 + np.sum(np.log1p(s2[r:, None] / eps), axis=0))
     log_fac = np.sum(np.log(factors), axis=0) + r * np.log(eps)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore"):
         norm_det = np.prod(s2[:r, None] + eps, axis=0) * np.prod(1.0 + s2[r:, None] / eps, axis=0)
         fac_prod = np.exp(log_fac)
-        residuals = np.abs(norm_det - fac_prod) / np.maximum(norm_det, 1e-300)
+    residuals = np.abs(np.expm1(log_fac - log_norm))
     if raise_on_diverge:
         finals = ((norm_det[-1], 1.0, log_norm[-1]), (fac_prod[-1], 1.0, log_fac[-1]))
         _require_settled((pdet_est, 1.0, log_pdet), finals, tuple(zip(schedule, norm_det.tolist())))

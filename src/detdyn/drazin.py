@@ -82,16 +82,18 @@ def _core_chain(a: np.ndarray, tol: Tolerance):
     ``kernel.inverse``, whose nonsingular decision may be certified from
     the residual of the inverse it forms. Every level is judged on H's
     cutoff: a core's own would pass a rounding residue of the nilpotent
-    part as a nonzero eigenvalue.
+    part as a nonzero eigenvalue. Level i, the core after i products
+    F C, adds i n eps max|H| to it, the rounding those products add.
     """
-    floor = Tolerance(rel=tol.rel, abs=tol.cutoff(a))
+    cut, step = tol.cutoff(a), a.shape[0] * kernel.EPS * float(np.max(np.abs(a)))
     levels, core = [], a
-    c, f = kernel.full_rank_factorization(a, floor)
+    c, f = kernel.full_rank_factorization(a, Tolerance(rel=tol.rel, abs=cut))
     while c.shape[1] < core.shape[0]:
         levels.append((c, f))
         core = f @ c
         if not core.size:
             break
+        floor = Tolerance(rel=tol.rel, abs=cut + len(levels) * step)
         try:
             return levels, core, kernel.inverse(core, floor)
         except Singular:
@@ -195,7 +197,8 @@ def compatibility_check(h, u, v, tol: Tolerance = DEFAULT_TOL) -> CompatibilityR
 def _lemma(h, u, v, tol: Tolerance):
     """The validated prologue of both lemma routes: (H, H + U V^T, nu,
     (value, sign, log|value|) of the closed form pdet(H) det(I_r + V^T H^D U)),
-    with pdet(H) = det(F C) of the group inverse's own core, as in ``pdet``."""
+    with pdet(H) = det(F C) of the group inverse's own core, as in ``pdet``;
+    a value out of float range is formed from sign and log (``_from_log``)."""
     a = kernel.as_matrix(kernel.as_real(h, "H"), square=True, name="H")
     n = a.shape[0]
     uu = _as_factor(u, n, "U")
@@ -216,6 +219,8 @@ def _lemma(h, u, v, tol: Tolerance):
         dk = kernel.det(np.eye(r) + vv.T @ gi.h_drazin @ uu, tol)
         value, sign = value * dk, sign * float(np.sign(dk))
         log += np.log(abs(dk)) if dk else -np.inf
+        if not (value and np.isfinite(value)):
+            value = float(kernel._from_log(sign, log))
     return a, a + uu @ vv.T, gi.nullity_nu, (value, sign, log)
 
 
@@ -278,16 +283,18 @@ def _require_settled(closed, finals, per_eps) -> None:
     """NotConverged, carrying the sweep, unless every smallest-eps value in
     ``finals`` has the sign of ``closed`` and its log|.| within _CONV_REL;
     all are (value, sign, log|value|), so the test holds beyond float
-    range. A zero closed form is met only by zeros, and a NaN fails."""
+    range. A zero closed form is met only by zeros, and a NaN fails. The
+    reported gap, |s e^(l - m) - s' e^(l' - m)| with m the larger log, is
+    relative to the larger magnitude and so finite (2 at most) too."""
     value, sign, log = closed
-    values, signs, logs = zip(*finals)
-    if all(s == sign for s in signs) and (
-            sign == 0.0 or np.max(np.abs(np.subtract(logs, log))) <= _CONV_REL):
+    _, signs, logs = np.array(finals, dtype=float).T
+    if np.all(signs == sign) and (sign == 0.0 or np.max(np.abs(logs - log)) <= _CONV_REL):
         return
-    with np.errstate(invalid="ignore"):
-        gap = float(np.max(np.abs(np.subtract(values, value))))
-    raise NotConverged(f"smallest-eps value is {gap:.3e} from the closed form {value:.6e}",
-                       per_eps)
+    top = np.maximum(logs, log)
+    with np.errstate(invalid="ignore"):  # a NaN or +inf log reads as a NaN gap
+        gap = float(np.max(np.abs(signs * np.exp(logs - top) - sign * np.exp(log - top))))
+    raise NotConverged(f"smallest-eps value is {gap:.3e} from the closed form {value:.6e}, "
+                       "relative to the larger", per_eps)
 
 
 def regularized_limit(h, u, v, schedule=None,
@@ -309,7 +316,6 @@ def regularized_limit(h, u, v, schedule=None,
     eps = np.array(_eps_schedule(schedule, max(float(mags[nu]), tol.cutoff(a))))
     sign, logdet = np.linalg.slogdet(m + eps[:, None, None] * np.eye(a.shape[0]))
     logs = logdet - nu * np.log(eps)
-    with np.errstate(over="ignore"):
-        per_eps = tuple(zip(eps.tolist(), (sign * np.exp(logs)).tolist()))
+    per_eps = tuple(zip(eps.tolist(), kernel._from_log(sign, logs).tolist()))
     _require_settled(closed, ((per_eps[-1][1], sign[-1], logs[-1]),), per_eps)
     return RegularizedLimitResult(estimate=closed[0], per_eps=per_eps, converged=True)

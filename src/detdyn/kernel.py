@@ -193,16 +193,35 @@ def _inverse(a: np.ndarray, tol: Tolerance) -> np.ndarray:
     return np.linalg.inv(a) if x is None else x
 
 
+def _from_log(x, log):
+    """x exp(log), the one rule by which a value that may leave float range
+    becomes a float: each real or imaginary part p is sign(p) exp(log +
+    log|p|), +-inf beyond the range and 0.0 below it, silently, and an
+    exact zero stays zero. A scalar x is a sign, of modulus 1 or 0; while
+    exp(log) is finite it gives x exp(log) with the C library's exp, bit
+    for bit how numpy forms ``np.linalg.det``."""
+    if np.ndim(x) == 0:
+        try:
+            return x * math.exp(log)
+        except OverflowError:
+            pass
+
+    def part(p):
+        with np.errstate(over="ignore", divide="ignore"):  # log 0 = -inf
+            return np.sign(p) * np.exp(log + np.log(np.abs(p)))
+
+    if not np.iscomplexobj(x):
+        return part(x)
+    value = np.empty(np.shape(x), complex)
+    value.real, value.imag = part(np.real(x)), part(np.imag(x))
+    return value
+
+
 def _det(a: np.ndarray):
-    """(det, sign, log|det|) of a validated square ``a`` from one LU:
-    det = sign exp(log|det|) with the C library's exp, bit for bit numpy's
-    ``np.linalg.det``, but +-inf (0.0) beyond float range, silently."""
+    """(det, sign, log|det|) of a validated square ``a`` from one LU, with
+    det = ``_from_log``(sign, log|det|)."""
     sign, logdet = np.linalg.slogdet(a)
-    try:
-        mag = math.exp(logdet)
-    except OverflowError:
-        mag = math.inf
-    return (sign * mag).item(), sign.item(), float(logdet)
+    return _from_log(sign, logdet).item(), sign.item(), float(logdet)
 
 
 def det(m, tol: Tolerance = DEFAULT_TOL) -> float:
@@ -241,13 +260,12 @@ def adjugate(m) -> np.ndarray:
 
     M invertible at the default tolerance gives det(M) M^{-1}, with the
     decision certified from that inverse's residual where it can be
-    (``_inverse``). Otherwise,
+    (``_inverse``), kept as that product where it is finite. Otherwise,
     with M = U S V^H, adj(M) = det(U) det(V^H) V adj(S) U^H where adj(S)
-    is diagonal with entries prod_{j != k} s_j, from the prefix and suffix
-    products: no division, so zeros in s are fine. The 1x1 adjugate is
-    [[1]]. In the invertible branch an entry beyond float range is
-    +-inf without a RuntimeWarning; an infinite determinant times an
-    exact zero of the inverse is NaN, and numpy warns of it.
+    is diagonal with entries prod_{j != k} s_j, from prefix and suffix
+    sums of log s_j under one common scale: no division, so zeros in s
+    are fine. Every other entry comes from its sign and log
+    (``_from_log``). The 1x1 adjugate is [[1]].
     """
     a = as_matrix(m, square=True)
     if a.shape[0] == 1:
@@ -255,15 +273,20 @@ def adjugate(m) -> np.ndarray:
     try:
         x = _inverse(a, DEFAULT_TOL)
     except Singular:
-        pass
-    else:
-        with np.errstate(over="ignore"):
-            return _det(a)[0] * x
-    u, s, vh = np.linalg.svd(a)
-    one = np.ones(1)
-    adj_s = (np.concatenate((one, np.cumprod(s[:-1])))
-             * np.concatenate((np.cumprod(s[:0:-1])[::-1], one)))
-    return np.linalg.det(u) * np.linalg.det(vh) * (vh.conj().T * adj_s) @ u.conj().T
+        u, s, vh = np.linalg.svd(a)
+        logs = np.log(s, out=np.full(s.shape, -np.inf), where=s > 0.0)
+        logs = (np.concatenate(([0.0], np.cumsum(logs[:-1])))
+                + np.concatenate((np.cumsum(logs[:0:-1])[::-1], [0.0])))
+        log = logs[-1] if logs[-1] > -np.inf else 0.0  # the largest, or all are zero
+        x = np.linalg.det(u) * np.linalg.det(vh) * (vh.conj().T * np.exp(logs - log)) @ u.conj().T
+        return _from_log(x, log)
+    d, sign, log = _det(a)
+    with np.errstate(over="ignore", invalid="ignore"):
+        adj = d * x
+    # an entry the product left out of float range is formed again
+    out = ~np.isfinite(adj) | (d == 0)
+    adj[out] = _from_log(sign * x[out], log)
+    return adj
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -670,6 +671,17 @@ def test_overflowing_factor_product_converges():
     _, r, ref = mp_gramian_spectrum(g.directions, 2.0 ** -52)
     assert growth.rank_r == r == 32
     assert abs(growth.pdet_estimate - ref) <= 1e-10 * ref
+    assert max(growth.identity_residuals) <= 1e-10
+
+
+def test_residuals_beyond_float_range_are_read_from_logs():
+    # 64 Gaussian directions in R^64 at scale 1e3: both sweeps leave float
+    # range at the small eps, where |norm - fac| / norm read inf / inf
+    b = 1e3 * np.random.default_rng(0).standard_normal((64, 64))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        growth = growth_from_directions(list(b.T), 64)
+    assert growth.normalized_det_values[-1] == growth.factor_product_values[-1] == math.inf
     assert max(growth.identity_residuals) <= 1e-10
 
 

@@ -247,6 +247,23 @@ def symmetric_probe(seed: int, n: int):
     return q @ np.diag(np.concatenate([d, [0.0, 0.0]])) @ q.T, ref
 
 
+def nilpotent_block(seed: int, k: int):
+    """H = S diag(J, N_k) S^{-1}, N_k the k x k nilpotent Jordan block,
+    S = I + G / (2 sqrt n), J = G' / sqrt(q) + 2 I with q in 2..8; returns
+    (H, det J) with det J at 50 digits."""
+    rng = np.random.default_rng(seed)
+    q = int(rng.integers(2, 9))
+    n = q + k
+    j = rng.standard_normal((q, q)) / np.sqrt(q) + 2.0 * np.eye(q)
+    block = np.zeros((n, n))
+    block[:q, :q] = j
+    block[q:, q:] = np.diag(np.ones(k - 1), 1)
+    s = np.eye(n) + rng.standard_normal((n, n)) / (2.0 * np.sqrt(n))
+    with mpmath.workdps(50):
+        ref = mpmath.det(mpmath.matrix(j.tolist()))
+    return s @ block @ np.linalg.inv(s), ref
+
+
 class TestCoreChain:
     """One rank rule, Cline's core-nilpotent chain, decides the rank of
     group_inverse, the nullity of both pdet routes and pdet_lemma."""
@@ -270,17 +287,8 @@ class TestCoreChain:
         # S diag(J, N_k) S^-1: the chain takes k levels, the nullity is the
         # algebraic one, k, and pdet is det(J)
         for seed in range(20):
-            rng = np.random.default_rng(seed)
-            q = int(rng.integers(2, 9))
-            n = q + k
-            j = rng.standard_normal((q, q)) / np.sqrt(q) + 2.0 * np.eye(q)
-            block = np.zeros((n, n))
-            block[:q, :q] = j
-            block[q:, q:] = np.diag(np.ones(k - 1), 1)
-            s = np.eye(n) + rng.standard_normal((n, n)) / (2.0 * np.sqrt(n))
-            h = s @ block @ np.linalg.inv(s)
-            with mpmath.workdps(50):
-                ref = mpmath.det(mpmath.matrix(j.tolist()))
+            h, ref = nilpotent_block(seed, k)
+            n = h.shape[0]
             for method in ("eigenproduct", "charpoly"):
                 res = pdet(h, TOL9, method=method)
                 assert res.nullity == k
@@ -289,6 +297,19 @@ class TestCoreChain:
                 group_inverse(h, TOL9)
             with pytest.raises(IndexGreaterThanOne):
                 pdet_lemma(h, np.zeros(n), np.zeros(n), TOL9)
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_nilpotent_block_at_default_tolerance(self, k):
+        # each product F_i C_i adds its own rounding: judged at H's cutoff
+        # alone, a residue of N_k passed as a nonzero eigenvalue on seed 34
+        # (k = 3) and seeds 42, 116 and 126 (k = 4)
+        for seed in range(200):
+            h, ref = nilpotent_block(seed, k)
+            res = pdet(h)
+            assert res.nullity == k
+            assert abs(res.value - ref) <= 1e-12 * abs(ref)
+            with pytest.raises(IndexGreaterThanOne):
+                group_inverse(h)
 
     def test_small_eigenvalue_above_cutoff(self):
         # the eigenproduct route used to drop 1e-6 below sqrt(rel) rho(H)
@@ -307,6 +328,21 @@ class TestCoreChain:
         assert pdet(A_SING, TOL9).value == 2.0
         assert charpolys == []
         assert len(factorizations) == 1
+
+    def test_closed_form_beyond_float_range(self):
+        # pdet(H) = 1e420 is inf and det(I + V^T H^D U) is 0: the product
+        # inf * 0 read NaN, and so did the eps sweep's gap to it
+        n = 64
+        h = np.diag([1e7] * 60 + [0.0] * 4)
+        u = np.zeros(n)
+        u[0] = 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert pdet_lemma(h, u, -1e7 * u) == 0.0
+            with pytest.raises(NotConverged) as exc:
+                regularized_limit(h, u, -1e7 * u)
+        gap = float(str(exc.value).split()[3].rstrip(","))
+        assert 0.0 < gap <= 2.0
 
 
 class TestCompatibility:

@@ -19,11 +19,13 @@ from detdyn import (
     charpoly,
     det,
     det_product,
+    det_rank_one,
     det_sequence,
     eigenvalues,
     full_rank_factorization,
     inverse,
     rank,
+    solve,
 )
 from detdyn.errors import IntermediateSingular, RootFindDivergence, Singular
 from detdyn.kernel import EPS, _det, _singular_values
@@ -124,6 +126,47 @@ def near_cutoff(rng, n, family, complex_, scale, tol, k):
     return scale * t
 
 
+def assert_beyond_range(got, slogdet, x):
+    """``got`` is det(A) A^{-1} as it rounds without float's range limits:
+    det(A) = sign exp(log|det|) = sign m 2^k, with k = floor(log|det| /
+    log 2) and the mantissa m from mpmath, and each real and imaginary
+    part of 2^k (sign m A^{-1}) within 1e-12 of the larger part, +-inf or
+    0.0 where it leaves float range; exactly 0.0 where A^{-1} has a zero.
+    A part below 1e-12 of the larger is the rounding of a complex phase,
+    and any value does."""
+    assert np.all(got[x == 0] == 0)
+    sign, logdet = slogdet
+    k = math.floor(logdet / math.log(2.0))
+    with mpmath.workdps(30):
+        y = sign * float(mpmath.exp(mpmath.mpf(float(logdet)) - k * mpmath.ln2)) * x
+    big = np.maximum(np.abs(y.real), np.abs(y.imag))
+    with np.errstate(over="ignore", invalid="ignore"):
+        tol = np.ldexp(1e-12 * big, k) + 5e-324
+        for part, exact in ((got.real, y.real), (got.imag, y.imag)):
+            want = np.ldexp(exact, k)
+            assert np.all((part == want) | (np.abs(exact) <= 1e-12 * big)
+                          | (np.isfinite(want) & (np.abs(part - want) <= tol)))
+
+
+class TestSolve:
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_is_numpys_solve(self, complex_, rng):
+        for n in (1, 2, 16, 64):
+            a = np.eye(n) + rng.standard_normal((n, n)) / (2.0 * np.sqrt(n))
+            b = rng.standard_normal((n, 3))
+            if complex_:
+                a = a + 1j * rng.standard_normal((n, n)) / (2.0 * np.sqrt(n))
+                b = b + 1j * rng.standard_normal((n, 3))
+            assert np.array_equal(solve(a, b[:, 0]), np.linalg.solve(a, b[:, 0]))
+            assert np.array_equal(solve(a, b), np.linalg.solve(a, b))
+
+    def test_singular_raises(self):
+        with pytest.raises(Singular):
+            solve(RANK4, np.ones(5))
+        with pytest.raises(Singular):
+            solve(np.diag([1.0, 1e-17]), np.ones(2))
+
+
 class TestCertifiedInverse:
     """A nonsingular decision read off the inverse's residual is the
     singular-value decision, and the values are LAPACK's either way."""
@@ -149,17 +192,14 @@ class TestCertifiedInverse:
                             assert not singular
                             assert np.array_equal(x, np.linalg.inv(a))
                         assert (rank(a, tol) == n) is not singular
-                    # at n = 64 and scale 1e6 the determinants themselves
-                    # leave float range, and det(A) A^{-1} meets inf * 0
-                    with np.errstate(over="ignore", invalid="ignore"):
-                        self.assert_determinants_match(a, seq, tol, singular)
+                    self.assert_determinants_match(a, seq, tol, singular)
 
     def assert_determinants_match(self, a, seq, tol, singular):
         n = a.shape[0]
         if np.iscomplexobj(a):
             if tol == Tolerance():
                 base = det_sequence(a, seq).values[0]
-                assert np.array_equal(base, det(a), equal_nan=True)
+                assert np.array_equal(base, det(a))
         elif singular:
             with pytest.raises(IntermediateSingular):
                 det_product(a, seq, tol)
@@ -167,8 +207,16 @@ class TestCertifiedInverse:
         else:
             assert det_product(a, seq, tol).base_det == det(a, tol)
         if n > 1 and _singular_values(a)[-1] > Tolerance().cutoff(a):
-            want = np.linalg.det(a) * np.linalg.inv(a)
-            assert np.array_equal(adjugate(a), want, equal_nan=True)
+            got, x = adjugate(a), np.linalg.inv(a)
+            with np.errstate(over="ignore", invalid="ignore"):
+                d = np.linalg.det(a)
+                want = d * x
+            # numpy's own product, bit for bit, where it stays in float
+            # range; at n = 64 and scales 1e6 and 1e-6 det(A) or entries of
+            # det(A) A^{-1} leave it, and the product is taken in mpmath
+            kept = np.isfinite(want) & (d != 0)
+            assert np.array_equal(got[kept], want[kept])
+            assert_beyond_range(got[~kept], np.linalg.slogdet(a), x[~kept])
 
     @pytest.mark.parametrize("complex_", [False, True])
     def test_well_conditioned_takes_no_svd(self, complex_, rng, monkeypatch):
@@ -253,6 +301,23 @@ class TestOutOfRange:
                 base = det_product(a, seq).base_det
         assert not np.isfinite(d)
         assert np.array_equal(base, d)
+
+    def test_zero_parts_stay_zero(self, rng):
+        # inf meets no exact zero: the product of a sign and an infinite
+        # magnitude is formed part by part, and each zero stays zero
+        n = 64
+        singular = rng.standard_normal((n, n))
+        singular[:, -1] = singular[:, 0]
+        u = rng.standard_normal(n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = det((1e7 + 0j) * np.eye(n))
+            adj = adjugate(1e6 * np.eye(n))
+            assert not np.isnan(adjugate(1e6 * singular)).any()
+            assert det_rank_one(1e6 * np.eye(n), (u, u)) == math.inf
+        assert d == complex(math.inf, 0.0)
+        assert np.all(np.diag(adj) == math.inf)
+        assert np.all(adj[~np.eye(n, dtype=bool)] == 0.0)
 
     def test_adjugate_overflows_silently(self, rng):
         n = 64

@@ -3,6 +3,7 @@ import pytest
 
 from detdyn import (
     BaseNotHurwitz,
+    ContourTooCoarse,
     EigenvalueOnContour,
     ResolventSingular,
     Tolerance,
@@ -11,6 +12,7 @@ from detdyn import (
     secular_value,
     stability_preserved,
 )
+from detdyn import spectral
 
 from conftest import count_calls, mp_det, random_hurwitz, rhp_count, scaled_unstable
 
@@ -233,6 +235,22 @@ class TestStabilityPreserved:
         assert cert.winding == 1
         assert not cert.stable
         assert cert.rhp_eigs_oracle == 1
+
+    @pytest.mark.parametrize("samples", [1, 8])
+    def test_contour_doubles_from_eight_samples(self, samples):
+        # a count below 8 starts at 8, whose phase steps exceed pi/2 here:
+        # it doubles until none does, and the winding is the eigensolver's
+        a = np.diag([-1.0, -2.0])
+        cert = stability_preserved(a, np.array([1.0, 0.0]), np.array([3.0, 0.0]),
+                                   samples=samples)
+        assert cert.samples == 64
+        assert cert.winding == cert.rhp_eigs_oracle == 1
+
+    def test_contour_too_coarse_at_the_cap(self, monkeypatch):
+        monkeypatch.setattr(spectral, "_SAMPLE_CAP", 16)
+        with pytest.raises(ContourTooCoarse, match="16-sample cap"):
+            stability_preserved(np.diag([-1.0, -2.0]), np.array([1.0, 0.0]),
+                                np.array([3.0, 0.0]), samples=8)
 
     def test_base_not_hurwitz(self):
         with pytest.raises(BaseNotHurwitz):
