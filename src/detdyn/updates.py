@@ -7,24 +7,25 @@ are fine. The multiplicative route (``det_product``, ``logdet_sequence``)
 uses det(H + u v^T) = det(H) (1 + v^T H^{-1} u) and therefore requires
 nonsingular intermediates; violations are reported, never patched over.
 
-All three walk one engine. Its frame is the inverse of the bordered
-B = [[M, U_d], [V_d^H, 0]], U_d and V_d the d singular pairs of the
-running matrix M that are too small to trust (d = 0, B = M, while M is
-safely invertible). The factors det B_j / det B_{j-1} of up to n steps
+All three walk one engine. Its frame is (B^{-1}, det B) for the
+bordered B = [[M, U_d], [V_d^H, 0]], U_d and V_d the d singular pairs of
+the running matrix M that are too small to trust (d = 0, B = M, while M
+is safely invertible). The factors det B_j / det B_{j-1} of up to n steps
 are the pivots of one capacitance matrix (the matrix determinant lemma):
-two GEMMs a block, and one LU inverse of M, or one SVD while d > 0,
-between blocks; det H, its sign and log come from the kernel's one LU
-reader. The unpivoted LU is taken by halving: the pivots are those of
-the leading half and then those of its Schur complement, one batched
-solve and one batched GEMM per level, about log2(b / 4) levels for a
-block of b steps. With d > 0 the border rides along, and Jacobi's
+two GEMMs a block, and between blocks one ``kernel.inverse`` of M, or one
+SVD while d > 0 or once M is too near singular; det H, its sign and log
+come from the kernel's one LU reader. The unpivoted LU is taken by
+halving: the pivots are those of the leading half and then those of its
+Schur complement, one batched solve and one batched GEMM per level,
+about log2(b / 4) levels for a block of b steps. With d > 0 the border rides along, and Jacobi's
 identity det M = det B det T, where T is the trailing d x d block of
-B^{-1}, reads v^T adj(M) u off the same elimination, with no division by
-det M.
+B^{-1}, reads v^T adj(M) u = det B det J off the same elimination, with
+no division by det M; with d = 0 that is det M v^T M^{-1} u.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -174,14 +175,15 @@ def det_rank_one(h, update) -> float:
 
 
 def _base(a: np.ndarray, tol: Tolerance):
-    """(det H, its sign, log|det H|) from ``kernel._det`` and H^{-1}, or
-    (0.0, 0.0, None, None) when H is singular at tolerance, as
-    ``kernel.det`` decides it (``kernel._inverse``)."""
+    """(det H, its sign, log|det H|) from ``kernel._det`` and the start
+    frame (H^{-1}, det H), or (0.0, 0.0, None, None) when H is singular at
+    tolerance, as ``kernel.det`` decides it (``kernel._inverse``)."""
     try:
         minv = kernel._inverse(a, tol)
     except Singular:
         return 0.0, 0.0, None, None
-    return (*kernel._det(a), minv)
+    det, sign, logdet = kernel._det(a)
+    return det, sign, logdet, (minv, det)
 
 
 def _refresh(m: np.ndarray, tol: Tolerance):
@@ -195,13 +197,11 @@ def _refresh(m: np.ndarray, tol: Tolerance):
     both in closed form. The border is not scaled: a factor c on it would
     multiply det B by c^{2d} and det J (``_pivots``) by c^{-2d}, which
     leave float range at large d where their product does not. d = 0 is
-    the plain frame (M^{-1}, None).
+    the plain frame (M^{-1}, det M).
     """
     u, s, vh = np.linalg.svd(m)
     uh, v = u.conj().T, vh.conj().T
     k = int(np.count_nonzero(s > tol.cutoff(m) / math.sqrt(tol.rel)))
-    if k == s.size:
-        return (v / s) @ uh, None
     n, d = s.size, s.size - k
     binv = np.zeros((n + d, n + d), dtype=m.dtype)
     binv[:n, :n] = (v[:, :k] / s[:k]) @ uh[:k]
@@ -231,9 +231,9 @@ def _pivots(k: np.ndarray, levels: int, d: int):
     border in its last d rows and columns (K = G when d = 0): 1 + s_j is
     the j-th pivot of the unpivoted LU of C = I + G, terms_j sums the
     magnitudes of what was subtracted from G_jj to form s_j, and dets_j
-    (None when d = 0) is det J_j for J_j = [[s_j, q_j^T], [r_j, T_j]],
-    step j's pivot, row and column and the border block of what
-    eliminating steps 0..j-1 leaves of K.
+    is det J_j for J_j = [[s_j, q_j^T], [r_j, T_j]], step j's pivot, row
+    and column and the border block of what eliminating steps 0..j-1
+    leaves of K (J_j = s_j when d = 0).
 
     The pivots of C = [[A, C_12], [C_21, D]] are those of A followed by
     those of the Schur complement D - C_21 A^{-1} C_12, and the two halves
@@ -283,8 +283,9 @@ def _pivots(k: np.ndarray, levels: int, d: int):
         g = w[:, :leaf, :leaf]
         terms.reshape(-1, leaf)[:, 1:] += np.diagonal(
             np.cumsum(np.abs(g * g.transpose(0, 2, 1)), axis=2), -1, 1, 2)
-        dets = np.linalg.det(jm.reshape(p, 1 + d, 1 + d)[:b]).tolist() if d else None
-    return np.diagonal(g, 0, 1, 2).reshape(-1)[:b], terms[:b], dets
+        s = np.diagonal(g, 0, 1, 2).reshape(-1)[:b]
+        dets = np.linalg.det(jm.reshape(p, 1 + d, 1 + d)[:b]) if d else s
+    return s, terms[:b], dets
 
 
 def _capacitance(k: np.ndarray, tol: Tolerance, cut: float, fresh: bool,
@@ -293,7 +294,7 @@ def _capacitance(k: np.ndarray, tol: Tolerance, cut: float, fresh: bool,
     matrix K = [[V_b^T P U_b, V_b^T Q], [R U_b, T]] on a frame with
     B^{-1} = [[P, Q], [R, T]] and a border of width d (K = G =
     V_b^T M^{-1} U_b when d = 0): the s_j the walk accepts, det J_j for
-    every step (None when d = 0) and what renews the frame after them.
+    every step (s_j when d = 0) and what renews the frame after them.
 
     The factors 1 + s_j = det B_j / det B_{j-1} of the block are the
     pivots of the unpivoted LU of C = I + G (the matrix determinant
@@ -313,11 +314,11 @@ def _capacitance(k: np.ndarray, tol: Tolerance, cut: float, fresh: bool,
     - before the first step with |s_j| cut > 1, never the first step of a
       ``fresh`` frame (then "refresh": a new SVD frame);
     - before the first later step whose factor |1 + s_j| is below _CANCEL
-      times its cancellation terms (then "invert": an LU inverse, as after
-      a full block);
+      times its cancellation terms (then "invert", as after a full block);
     - after the first step outside the walk's guard
-      tol.rel <= |1 + s| <= 1 / sqrt(tol.rel) (then "check": an inverse
-      behind the nonsingularity test of ``kernel.inverse``).
+      tol.rel <= |1 + s| <= 1 / sqrt(tol.rel) (then "check").
+    "invert" and "check" differ only in where they cut the block; either
+    renews the frame through ``kernel.inverse``.
     The pivots past the end are dropped; past a failed guard they may
     divide by zero, so ``_pivots`` runs under np.errstate.
     """
@@ -327,7 +328,7 @@ def _capacitance(k: np.ndarray, tol: Tolerance, cut: float, fresh: bool,
         s, terms, dets = _pivots(k, levels, d)
     except np.linalg.LinAlgError:
         s, terms, dets = _pivots(k, 0, d)
-    s = s.tolist()
+    s, dets = s.tolist(), dets.tolist()
     hi = 1.0 / math.sqrt(tol.rel)
     gd = np.abs(k.diagonal()[:b]).tolist()
     for j, (sj, gj, tj) in enumerate(zip(s, gd, terms.tolist())):
@@ -342,31 +343,31 @@ def _capacitance(k: np.ndarray, tol: Tolerance, cut: float, fresh: bool,
 
 
 def _inverse_walk(a: np.ndarray, seq: UpdateSequence, tol: Tolerance,
-                  minv, adjugate: bool = False):
-    """Walk M_k = H + Delta_k from M_0^{-1} = ``minv`` (None when H is
-    singular at tolerance), yielding (s_k, t_k) for k = 1..r.
+                  frame, adjugate: bool = False):
+    """Walk M_k = H + Delta_k from the start frame ``frame`` = (H^{-1},
+    det H) (None when H is singular at tolerance), yielding (s_k, t_k) for
+    k = 1..r.
 
-    The frame is B^{-1} and det B for B = [[M, U_d], [V_d^H, 0]]
-    (``_refresh``; B^{-1} = M^{-1} and det B None when d = 0). The steps go
-    in blocks of up to n: X = B^{-1}[:, :n] U_b^T and K = [[V_b X[:n],
-    V_b Q], [X[n:], T]] by GEMMs, the block's pivots from K
-    (``_capacitance``), and a new frame between blocks, so no step costs
-    O(n^2) in Python.
+    The frame is B^{-1} and det B for B = [[M, U_d], [V_d^H, 0]], d >= 0
+    (``_refresh``). The steps go in blocks of up to n: X = B^{-1}[:, :n]
+    U_b^T and K = [[V_b X[:n], V_b Q], [X[n:], T]] by GEMMs, the block's
+    pivots from K (``_capacitance``), and a new frame between blocks, so
+    no step costs O(n^2) in Python. Each step yields s_k, with 1 + s_k =
+    det B_k / det B_{k-1}, and t_k = v_k^T adj(M_{k-1}) u_k = det B_{k-1}
+    det J_k, which divides by no det M (on a plain frame, d = 0, det J_k
+    = s_k and det B = det M); det B goes on as det B + det B s_k.
 
-    On the plain frame s_k = v_k^T M_{k-1}^{-1} u_k and t_k is None. A
-    full block is followed by a fresh LU inverse of M; a step outside the
-    guard tol.rel <= |1 + s| <= 1 / sqrt(tol.rel) ends its block, and the
-    next M is inverted through ``kernel.inverse``; a factor 1 + s_k that
-    cancelled to below 1e-3 of its terms ends the block before step k,
-    which is read again off a fresh inverse. Without ``adjugate`` a
-    singular M_{k-1} gives s_k = t_k = None for every remaining step.
+    A block that ends on a plain frame, full or cut by a factor outside
+    the guard tol.rel <= |1 + s| <= 1 / sqrt(tol.rel) or by one that
+    cancelled to below 1e-3 of its terms (that step is read again off the
+    new frame), renews M^{-1} through ``kernel.inverse`` and keeps det B.
+    Without ``adjugate`` a singular M_{k-1} gives s_k = t_k = None for
+    every remaining step.
 
     With ``adjugate`` a singular M, or |s_k| > 1 / sqrt(tol.rel) before
-    t_k or D_{k-1} s_k is formed (it says M_{k-1} is nearly singular along
-    u_k and v_k, where the product would multiply D_{k-1}'s rounding by
-    |s_k|), takes the frame from one SVD instead. On a bordered frame the
-    walk yields t_k = v_k^T adj(M_{k-1}) u_k = det B_{k-1} det J_k (s_k
-    None), which divides by no det M, and every block ends in a new SVD
+    t_k is formed (it says M_{k-1} is nearly singular along u_k and v_k,
+    where det B s_k would multiply det B's rounding by |s_k|), takes the
+    frame from one SVD instead. A bordered block always ends in a new SVD
     frame, plain again once sigma_min(M) clears the floor.
     """
     n, r = a.shape[0], len(seq)
@@ -374,9 +375,9 @@ def _inverse_walk(a: np.ndarray, seq: UpdateSequence, tol: Tolerance,
     us = np.array([up.u for up in seq.updates]).reshape(r, n)
     vs = np.array([up.v for up in seq.updates]).reshape(r, n)
     current = a
-    frame, fresh = (minv, None), False
-    if minv is None:
-        frame, fresh = (_refresh(a, tol) if adjugate and r else None), True
+    fresh = frame is None
+    if fresh and adjugate and r:
+        frame = _refresh(a, tol)
     k = 0
     while k < r:
         if frame is None:
@@ -391,14 +392,10 @@ def _inverse_walk(a: np.ndarray, seq: UpdateSequence, tol: Tolerance,
         if d:
             g = np.block([[g, vb @ inv[:n, n:]], [x[n:], inv[n:, n:]]])
         s, dets, then = _capacitance(g, tol, cut, fresh, d)
-        if d:
-            for sk, jk in zip(s, dets):
-                # + 0.0: an exact zero term reads 0.0 whatever det B's sign
-                yield None, det_b * jk + 0.0
-                det_b *= 1.0 + sk
-        else:
-            for sk in s:
-                yield sk, None
+        for sk, jk in zip(s, dets):
+            # + 0.0: an exact zero term reads 0.0 whatever det B's sign
+            yield sk, det_b * jk + 0.0
+            det_b = det_b + det_b * sk
         e = len(s)
         k += e
         if k == r:
@@ -407,12 +404,9 @@ def _inverse_walk(a: np.ndarray, seq: UpdateSequence, tol: Tolerance,
         fresh = False
         if not d and then != "refresh":
             try:
-                if then == "check":
-                    frame = (kernel.inverse(current, tol), None)
-                else:
-                    frame = (np.linalg.inv(current), None)
+                frame = (kernel.inverse(current, tol), det_b)
                 continue
-            except (Singular, np.linalg.LinAlgError):
+            except Singular:
                 frame = None
         if adjugate:
             frame, fresh = _refresh(current, tol), True
@@ -421,25 +415,21 @@ def _inverse_walk(a: np.ndarray, seq: UpdateSequence, tol: Tolerance,
 def det_sequence(h, seq: UpdateSequence) -> DetTrace:
     """Run the additive recursion D_k = D_{k-1} + v_k^T adj(H + Delta_{k-1}) u_k.
 
-    While H + Delta_{k-1} is safely invertible the increment is
-    D_{k-1} v_k^T (H + Delta_{k-1})^{-1} u_k, read off a block's
-    capacitance matrix. Where it is singular or nearly singular, of any
-    rank, the walk borders it by its d small singular pairs and reads the
-    adjugate off the bordered inverse, blocks of up to n steps per SVD,
-    and returns to the plain blocks once the matrix is invertible again.
-    Works for singular H and singular intermediates, and for complex H
-    (the updates stay real), whose values come out complex.
+    Each increment is det B_{k-1} det J_k on the walk's frame, read off a
+    block's capacitance matrix: D_{k-1} v_k^T (H + Delta_{k-1})^{-1} u_k
+    while H + Delta_{k-1} is safely invertible (no border). Where it is
+    singular or nearly singular, of any rank, the frame borders it by its
+    d small singular pairs, blocks of up to n steps per SVD, and returns
+    to no border once the matrix is invertible again. Works for singular H
+    and singular intermediates, and for complex H (the updates stay real),
+    whose values come out complex.
     """
     a = _check_base(h, seq)
-    d, _, _, minv = _base(a, DEFAULT_TOL)
-    values = [d]
-    increments = []
-    for s, t in _inverse_walk(a, seq, DEFAULT_TOL, minv, adjugate=True):
-        inc = d * s if t is None else t
-        d = d + inc
-        increments.append(inc)
-        values.append(d)
-    return DetTrace(values=tuple(values), increments=tuple(increments))
+    d, _, _, frame = _base(a, DEFAULT_TOL)
+    increments = tuple(t for _, t in _inverse_walk(a, seq, DEFAULT_TOL, frame,
+                                                   adjugate=True))
+    return DetTrace(values=tuple(itertools.accumulate(increments, initial=d)),
+                    increments=increments)
 
 
 def _multiplicative_walk(h, seq: UpdateSequence, tol: Tolerance,
@@ -454,11 +444,11 @@ def _multiplicative_walk(h, seq: UpdateSequence, tol: Tolerance,
     a = _check_base(h, seq)
     if np.iscomplexobj(a):
         raise ValueError("the multiplicative forms take real H; use det_sequence")
-    d, sign, logdet, minv = _base(a, tol)
+    d, sign, logdet, frame = _base(a, tol)
     if require_positive and not sign > 0.0:
         raise NonPositiveDeterminant(0, d)
     factors = []
-    for i, (s, _) in enumerate(_inverse_walk(a, seq, tol, minv)):
+    for i, (s, _) in enumerate(_inverse_walk(a, seq, tol, frame)):
         if s is None:
             raise IntermediateSingular(i)
         factors.append(1.0 + s)

@@ -70,6 +70,18 @@ class TestParseMatrixFile:
             parse_matrix_file(p)
         assert exc.value.line == 2 and exc.value.column == 2
 
+    @pytest.mark.parametrize("text, line, column, detail", [
+        ("1,,2\n", 1, 2, "empty cell"),
+        ("1,2\ninf,4\n", 2, 1, "non-finite value"),
+        (" \n\n", 1, 1, "no rows"),
+    ])
+    def test_csv_refused(self, tmp_path, text, line, column, detail):
+        p = tmp_path / "m.csv"
+        p.write_text(text)
+        with pytest.raises(ParseError, match=detail) as exc:
+            parse_matrix_file(p)
+        assert (exc.value.line, exc.value.column) == (line, column)
+
     def test_json_row_arrays(self, tmp_path):
         p = tmp_path / "m.json"
         p.write_text("[[1, 2], [3, 4]]")
@@ -79,6 +91,26 @@ class TestParseMatrixFile:
         p = tmp_path / "m.json"
         p.write_text('{"matrix": [[5]]}')
         assert np.array_equal(parse_matrix_file(p), np.array([[5.0]]))
+
+    def test_json_document_with_one_array_under_another_key(self, tmp_path):
+        p = tmp_path / "m.json"
+        p.write_text('{"name": "m", "rows": [[1, 2], [3, 4]]}')
+        assert np.array_equal(parse_matrix_file(p), np.array([[1.0, 2.0], [3.0, 4.0]]))
+
+    @pytest.mark.parametrize("text, exc, detail", [
+        ('{"a": [[1]], "b": [[2]]}', ParseError, "exactly one matrix"),
+        ("[]", ParseError, "nonempty array"),
+        ("[1, 2]", ParseError, "rows to be arrays"),
+        ("[[1, 2], [3]]", RaggedRows, None),
+        ("[[1, NaN]]", ParseError, "non-finite constant 'NaN'"),
+        ("[[1, 1e999]]", ParseError, "finite 2-d numeric array"),
+        ("[[[1]]]", ParseError, "finite 2-d numeric array"),
+    ])
+    def test_json_refused(self, tmp_path, text, exc, detail):
+        p = tmp_path / "m.json"
+        p.write_text(text)
+        with pytest.raises(exc, match=detail):
+            parse_matrix_file(p)
 
     def test_csv_with_byte_order_mark(self, tmp_path):
         p = tmp_path / "m.csv"
@@ -620,6 +652,46 @@ class TestBadParameters:
         out = self.run(tmp_path, capsys, "gramian", self.GRAMIAN, {"horizon": 4},
                        f"--eps-min={value}")
         assert "error: ValueError" in out and "eps_min > 0" in out
+
+    @pytest.mark.parametrize("doc, error, detail", [
+        ([1], "ParseError", "scenario document must be an object"),
+        ({"kind": "nope"}, "InputError", "unknown scenario kind 'nope'"),
+        ({"kind": "pdet", "inputs": [1]}, "ParseError",
+         "'inputs' and 'parameters' must be objects"),
+    ])
+    def test_scenario_document_refused(self, tmp_path, capsys, doc, error, detail):
+        sc = write_scenario(tmp_path, doc)
+        code = main(["pdet", "--scenario", str(sc)])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err.startswith(f"detdyn: {error}: ") and detail in err
+
+    STREAM = {"H": [[1.0, 0.0], [0.0, 1.0]], "us": [[1.0, 0.0]], "vs": [[0.0, 1.0]]}
+
+    @pytest.mark.parametrize("kind, inputs, detail", [
+        ("det-update", {"H": [[1.0]], "u": [1.0]}, "missing input 'v'"),
+        ("det-update", {"H": [[1.0, 0.0], [0.0, 1.0]], "u": "u.csv", "v": [1.0, 0.0]},
+         "input 'u' is not a vector"),
+        ("det-update", {"H": [[1.0, 0.0], [0.0, 1.0]], "u": [[1.0], [0.0]],
+                        "v": [1.0, 0.0]}, "input 'u' is not a flat array"),
+        ("det-sequence", {**STREAM, "us": 5}, "input 'us' must be an array of vectors"),
+        ("det-sequence", {**STREAM, "vs": [[0.0, 1.0]] * 2}, "must have the same length"),
+    ])
+    def test_inputs_refused(self, tmp_path, capsys, kind, inputs, detail):
+        (tmp_path / "u.csv").write_text("1,0\n0,1\n")
+        out = self.run(tmp_path, capsys, kind, inputs, {})
+        assert "error: InputError" in out and detail in out
+
+    def test_ellipse_without_svg(self, tmp_path, capsys):
+        out = self.run(tmp_path, capsys, "ellipse-plot", self.GRAMIAN, {"horizon": 4})
+        assert "error: InputError" in out and "needs an SVG output path" in out
+
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    def test_ellipse_eps_not_positive(self, tmp_path, capsys, value):
+        out = self.run(tmp_path, capsys, "ellipse-plot", self.GRAMIAN,
+                       {"horizon": 4, "eps": value, "svg": "out.svg"})
+        assert "error: InputError" in out and "eps must be positive" in out
+        assert not (tmp_path / "out.svg").exists()
 
     STABILITY = {"A": [[-1.0, 0.0], [0.0, -2.0]], "u": [1.0, 0.0], "v": [0.5, 0.0]}
 

@@ -172,6 +172,10 @@ class TestPdet:
         with pytest.raises(AllCoefficientsBelowTolerance):
             pdet(np.zeros((2, 2)), TOL9)
 
+    def test_unknown_method_rejected(self):
+        with pytest.raises(ValueError, match="unknown pdet method"):
+            pdet(np.eye(2), method="lu")
+
     def test_nilpotent_undefined(self):
         with pytest.raises(AllCoefficientsBelowTolerance):
             pdet(np.array([[0.0, 1.0], [0.0, 0.0]]), TOL9)
@@ -410,6 +414,10 @@ class TestPdetLemma:
             v = np.array([p, 0.7, 0.0])
             assert abs(float(v @ gi.h_drazin @ u) - (-p)) <= 1e-12
             assert abs(pdet_lemma(A_SING, u, v, TOL9) - 2.0 * (1.0 - p)) <= 1e-12
+
+    def test_zero_base_and_factors_undefined(self):
+        with pytest.raises(AllCoefficientsBelowTolerance):
+            pdet_lemma(np.zeros((3, 3)), np.zeros((3, 1)), np.zeros((3, 1)))
 
     def test_empty_factors_return_pdet(self):
         val = pdet_lemma(A_SING, np.zeros((3, 0)), np.zeros((3, 0)), TOL9)

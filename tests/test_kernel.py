@@ -76,6 +76,11 @@ class TestDet:
         with pytest.raises(ValueError):
             det(np.array([[1.0, np.nan], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("shape", [(3,), (2, 2, 2)])
+    def test_not_two_dimensional_rejected(self, shape):
+        with pytest.raises(DimensionMismatch):
+            det(np.ones(shape))
+
     def test_rank_deficient_integer_is_exact_zero(self):
         assert det(RANK4) == 0.0
 

@@ -37,9 +37,9 @@ def record_refreshes(monkeypatch) -> list:
     orig = updates._refresh
 
     def recorded(m, tol):
-        inv, det_b = frame = orig(m, tol)
-        d = inv.shape[0] - m.shape[0]
-        frames.append("plain" if det_b is None else "bordered" if d == 1
+        frame = orig(m, tol)
+        d = frame[0].shape[0] - m.shape[0]
+        frames.append("plain" if d == 0 else "bordered" if d == 1
                       else f"bordered-{d}")
         return frame
 
@@ -409,6 +409,34 @@ class TestSingularWalk:
         self.assert_walk_against_mpmath(
             *cutting_stream(np.random.default_rng(n), n, n + 4, c))
 
+    def test_walk_returns_to_plain_frame(self, monkeypatch):
+        # M_0 has rank n-1: the frame bordered by its null pair takes the
+        # first block of n = 4 steps, the first of which restores the rank;
+        # the SVD at the block's end finds M_4 = diag(2, 2, 2, 1)
+        # invertible and hands back the plain frame for the last four
+        frames = record_refreshes(monkeypatch)
+        e = np.eye(4)
+        seq = UpdateSequence.symmetric([e[3], e[0], e[1], e[2]] * 2)
+        tr = det_sequence(np.diag([1.0, 1.0, 1.0, 0.0]), seq)
+        assert frames == ["bordered", "plain"]
+        assert tr.values == (0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 24.0, 36.0, 54.0)
+
+    def test_singular_start_against_mpmath(self):
+        # rank n-1 or n-2 starts, r = 2 n: the plain frame the walk returns
+        # to carries det B in closed form from its SVD; carrying on from
+        # the running sum instead gave a worst error of 2.9e-13 (seed 28)
+        # where this walk gives 3.9e-14
+        worst = 0.0
+        for seed in range(40):
+            n = 4 + seed % 10
+            h, seq = deficient_stream(np.random.default_rng(seed), n, 1 + seed % 2,
+                                      2 * n, n // 2)
+            tr = det_sequence(h, seq)
+            ref = np.array([mp_det(m) for m in running_matrices(h, seq)])
+            err = np.max(np.abs(np.array(tr.values) - ref)) / np.max(np.abs(ref))
+            worst = max(worst, err)
+        assert worst <= 1e-13
+
     @pytest.mark.parametrize("defect", [2, 3])
     def test_low_rank_start_factorizes_at_most_three_times(self, defect, monkeypatch):
         # kernel.inverse's singular-value test on the base, one SVD for
@@ -493,8 +521,9 @@ class TestCapacitanceBlocks:
     @pytest.mark.parametrize("route", [det_product, logdet_sequence, det_sequence])
     def test_benign_stream_refactors_between_blocks(self, route, rng, monkeypatch):
         # r = 3 n: the base's LU inverse, whose residual certifies it
-        # without an SVD, then one LU inverse between consecutive blocks,
-        # and no O(n^2) outer product per step
+        # without an SVD, then one kernel.inverse between consecutive
+        # blocks, certified the same way, and no O(n^2) outer product per
+        # step
         n = 16
         h = np.eye(n) + rng.standard_normal((n, n)) / (2.0 * np.sqrt(n))
         seq = UpdateSequence.from_pairs(
@@ -503,7 +532,7 @@ class TestCapacitanceBlocks:
         calls = count_linalg(monkeypatch, ("detdyn.updates", "detdyn.kernel"),
                              ("linalg.svd", "linalg.inv", "outer"))
         route(h, seq)
-        assert calls == [("detdyn.kernel", "inv")] + [("detdyn.updates", "inv")] * 2
+        assert calls == [("detdyn.kernel", "inv")] * 3
 
     def test_guard_trip_refactors_through_kernel(self, monkeypatch):
         # the fifth of ten factors is 2 / sqrt(tol.rel), above the guard:
@@ -712,6 +741,14 @@ class TestDetProduct:
             assert abs(lp.final_det - tr.final) <= 1e-9 * max(1.0, abs(tr.final))
 
 
+    def test_log_form_undefined_for_negative_factor(self):
+        e1 = np.array([1.0, 0.0])
+        lp = det_product(np.eye(2), UpdateSequence.from_pairs([(-3.0 * e1, e1)]))
+        assert lp.factors == (-2.0,)
+        with pytest.raises(ValueError, match="log decomposition"):
+            lp.final_logdet
+
+
 class TestLogDetSequence:
     def test_no_updates(self):
         tr = logdet_sequence(np.eye(3), UpdateSequence(base_dim=3))
@@ -847,6 +884,10 @@ class TestSequenceValidation:
     def test_mismatched_update_dim(self):
         with pytest.raises(DimensionMismatch):
             UpdateSequence(base_dim=2, updates=((np.ones(3), np.ones(3)),))
+
+    def test_empty_pairs_have_no_dimension(self):
+        with pytest.raises(DimensionMismatch):
+            UpdateSequence.from_pairs([])
 
     def test_sequence_vs_matrix_dim(self):
         seq = UpdateSequence.symmetric([np.ones(3)])
