@@ -247,18 +247,21 @@ def info_filter_trace(p, measurements, tol: Tolerance = DEFAULT_TOL) -> InfoFilt
     n = base.shape[0]
     cols = _columns(measurements, n, "v_i")[::-1]
     pivots = _pivots(base, low)
-    d0 = float(np.prod(pivots))
+    log0 = math.fsum(np.log(pivots))
+    with np.errstate(over="ignore"):
+        d0 = float(kernel._in_range(np.prod(pivots), 1.0, log0))
     low = np.tril(np.linalg.inv(low).T[::-1, ::-1])
     quad_forms = _spd_stream(low, cols).tolist()
     factors = [1.0 / (1.0 + q) for q in quad_forms]
-    logdets = _running_sum(math.fsum(np.log(pivots)), [-math.log1p(q) for q in quad_forms])
+    logdets = _running_sum(log0, [-math.log1p(q) for q in quad_forms])
     dets = [d0]
     for f in factors:
         dets.append(dets[-1] * f)
     beta = min(quad_forms) if quad_forms else None
     bound = None
     if beta is not None and beta > 0.0:
-        bound = d0 * (1.0 + beta) ** (-len(factors))
+        k = len(factors)
+        bound = float(kernel._in_range(d0 * (1.0 + beta) ** -k, 1.0, log0 - k * math.log1p(beta)))
     return InfoFilterTrace(
         dets=tuple(dets),
         factors=tuple(factors),
@@ -368,9 +371,9 @@ def _grow(dirs: np.ndarray, schedule, tol: Tolerance):
     weights = np.einsum("blji,blj->bli", vecs, cols) ** 2
     inv = 1.0 / (lam[..., None] + np.array(schedule))
     factors = 1.0 + np.einsum("bli,blie->ble", weights, inv)
-    kept = np.arange(s2.shape[1]) < ranks[:, None]
+    kept = np.where(np.arange(s2.shape[1]) < ranks[:, None], s2, 1.0)
     with np.errstate(over="ignore"):
-        pdets = np.prod(np.where(kept, s2, 1.0), axis=1)
+        pdets = kernel._in_range(np.prod(kept, axis=1), 1.0, np.sum(np.log(kept), axis=1))
     return schedule, s2, ranks, pdets, factors
 
 
@@ -398,6 +401,7 @@ def growth_from_directions(directions, n: int, schedule=None,
     log_fac = np.sum(np.log(factors), axis=0) + r * np.log(eps)
     with np.errstate(over="ignore"):
         norm_det = np.prod(s2[:r, None] + eps, axis=0) * np.prod(1.0 + s2[r:, None] / eps, axis=0)
+        norm_det = kernel._in_range(norm_det, 1.0, log_norm)
         fac_prod = np.exp(log_fac)
     residuals = np.abs(np.expm1(log_fac - log_norm))
     if raise_on_diverge:

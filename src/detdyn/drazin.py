@@ -198,7 +198,8 @@ def _lemma(h, u, v, tol: Tolerance):
     """The validated prologue of both lemma routes: (H, H + U V^T, nu,
     (value, sign, log|value|) of the closed form pdet(H) det(I_r + V^T H^D U)),
     with pdet(H) = det(F C) of the group inverse's own core, as in ``pdet``;
-    a value out of float range is formed from sign and log (``_from_log``)."""
+    a product that leaves float range is formed from sign and log
+    (``kernel._in_range``)."""
     a = kernel.as_matrix(kernel.as_real(h, "H"), square=True, name="H")
     n = a.shape[0]
     uu = _as_factor(u, n, "U")
@@ -219,8 +220,7 @@ def _lemma(h, u, v, tol: Tolerance):
         dk = kernel.det(np.eye(r) + vv.T @ gi.h_drazin @ uu, tol)
         value, sign = value * dk, sign * float(np.sign(dk))
         log += np.log(abs(dk)) if dk else -np.inf
-        if not (value and np.isfinite(value)):
-            value = float(kernel._from_log(sign, log))
+        value = float(kernel._in_range(value, sign, log))
     return a, a + uu @ vv.T, gi.nullity_nu, (value, sign, log)
 
 

@@ -217,6 +217,24 @@ def _from_log(x, log):
     return value
 
 
+def _in_range(value, sign, log):
+    """``value``, a product formed in floating point factor by factor,
+    checked against its sign and log: kept where it is finite and nonzero,
+    or zero with a zero ``sign``, so every in-range bit stays; elsewhere
+    (inf, NaN, or a zero where the sign is not) the product left float
+    range, part-way or for good, and is formed again as
+    ``_from_log(sign, log)``. ``sign`` is what ``_from_log`` takes. A
+    scalar value gives a scalar; an array is patched in place."""
+    out = ~np.isfinite(value) | ((value == 0) & (sign != 0))
+    if not out.any():
+        return value
+    if np.ndim(out) == 0:
+        return _from_log(sign, log)
+    value[out] = _from_log(np.broadcast_to(sign, out.shape)[out],
+                           np.broadcast_to(log, out.shape)[out])
+    return value
+
+
 def _det(a: np.ndarray):
     """(det, sign, log|det|) of a validated square ``a`` from one LU, with
     det = ``_from_log``(sign, log|det|)."""
@@ -260,12 +278,13 @@ def adjugate(m) -> np.ndarray:
 
     M invertible at the default tolerance gives det(M) M^{-1}, with the
     decision certified from that inverse's residual where it can be
-    (``_inverse``), kept as that product where it is finite. Otherwise,
-    with M = U S V^H, adj(M) = det(U) det(V^H) V adj(S) U^H where adj(S)
-    is diagonal with entries prod_{j != k} s_j, from prefix and suffix
-    sums of log s_j under one common scale: no division, so zeros in s
-    are fine. Every other entry comes from its sign and log
-    (``_from_log``). The 1x1 adjugate is [[1]].
+    (``_inverse``), and an entry the product leaves out of float range
+    formed again from its sign and log (``_in_range``). Otherwise, with
+    M = U S V^H, adj(M) = det(U) det(V^H) V adj(S) U^H where adj(S) is
+    diagonal with entries prod_{j != k} s_j, from prefix and suffix sums
+    of log s_j under one common scale: no division, so zeros in s are
+    fine, and every entry comes from its sign and log (``_from_log``).
+    The 1x1 adjugate is [[1]].
     """
     a = as_matrix(m, square=True)
     if a.shape[0] == 1:
@@ -283,10 +302,7 @@ def adjugate(m) -> np.ndarray:
     d, sign, log = _det(a)
     with np.errstate(over="ignore", invalid="ignore"):
         adj = d * x
-    # an entry the product left out of float range is formed again
-    out = ~np.isfinite(adj) | (d == 0)
-    adj[out] = _from_log(sign * x[out], log)
-    return adj
+    return _in_range(adj, sign * x, log)
 
 
 # ---------------------------------------------------------------------------

@@ -122,8 +122,12 @@ def stability_preserved(a, u, v, samples: int = 4096,
     with Re >= 0 (A is Hurwitz), so its winding number counts the
     closed-right-half-plane eigenvalues of the perturbed matrix. It is
     evaluated through that polynomial ratio, which is algebraically
-    identical and vectorizes over the whole contour. The sample count
-    doubles adaptively while any phase step exceeds pi/2.
+    identical and vectorizes over the whole contour. Both polynomials are
+    those of the matrices divided by s = |A|_F + |u| |v|, which bounds
+    every eigenvalue of A + u v^T and leaves f unchanged, so the contour
+    has radius 3 in those units (``contour_radius`` 3 s) and the
+    coefficients stay within float range at any scale of A. The sample
+    count doubles adaptively while any phase step exceeds pi/2.
     """
     base = kernel.as_matrix(kernel.as_real(a, "A"), square=True, name="A")
     n = base.shape[0]
@@ -132,17 +136,17 @@ def stability_preserved(a, u, v, samples: int = 4096,
     spec = kernel.eigenvalues(base, tol)
     if any(z.real >= 0.0 for z in spec.eigenvalues):
         raise BaseNotHurwitz("A has an eigenvalue with Re >= 0")
-    fro = math.sqrt(float(np.sum(base * base)))
-    gain = math.sqrt(float(uu @ uu)) * math.sqrt(float(vv @ vv))
-    radius = 2.0 * (fro + gain) + 1.0
-    p_base = kernel.charpoly(base).coeffs
-    p_pert = kernel.charpoly(base + np.outer(uu, vv)).coeffs
+    # hypot scales its arguments, so no square leaves float range
+    scale = math.hypot(*base.ravel()) + math.hypot(*uu) * math.hypot(*vv)
+    pert = base + np.outer(uu, vv)
+    p_base = kernel.charpoly(base / scale).coeffs
+    p_pert = kernel.charpoly(pert / scale).coeffs
     ns = int(samples)
     if ns < 8:
         ns = 8
     f_floor = max(tol.abs, tol.rel)
     while True:
-        pts = _d_contour(radius, ns)
+        pts = _d_contour(3.0, ns)
         fvals = np.polyval(p_pert, pts) / np.polyval(p_base, pts)
         if float(np.min(np.abs(fvals))) <= f_floor:
             raise EigenvalueOnContour(
@@ -159,12 +163,12 @@ def stability_preserved(a, u, v, samples: int = 4096,
                 f"phase steps above pi/2 at the {_SAMPLE_CAP}-sample cap"
             )
         ns *= 2
-    pert_spec = kernel.eigenvalues(base + np.outer(uu, vv), tol)
+    pert_spec = kernel.eigenvalues(pert, tol)
     rhp = sum(1 for z in pert_spec.eigenvalues if z.real >= 0.0)
     return StabilityCertificate(
         base_hurwitz=True,
         winding=winding,
-        contour_radius=radius,
+        contour_radius=3.0 * scale,
         samples=ns,
         rhp_eigs_oracle=rhp,
     )

@@ -194,7 +194,9 @@ def _refresh(m: np.ndarray, tol: Tolerance):
     d = n - k that do not border M, B = [[M, U_d], [V_d^H, 0]], so
     - B^{-1} = [[V_k S_k^{-1} U_k^H, V_d], [U_d^H, -S_d]],
     - det B = det(U) det(V^H) prod_{i<=k} s_i (-1)^d,
-    both in closed form. The border is not scaled: a factor c on it would
+    both in closed form, with det B formed from its sign and log where the
+    product of the s_i leaves float range part-way (``kernel._in_range``).
+    The border is not scaled: a factor c on it would
     multiply det B by c^{2d} and det J (``_pivots``) by c^{-2d}, which
     leave float range at large d where their product does not. d = 0 is
     the plain frame (M^{-1}, det M).
@@ -208,12 +210,15 @@ def _refresh(m: np.ndarray, tol: Tolerance):
     binv[:n, n:] = v[:, k:]
     binv[n:, :n] = uh[k:]
     binv[n:, n:] = np.diag(-s[k:])
-    # the unit-modulus factors first: a product of s beyond float range
-    # then meets no exact zero
+    sign = (-1) ** d * np.linalg.det(u) * np.linalg.det(vh)
     with np.errstate(over="ignore"):
-        det_b = (-1) ** d * np.linalg.det(u) * np.linalg.det(vh) * np.prod(s[:k])
-    return binv, det_b.item()
+        det_b = sign * np.prod(s[:k])
+    return binv, kernel._in_range(det_b, sign, np.sum(np.log(s[:k]))).item()
 
+
+# contribution_analysis takes its prefixes I + Delta_{i-1} in chunks of at
+# most this many floats (2 MiB), so memory does not grow with the stream.
+_STACK_FLOATS = 1 << 18
 
 # A cancelled capacitance pivot ends a block: a factor 1 + s_j below this
 # share of the terms that form it has lost more than three digits to their
@@ -501,26 +506,35 @@ def contribution_analysis(seq: UpdateSequence,
 
     Repeated directions meet large eigenvalues and contribute little; new
     directions meet unit eigenvalues and contribute log(1 + |u|^2). The
-    quadratic form is the sum of the step's weights from the one ``eigh``
-    per step: I + Delta is SPD with eigenvalues >= 1, so no solve and no
-    singularity test is needed, and ``tol`` goes unused.
+    quadratic form is the sum of the step's weights in the eigenbasis of
+    each prefix: I + Delta is SPD with eigenvalues >= 1, so no solve and
+    no singularity test is needed, and ``tol`` goes unused. Every prefix
+    is one running sum (``np.cumsum``) of the outer products, and all of
+    them go to one batched ``eigh``, in chunks of at most _STACK_FLOATS
+    floats.
     """
     for i, up in enumerate(seq.updates):
         if not up.symmetric:
             raise NonSymmetricUpdate(f"update {i} has u != v")
     n = seq.base_dim
+    us = np.reshape([up.u for up in seq.updates], (-1, n))
     acc = np.eye(n)
     steps = []
-    for up in seq.updates:
-        lam, vecs = np.linalg.eigh(acc)
-        alpha = vecs.T @ up.u
+    chunk = max(1, _STACK_FLOATS // (n * n))
+    for first in range(0, len(us), chunk):
+        u = us[first:first + chunk]
+        outer = u[:, :, None] * u[:, None, :]
+        prefix = np.cumsum(np.concatenate((acc[None], outer[:-1])), axis=0)
+        acc = prefix[-1] + outer[-1]
+        lam, vecs = np.linalg.eigh(prefix)
+        alpha = np.matmul(vecs.transpose(0, 2, 1), u[:, :, None])[:, :, 0]
         weights = alpha * alpha / lam
-        q = float(np.sum(weights))
-        steps.append(ContributionStep(
-            quadratic_form=q,
-            eigenvalues=tuple(float(x) for x in lam),
-            weights=tuple(float(x) for x in weights),
-            log_increment=math.log1p(q),
-        ))
-        acc = acc + np.outer(up.u, up.u)
+        for row_lam, row_w in zip(lam.tolist(), weights):
+            q = float(np.sum(row_w))
+            steps.append(ContributionStep(
+                quadratic_form=q,
+                eigenvalues=tuple(row_lam),
+                weights=tuple(row_w.tolist()),
+                log_increment=math.log1p(q),
+            ))
     return tuple(steps)

@@ -97,6 +97,24 @@ class TestInfoFilterTrace:
         assert tr.dets == (1.0, 0.5)
         assert tr.factors == (0.5,)
 
+    def test_det_in_range_when_the_pivot_product_overflows_part_way(self):
+        # det P = 1e200 * 1e200 * 1e-200: the product of the pivots passes
+        # 1e400 on the way and read inf, with numpy's overflow warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tr = info_filter_trace(np.diag([1e200, 1e200, 1e-200]), [(0.0, 0.0, 1e90)])
+        assert abs(tr.quad_forms[0] - 1e-20) <= 1e-12 * 1e-20
+        assert tr.dets == pytest.approx((1e200, 1e200), rel=1e-12)
+
+    def test_geometric_bound_in_range_when_the_power_underflows(self):
+        # P = 1e10 I_30 and 30 orthogonal measurements with q_i = 1e20:
+        # (1 + beta)^-30 = 1e-600 reads 0.0, while the bound 1e300 * 1e-600
+        # is 1e-300, and here equals det P_30
+        tr = info_filter_trace(1e10 * np.eye(30), list(1e5 * np.eye(30)))
+        assert abs(tr.beta - 1e20) <= 1e-12 * 1e20
+        assert abs(tr.dets[-1] - 1e-300) <= 1e-12 * 1e-300
+        assert abs(tr.geometric_bound - tr.dets[-1]) <= 1e-12 * tr.dets[-1]
+
     def test_zero_measurement_keeps_det(self):
         tr = info_filter_trace(np.eye(2), [np.zeros(2)])
         assert tr.factors == (1.0,)
@@ -672,6 +690,27 @@ def test_overflowing_factor_product_converges():
     assert growth.rank_r == r == 32
     assert abs(growth.pdet_estimate - ref) <= 1e-10 * ref
     assert max(growth.identity_residuals) <= 1e-10
+
+
+def test_pdet_in_range_when_the_product_overflows_part_way():
+    # 100 orthogonal directions, 50 with sigma^2 = 1e7 and 50 with 1e-6:
+    # pdet(W) = 1e50, but the descending product passes 1e350 on the way,
+    # and pdet_estimate and normalized_det_values[-1] read inf
+    q = np.linalg.qr(np.random.default_rng(100).standard_normal((100, 100)))[0]
+    b = q * np.sqrt([1e7] * 50 + [1e-6] * 50)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        growth = growth_from_directions(list(b.T), 100)
+        rep = perturbed_gramian_experiment(build_gramian(np.zeros((100, 100)), b, 1),
+                                           0.0, 2, 0)
+    assert growth.rank_r == 100
+    assert growth.log_pdet == pytest.approx(50 * math.log(10.0), rel=1e-10)
+    assert growth.pdet_estimate == pytest.approx(math.exp(growth.log_pdet), rel=1e-14)
+    # at eps_min = 1e-8 sigma^2_min both sweeps are (1 + 1e-8)^50 pdet
+    for value in (growth.normalized_det_values[-1], growth.factor_product_values[-1]):
+        assert value == pytest.approx(1.0000005e50, rel=1e-8)
+    assert rep.nominal_pdet == growth.pdet_estimate
+    assert [t.pdet for t in rep.per_trial] == [growth.pdet_estimate] * 2
 
 
 def test_residuals_beyond_float_range_are_read_from_logs():

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -251,6 +254,38 @@ class TestStabilityPreserved:
         with pytest.raises(ContourTooCoarse, match="16-sample cap"):
             stability_preserved(np.diag([-1.0, -2.0]), np.array([1.0, 0.0]),
                                 np.array([3.0, 0.0]), samples=8)
+
+    @pytest.mark.parametrize("c", [1.0, 1e18, 1e-18, 1e20, 1e-20, 1e160])
+    def test_winding_is_scale_free(self, c):
+        # f does not change when A, u and v are scaled by c, c^1/2, c^1/2;
+        # the polynomials of A once overflowed, or at radius 2 s + 1 had a
+        # contour too coarse for the sample cap, at these scales; at 1e160
+        # the squares behind |A|_F leave float range
+        a = c * -np.diag(np.arange(1.0, 17.0))
+        u = np.sqrt(c) * np.ones(16)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cert = stability_preserved(a, u, u)
+        assert cert.winding == cert.rhp_eigs_oracle == 1
+        assert cert.samples == 4096
+        # 3 (|A|_F + |u| |v|), with |diag(1, ..., 16)|_F^2 = 1496
+        radius = 3.0 * c * (math.sqrt(1496.0) + 16.0)
+        assert abs(cert.contour_radius - radius) <= 1e-14 * radius
+
+    def test_winding_at_n32_and_scale_1e9(self):
+        rng = np.random.default_rng(32)
+        checked = 0
+        while checked < 5:
+            a = 1e9 * random_hurwitz(rng, 32)
+            u, v = 3e4 * rng.standard_normal((2, 32))
+            pert = a + np.outer(u, v)
+            if np.min(np.abs(np.linalg.eigvals(pert).real)) < 0.05e9:
+                continue
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                cert = stability_preserved(a, u, v)
+            assert cert.winding == rhp_count(pert)
+            checked += 1
 
     def test_base_not_hurwitz(self):
         with pytest.raises(BaseNotHurwitz):

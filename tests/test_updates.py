@@ -331,6 +331,24 @@ class TestSingularWalk:
         assert tr.values[0] == 0.0
         assert not np.any(np.isfinite(tr.values[k_fix + 1:]))
 
+    def test_frame_det_in_range_when_the_product_overflows_part_way(self):
+        # det B is 1e5^64 0.2^63 ~ 1e276 up to the unit-modulus factors, but
+        # the descending product of the singular values passes 1e320 on the
+        # way; read off that product, the one step came out as -inf
+        rng = np.random.default_rng(1)
+        n = 128
+        qu = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        qv = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        h = (qu * np.array([1e5] * 64 + [0.2] * 63 + [0.0])) @ qv.T
+        u, v = rng.standard_normal(n), rng.standard_normal(n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tr = det_sequence(h, UpdateSequence.from_pairs([(u, v)]))
+        sign, log = np.linalg.slogdet(h + np.outer(u, v))
+        assert tr.values[0] == 0.0
+        assert np.sign(tr.final) == sign
+        assert abs(math.log(abs(tr.final)) - log) <= 1e-8
+
     def test_singular_start_factorizes_at_most_three_times(self, monkeypatch):
         # kernel.inverse's singular-value test on the base, one SVD refresh
         # to the bordered frame, one LU inverse on the return: a walk that
@@ -869,6 +887,35 @@ class TestContributionAnalysis:
         seq = UpdateSequence.from_pairs([(np.array([1.0, 0.0]), np.array([0.0, 1.0]))])
         with pytest.raises(NonSymmetricUpdate):
             contribution_analysis(seq)
+
+    @pytest.mark.parametrize("n", [1, 4, 8, 16, 72])
+    def test_batched_steps_are_the_loops(self, n, monkeypatch):
+        # every prefix I + Delta_{i-1} from one running sum and one batched
+        # eigh, bit for bit the step-by-step loop; at n = 72 the 144 steps
+        # go in three chunks
+        rng = np.random.default_rng(n)
+        pool = rng.standard_normal((max(1, n // 2), n))
+        us = [pool[rng.integers(len(pool))] if rng.random() < 0.5
+              else rng.standard_normal(n) for _ in range(2 * n)]
+        want, acc = [], np.eye(n)
+        for u in us:
+            lam, vecs = np.linalg.eigh(acc)
+            alpha = vecs.T @ u
+            w = alpha * alpha / lam
+            q = float(np.sum(w))
+            want.append(updates.ContributionStep(
+                q, tuple(float(x) for x in lam), tuple(float(x) for x in w), math.log1p(q)))
+            acc = acc + np.outer(u, u)
+        calls = count_linalg(monkeypatch, ("detdyn.updates",), ("linalg.eigh",))
+        got = contribution_analysis(UpdateSequence.symmetric(us))
+        assert got == tuple(want)
+        chunk = updates._STACK_FLOATS // (n * n)
+        assert len(calls) == -(-len(us) // chunk)
+        if n < 72:
+            assert len(calls) == 1
+
+    def test_empty_sequence(self):
+        assert contribution_analysis(UpdateSequence(base_dim=3)) == ()
 
     def test_no_solve(self, rng, monkeypatch):
         # q is the sum of the step's own weights: I + Delta is SPD, so a
