@@ -549,11 +549,9 @@ def emit_ellipse_svg(g, eps: float, out_path) -> list:
         raise InputError("eps must be positive")
     if not math.isfinite(eps):
         raise InputError(f"eps must be finite, got {eps}")
-    acc = eps * np.eye(2)
-    shapes = [dd.reach_ellipse(acc)]
-    for u in g.directions:
-        acc = acc + np.outer(u, u)
-        shapes.append(dd.reach_ellipse(acc))
+    x = np.reshape(g.directions, (-1, 2))
+    terms = np.concatenate([eps * np.eye(2)[None], x[:, :, None] * x[:, None, :]])
+    shapes = [dd.reach_ellipse(acc) for acc in np.cumsum(terms, axis=0)]
     span = max(e.semi_axis_a for e in shapes) * 1.1
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',

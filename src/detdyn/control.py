@@ -39,10 +39,11 @@ class InfoFilterTrace:
     measurement outer products v_i v_i^T.
 
     beta is the realized minimum of v_i^T P_{i-1} v_i; when positive,
-    det(P_k) <= det(P) (1+beta)^{-k} (the geometric bound). ``dets`` is
-    the running product of the factors, which underflows to 0.0 on long
-    streams; ``logdets`` holds log det(P_k) = log det(P) - sum log1p(q_i)
-    at any length.
+    det(P_k) <= det(P) (1+beta)^{-k} (the geometric bound). ``logdets``
+    holds log det(P_k) = log det(P) - sum log1p(q_i) at any length;
+    ``dets`` is det(P) times the running product of the factors, formed
+    from its log wherever that product leaves float range, so it reads
+    0.0 or inf only where det(P_k) itself does.
     """
 
     dets: tuple
@@ -248,20 +249,19 @@ def info_filter_trace(p, measurements, tol: Tolerance = DEFAULT_TOL) -> InfoFilt
     cols = _columns(measurements, n, "v_i")[::-1]
     pivots = _pivots(base, low)
     log0 = math.fsum(np.log(pivots))
-    with np.errstate(over="ignore"):
-        d0 = float(kernel._in_range(np.prod(pivots), 1.0, log0))
     low = np.tril(np.linalg.inv(low).T[::-1, ::-1])
     quad_forms = _spd_stream(low, cols).tolist()
     factors = [1.0 / (1.0 + q) for q in quad_forms]
     logdets = _running_sum(log0, [-math.log1p(q) for q in quad_forms])
-    dets = [d0]
-    for f in factors:
-        dets.append(dets[-1] * f)
+    with np.errstate(over="ignore"):
+        dets = np.cumprod([np.prod(pivots), *factors])
+    dets = kernel._in_range(dets, 1.0, np.array(logdets)).tolist()
     beta = min(quad_forms) if quad_forms else None
     bound = None
     if beta is not None and beta > 0.0:
         k = len(factors)
-        bound = float(kernel._in_range(d0 * (1.0 + beta) ** -k, 1.0, log0 - k * math.log1p(beta)))
+        bound = float(kernel._in_range(dets[0] * (1.0 + beta) ** -k, 1.0,
+                                       log0 - k * math.log1p(beta)))
     return InfoFilterTrace(
         dets=tuple(dets),
         factors=tuple(factors),
@@ -274,8 +274,9 @@ def info_filter_trace(p, measurements, tol: Tolerance = DEFAULT_TOL) -> InfoFilt
 
 def build_gramian(a, b, horizon: int) -> GramianBuild:
     """Directions u_(i,j) = A^i b_j for i = 0..N-1 (outer) and input
-    columns j (inner); W is their outer-product sum. A and B must be
-    real (complex input raises ValueError)."""
+    columns j (inner); W = X^T X, the sum of their outer products, for X
+    the directions as rows. A and B must be real (complex input raises
+    ValueError)."""
     aa = kernel.as_matrix(kernel.as_real(a, "A"), square=True, name="A")
     bb = kernel.as_real(b, "B")
     if bb.ndim == 1:
@@ -293,11 +294,9 @@ def build_gramian(a, b, horizon: int) -> GramianBuild:
         for j in range(bb.shape[1]):
             directions.append(power @ bb[:, j])
         power = aa @ power
-    w = np.zeros((n, n))
-    for u in directions:
-        w += np.outer(u, u)
+    x = np.reshape(directions, (-1, n))
     return GramianBuild(a=aa, b=bb, horizon=horizon,
-                        directions=tuple(directions), w=w)
+                        directions=tuple(directions), w=x.T @ x)
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +361,7 @@ def _grow(dirs: np.ndarray, schedule, tol: Tolerance):
     x = dirs.swapaxes(1, 2)
     cols = np.linalg.qr(x, mode="r").swapaxes(1, 2)
     s2 = np.linalg.svd(x, compute_uv=False) ** 2
-    scale = np.max(np.abs(x @ dirs), axis=(1, 2))  # max|W| per set
+    scale = np.max(np.einsum("bli,bli->bi", dirs, dirs), axis=1)  # max|W| = max W_ii, W PSD
     cut = np.maximum(tol.abs, tol.rel * x.shape[1] * scale)
     ranks = np.count_nonzero(s2 > cut[:, None], axis=1)
     r = int(ranks[0])
@@ -390,8 +389,7 @@ def growth_from_directions(directions, n: int, schedule=None,
     ``raise_on_diverge``, NotConverged is raised unless both sweep routes
     match pdet_estimate to 1e-6 in log form at the smallest eps.
     """
-    dirs = np.array([kernel.as_vector(u, dim=n, name="direction")
-                     for u in directions]).reshape(1, -1, n)
+    dirs = _columns(directions, n, "direction").T[None]
     schedule, s2, ranks, pdets, factors = _grow(dirs, schedule, tol)
     s2, factors, r, pdet_est = s2[0], factors[0], int(ranks[0]), float(pdets[0])
     eps = np.array(schedule)
@@ -507,8 +505,9 @@ def perturbed_gramian_experiment(g: GramianBuild, noise_scale: float,
     norms = np.linalg.norm(nominal_dirs, axis=1)
     radii = noise_scale * np.where(norms > 0.0, norms, np.max(norms, initial=0.0))
     width = min(n, nsteps)
-    schedule = None if schedule is None else _eps_schedule(schedule, 1.0)
-    per_set = nsteps * width * (width + len(_eps_schedule(schedule, 1.0)))
+    steps = _eps_schedule(schedule, 1.0)
+    schedule = None if schedule is None else steps
+    per_set = nsteps * width * (width + len(steps))
     chunk = max(1, _STACK_FLOATS // per_set)
     grown = []
     for first in range(0, trials + 1, chunk):

@@ -105,11 +105,10 @@ class UpdateSequence:
         return cls.from_pairs([(u, u) for u in vectors])
 
     def total(self) -> np.ndarray:
-        """Delta_r = sum of all u_i v_i^T."""
-        acc = np.zeros((self.base_dim, self.base_dim))
-        for up in self.updates:
-            acc += np.outer(up.u, up.v)
-        return acc
+        """Delta_r = sum of all u_i v_i^T = U^T V, the u_i and v_i as rows."""
+        us = np.reshape([up.u for up in self.updates], (-1, self.base_dim))
+        vs = np.reshape([up.v for up in self.updates], (-1, self.base_dim))
+        return us.T @ vs
 
 
 @dataclass(frozen=True)
@@ -366,8 +365,8 @@ def _inverse_walk(a: np.ndarray, seq: UpdateSequence, tol: Tolerance,
     the guard tol.rel <= |1 + s| <= 1 / sqrt(tol.rel) or by one that
     cancelled to below 1e-3 of its terms (that step is read again off the
     new frame), renews M^{-1} through ``kernel.inverse`` and keeps det B.
-    Without ``adjugate`` a singular M_{k-1} gives s_k = t_k = None for
-    every remaining step.
+    Without ``adjugate`` a singular M_{k-1} raises Singular in place of
+    step k.
 
     With ``adjugate`` a singular M, or |s_k| > 1 / sqrt(tol.rel) before
     t_k is formed (it says M_{k-1} is nearly singular along u_k and v_k,
@@ -381,14 +380,12 @@ def _inverse_walk(a: np.ndarray, seq: UpdateSequence, tol: Tolerance,
     vs = np.array([up.v for up in seq.updates]).reshape(r, n)
     current = a
     fresh = frame is None
-    if fresh and adjugate and r:
+    if fresh and r:
+        if not adjugate:
+            raise Singular("H is singular at tolerance")
         frame = _refresh(a, tol)
     k = 0
     while k < r:
-        if frame is None:
-            for _ in range(k, r):
-                yield None, None
-            return
         inv, det_b = frame
         d = inv.shape[0] - n
         ub, vb = us[k:k + n], vs[k:k + n]
@@ -412,9 +409,9 @@ def _inverse_walk(a: np.ndarray, seq: UpdateSequence, tol: Tolerance,
                 frame = (kernel.inverse(current, tol), det_b)
                 continue
             except Singular:
-                frame = None
-        if adjugate:
-            frame, fresh = _refresh(current, tol), True
+                if not adjugate:
+                    raise
+        frame, fresh = _refresh(current, tol), True
 
 
 def det_sequence(h, seq: UpdateSequence) -> DetTrace:
@@ -453,12 +450,13 @@ def _multiplicative_walk(h, seq: UpdateSequence, tol: Tolerance,
     if require_positive and not sign > 0.0:
         raise NonPositiveDeterminant(0, d)
     factors = []
-    for i, (s, _) in enumerate(_inverse_walk(a, seq, tol, frame)):
-        if s is None:
-            raise IntermediateSingular(i)
-        factors.append(1.0 + s)
-        if require_positive and not factors[-1] > 0.0:
-            raise NonPositiveDeterminant(i + 1, math.prod(factors, start=d))
+    try:
+        for s, _ in _inverse_walk(a, seq, tol, frame):
+            factors.append(1.0 + s)
+            if require_positive and not factors[-1] > 0.0:
+                raise NonPositiveDeterminant(len(factors), math.prod(factors, start=d))
+    except Singular:
+        raise IntermediateSingular(len(factors)) from None
     return LogDetTrace(
         base_det=d,
         base_logdet=logdet if sign > 0.0 else None,

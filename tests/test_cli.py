@@ -220,6 +220,22 @@ class TestRunScenario:
         assert rep.exit_code == 0
         assert "pdet.value: 2.0000000000000000e+00" in rep.render()
 
+    def test_vector_input_from_csv_file(self, tmp_path):
+        # a 1-row and a 1-column CSV file read as the inline vector
+        (tmp_path / "row.csv").write_text("0.5,-2,3\n")
+        (tmp_path / "col.csv").write_text("0.5\n-2\n3\n")
+        reports = []
+        for u in ([0.5, -2.0, 3.0], "row.csv", "col.csv"):
+            sc = load_scenario(write_scenario(tmp_path, {
+                "kind": "det-update",
+                "inputs": {"H": A_SING, "u": u, "v": [1.0, 1.0, 1.0]},
+            }))
+            rep = run_scenario(sc)
+            assert rep.exit_code == 0
+            reports.append(rep.render())
+        assert "vector u (3):" in reports[0]
+        assert reports[1] == reports[0] and reports[2] == reports[0]
+
 
 class TestEveryKind:
     SCENARIOS = {

@@ -82,8 +82,8 @@ class TestCovarianceTrace:
 
 class TestInfoFilterTrace:
     def test_long_stream_logdets_do_not_underflow(self):
-        # the running product of the factors reaches 0.0 by step 200 here,
-        # while log det P_1000 = -1324.02
+        # det P_k underflows to 0.0 by step 200 here, while log det P_1000
+        # = -1324.02
         vs = 1e3 * np.random.default_rng(0).standard_normal((1000, 64))
         tr = info_filter_trace(np.eye(64), list(vs))
         assert tr.dets[200] == tr.dets[-1] == 0.0
@@ -105,6 +105,16 @@ class TestInfoFilterTrace:
             tr = info_filter_trace(np.diag([1e200, 1e200, 1e-200]), [(0.0, 0.0, 1e90)])
         assert abs(tr.quad_forms[0] - 1e-20) <= 1e-12 * 1e-20
         assert tr.dets == pytest.approx((1e200, 1e200), rel=1e-12)
+
+    def test_det_back_in_range_after_det_p_overflows(self):
+        # det P = 1e400 reads inf, but one measurement with q = 1e100 brings
+        # det P_1 = 1e300 back into float range; the running product of the
+        # factors stayed inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tr = info_filter_trace(np.diag([1e200, 1e200]), [(1e-50, 0.0)])
+        assert tr.dets[0] == math.inf
+        assert abs(tr.dets[1] - 1e300) <= 1e-12 * 1e300
 
     def test_geometric_bound_in_range_when_the_power_underflows(self):
         # P = 1e10 I_30 and 30 orthogonal measurements with q_i = 1e20:
@@ -450,6 +460,17 @@ class TestBuildGramian:
         assert np.allclose(g.directions[1], b[:, 1])
         assert np.allclose(g.directions[2], a @ b[:, 0])
         assert np.allclose(g.directions[3], a @ b[:, 1])
+
+    def test_gramian_is_the_outer_product_sum(self, rng):
+        # X^T X sums in BLAS order: each entry is within 2 L eps of the
+        # sequential sum, relative to the sum of the terms' magnitudes
+        g = build_gramian(rng.standard_normal((5, 5)) / 3.0, rng.standard_normal((5, 2)), 6)
+        terms = np.array([np.outer(u, u) for u in g.directions])
+        loop = np.zeros((5, 5))
+        for t in terms:
+            loop += t
+        bound = 2 * len(terms) * np.finfo(float).eps * np.abs(terms).sum(axis=0)
+        assert np.all(np.abs(g.w - loop) <= bound)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):

@@ -936,6 +936,19 @@ class TestSequenceValidation:
         with pytest.raises(DimensionMismatch):
             UpdateSequence.from_pairs([])
 
+    @pytest.mark.parametrize("r", [0, 1, 7])
+    def test_total_is_the_outer_product_sum(self, rng, r):
+        # U^T V sums in BLAS order: each entry is within 2 r eps of the
+        # sequential sum, relative to the sum of the terms' magnitudes
+        pairs = [(rng.standard_normal(4), rng.standard_normal(4)) for _ in range(r)]
+        terms = np.array([np.outer(u, v) for u, v in pairs]).reshape(r, 4, 4)
+        total = UpdateSequence(base_dim=4, updates=tuple(pairs)).total()
+        loop = np.zeros((4, 4))
+        for t in terms:
+            loop += t
+        bound = 2 * r * np.finfo(float).eps * np.abs(terms).sum(axis=0)
+        assert total.shape == (4, 4) and np.all(np.abs(total - loop) <= bound)
+
     def test_sequence_vs_matrix_dim(self):
         seq = UpdateSequence.symmetric([np.ones(3)])
         with pytest.raises(DimensionMismatch):
