@@ -134,9 +134,12 @@ def _pivots(p: np.ndarray, low: np.ndarray) -> np.ndarray:
 _CANCEL = 0.1
 
 
-def _spd_stream(low: np.ndarray, cols: np.ndarray) -> np.ndarray:
+def _spd_stream(low, cols: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
     """Quadratic forms x_j = u_j^T P_{j-1}^{-1} u_j of the stream
     P_j = P_{j-1} + u_j u_j^T, P_0 = low low^T, for the columns u_j of cols.
+    A caller that has the first block's W = low^{-1} U passes it as ``w``
+    and may pass for ``low`` a function that forms the factor, called
+    only if a block is refactored.
 
     The factors det P_j / det P_{j-1} = 1 + x_j of a block of b <= n steps
     are the pivots of its capacitance matrix C = I + W^T W, W = low^{-1} U
@@ -154,7 +157,8 @@ def _spd_stream(low: np.ndarray, cols: np.ndarray) -> np.ndarray:
     while s < r:
         u = cols[:, s:s + n]
         b = u.shape[1]
-        w = np.linalg.solve(low, u)
+        if s or w is None:
+            w = np.linalg.solve(low, u)
         c = np.linalg.qr(np.vstack((np.eye(b), w)), mode="r")
         w2 = np.einsum("ij,ij->j", w, w)
         xb = w2 - np.sum(np.triu(c, 1) ** 2, axis=0)
@@ -163,6 +167,8 @@ def _spd_stream(low: np.ndarray, cols: np.ndarray) -> np.ndarray:
         x[s:s + e] = xb[:e]
         s += e
         if s < r:
+            if callable(low):
+                low = low()
             f = np.linalg.qr(np.vstack((low.T, u[:, :e].T)), mode="r")
             low = (f * np.where(np.diag(f) < 0.0, -1.0, 1.0)[:, None]).T
     return x
@@ -240,17 +246,19 @@ def info_filter_trace(p, measurements, tol: Tolerance = DEFAULT_TOL) -> InfoFilt
 
     With P = L L^T and J the reversal, J L^{-T} J is the lower Cholesky
     factor of J P^{-1} J, so the information matrix is carried in reversed
-    coordinates, where each v_i enters as J v_i; only the triangular L is
-    inverted, never P.
+    coordinates, where each v_i enters as J v_i. The first block's
+    W = (J L^{-T} J)^{-1} J V is J L^T V, one product; J L^{-T} J, the
+    inverse of the triangular L (never of P), is formed only when a block
+    is refactored.
     """
     base = kernel.as_matrix(kernel.as_real(p, "P"), square=True, name="P")
     low = _assert_spd(base, tol)
     n = base.shape[0]
-    cols = _columns(measurements, n, "v_i")[::-1]
+    vs = _columns(measurements, n, "v_i")
     pivots = _pivots(base, low)
     log0 = math.fsum(np.log(pivots))
-    low = np.tril(np.linalg.inv(low).T[::-1, ::-1])
-    quad_forms = _spd_stream(low, cols).tolist()
+    quad_forms = _spd_stream(lambda: np.tril(np.linalg.inv(low).T[::-1, ::-1]), vs[::-1],
+                             (low.T @ vs[:, :n])[::-1]).tolist()
     factors = [1.0 / (1.0 + q) for q in quad_forms]
     logdets = _running_sum(log0, [-math.log1p(q) for q in quad_forms])
     with np.errstate(over="ignore"):

@@ -35,7 +35,17 @@ class DimensionMismatch(InputError):
 
 
 class Singular(InputError):
-    """An inverse was required of a matrix singular at tolerance."""
+    """An inverse was required of a matrix singular at tolerance.
+
+    Raised by the kernel's inverse, it hands back what the decision
+    formed: ``inverse``, LAPACK's LU inverse (None where LAPACK refused
+    the LU), and ``singular_values``, descending (None where no SVD ran).
+    """
+
+    def __init__(self, message: str = "", *, inverse=None, singular_values=None):
+        super().__init__(message)
+        self.inverse = inverse
+        self.singular_values = singular_values
 
 
 class RootFindDivergence(InputError):

@@ -12,7 +12,9 @@ A^{-1} branch of ``adjugate``, the base of an update stream) first reads
 the decision off the inverse's residual: a bound on sigma_min that
 clears the cutoff with room for the SVD's own error proves what the SVD
 would decide, and only an inconclusive bound runs the SVD. The decision,
-and so ``det``'s exact 0.0, is the same either way. The adjugate is
+and so ``det``'s exact 0.0, is the same either way, and a refusal hands
+back the inverse and the singular values it formed (``Singular``), from
+which the update walk borders a singular matrix. The adjugate is
 det(A) A^{-1} for A invertible at tolerance and the SVD form of G. W.
 Stewart ("On the adjugate matrix", LAA 283, 1998) otherwise, so it stays
 valid for singular input at any size. Faddeev-LeVerrier is kept only in
@@ -139,12 +141,14 @@ def _singular_values(a: np.ndarray) -> np.ndarray:
     return np.linalg.svd(a, compute_uv=False)
 
 
-def _nonsingular(a: np.ndarray, tol: Tolerance) -> float:
+def _nonsingular(a: np.ndarray, tol: Tolerance, inverse=None) -> float:
     """The smallest singular value of ``a``, or Singular when it is not
-    above the cutoff."""
-    s, cut = float(_singular_values(a)[-1]), tol.cutoff(a)
+    above the cutoff, carrying the singular values and ``inverse``."""
+    values, cut = _singular_values(a), tol.cutoff(a)
+    s = float(values[-1])
     if not s > cut:
-        raise Singular(f"smallest singular value {s:.3e} below cutoff {cut:.3e}")
+        raise Singular(f"smallest singular value {s:.3e} below cutoff {cut:.3e}",
+                       inverse=inverse, singular_values=values)
     return s
 
 
@@ -175,11 +179,15 @@ def _certified(a: np.ndarray, x: np.ndarray, tol: Tolerance) -> bool:
     return bool((1.0 - rho) / nx > 2.0 * tol.cutoff(a) + 8.0 * n * u * na)
 
 
-def _inverse(a: np.ndarray, tol: Tolerance) -> np.ndarray:
+def _inverse(a: np.ndarray, tol: Tolerance, svd: bool = True) -> np.ndarray:
     """LAPACK's inverse of a validated square ``a``, or Singular when its
     smallest singular value is not above the cutoff: ``_certified`` on
     the inverse decides where it can, ``_nonsingular`` where it cannot,
-    and the inverse already formed is returned either way."""
+    and the inverse already formed is returned either way. A refusal
+    hands back that inverse (None where LAPACK refused the LU) and the
+    singular values, so a caller that goes on from a singular matrix
+    factorizes nothing twice. With ``svd`` False an inverse its residual
+    does not certify is refused as it stands, with no SVD."""
     with np.errstate(all="ignore"):
         try:
             x = np.linalg.inv(a)
@@ -188,7 +196,9 @@ def _inverse(a: np.ndarray, tol: Tolerance) -> np.ndarray:
         else:
             if _certified(a, x, tol):
                 return x
-    _nonsingular(a, tol)
+    if not svd:
+        raise Singular("the inverse's residual does not certify it", inverse=x)
+    _nonsingular(a, tol, x)
     # an LU that refused a matrix the SVD passes refuses it again here
     return np.linalg.inv(a) if x is None else x
 

@@ -8,19 +8,25 @@ uses det(H + u v^T) = det(H) (1 + v^T H^{-1} u) and therefore requires
 nonsingular intermediates; violations are reported, never patched over.
 
 All three walk one engine. Its frame is (B^{-1}, det B) for the
-bordered B = [[M, U_d], [V_d^H, 0]], U_d and V_d the d singular pairs of
-the running matrix M that are too small to trust (d = 0, B = M, while M
-is safely invertible). The factors det B_j / det B_{j-1} of up to n steps
-are the pivots of one capacitance matrix (the matrix determinant lemma):
-two GEMMs a block, and between blocks one ``kernel.inverse`` of M, or one
-SVD while d > 0 or once M is too near singular; det H, its sign and log
-come from the kernel's one LU reader. The unpivoted LU is taken by
-halving: the pivots are those of the leading half and then those of its
-Schur complement, one batched solve and one batched GEMM per level,
-about log2(b / 4) levels for a block of b steps. With d > 0 the border rides along, and Jacobi's
+bordered B = [[M, U_d], [V_d^H, 0]], where U_d and V_d span the d
+directions in which the running matrix M is too near singular to trust
+(d = 0, B = M, while M is safely invertible). The factors
+det B_j / det B_{j-1} of up to n steps are the pivots of one capacitance
+matrix (the matrix determinant lemma): two GEMMs a block, and between
+blocks one ``kernel.inverse`` of M. Where that inverse, or the one that
+tests H, refuses an M of rank n - 1, the border of width 1 is read off
+the LU inverse it formed, one step of inverse iteration, and B is
+inverted by LU. One SVD gives the frame where LAPACK refused the LU,
+where d >= 2, after a bordered block, or once M is too near singular
+along an update; det H, its sign and log come from the kernel's one LU
+reader. The unpivoted LU is taken by halving: the pivots are those of
+the leading half and then those of its Schur complement, one batched
+solve and one batched GEMM per level, about log2(b / 4) levels for a
+block of b steps. With d > 0 the border rides along, and Jacobi's
 identity det M = det B det T, where T is the trailing d x d block of
-B^{-1}, reads v^T adj(M) u = det B det J off the same elimination, with
-no division by det M; with d = 0 that is det M v^T M^{-1} u.
+B^{-1}, reads v^T adj(M) u = det B det J off the same elimination for
+any border that makes B nonsingular, with no division by det M; with
+d = 0 that is det M v^T M^{-1} u.
 """
 
 from __future__ import annotations
@@ -174,23 +180,80 @@ def det_rank_one(h, update) -> float:
 
 
 def _base(a: np.ndarray, tol: Tolerance):
-    """(det H, its sign, log|det H|) from ``kernel._det`` and the start
-    frame (H^{-1}, det H), or (0.0, 0.0, None, None) when H is singular at
-    tolerance, as ``kernel.det`` decides it (``kernel._inverse``)."""
+    """(det H, its sign, log|det H|, start) with det H from ``kernel._det``
+    and the start frame (H^{-1}, det H); when H is singular at tolerance,
+    as ``kernel.det`` decides it (``kernel._inverse``), (0.0, 0.0, None,
+    the Singular it raised), which carries the LU inverse and singular
+    values ``_refresh`` borders H from."""
     try:
         minv = kernel._inverse(a, tol)
-    except Singular:
-        return 0.0, 0.0, None, None
+    except Singular as refused:
+        return 0.0, 0.0, None, refused
     det, sign, logdet = kernel._det(a)
     return det, sign, logdet, (minv, det)
 
 
-def _refresh(m: np.ndarray, tol: Tolerance):
-    """The walk's frame (B^{-1}, det B) for M = U S V^H, real or complex,
-    from one full SVD. A singular value counts only above
+def _refresh(m: np.ndarray, tol: Tolerance, refused: Singular | None = None):
+    """The walk's frame (B^{-1}, det B) for a singular or nearly singular
+    M. Where ``kernel._inverse`` has just refused M, ``refused`` is the
+    Singular it raised, and a rank n - 1 M is bordered from the LU
+    inverse it carries (``_lu_frame``), with no SVD beyond the values
+    that refused it. Every other M, and one that frame does not serve,
+    takes its frame from one full SVD (``_svd_frame``)."""
+    frame = None if refused is None else _lu_frame(m, tol, refused)
+    return _svd_frame(m, tol) if frame is None else frame
+
+
+def _lu_frame(m: np.ndarray, tol: Tolerance, refused: Singular):
+    """The frame bordered by one step of inverse iteration, or None.
+
+    When the singular values that refused M leave a border of width 1
+    (``_border_width``), the LU inverse X = M^{-1} is dominated by
+    v u^H / sigma_n, u and v the smallest singular pair: every column of
+    X is one inverse-iteration step towards v, every row one towards u^H
+    (Peters and Wilkinson, SIAM Rev. 21, 1979). The largest column and
+    row, normalised, give V_1 and U_1, which make B = [[M, U_1],
+    [V_1^H, 0]] nonsingular (Govaerts, *Numerical Methods for
+    Bifurcations of Dynamical Equilibria*, SIAM 2000). B^{-1} and det B
+    come from LAPACK's LU: ``kernel._inverse`` with no SVD, certified by
+    its residual, and ``kernel._det``. None, for the SVD frame, where
+    LAPACK refused the LU, where d >= 2, where X is not finite or where
+    B^{-1} does not certify.
+    """
+    x = refused.inverse
+    if x is None or _border_width(refused.singular_values, m, tol) != 1:
+        return None
+    n = m.shape[0]
+    with np.errstate(all="ignore"):
+        big = np.max(np.abs(x))
+        if not 0.0 < big < np.inf:
+            return None
+        y = x / big  # no norm below overflows
+        col = y[:, np.argmax(np.linalg.norm(y, axis=0))]
+        row = y[np.argmax(np.linalg.norm(y, axis=1))]
+        b = np.zeros((n + 1, n + 1), dtype=m.dtype)
+        b[:n, :n] = m
+        b[:n, n] = row.conj() / np.linalg.norm(row)
+        b[n, :n] = col.conj() / np.linalg.norm(col)
+    try:
+        binv = kernel._inverse(b, tol, svd=False)
+    except Singular:
+        return None
+    return binv, kernel._det(b)[0]
+
+
+def _border_width(s: np.ndarray, m: np.ndarray, tol: Tolerance) -> int:
+    """d, the number of the singular values s of M that are not above
     cutoff / sqrt(tol.rel), the level at which an inverse still carries
-    about half the digits; the k that count give M^{-1}'s part, and the
-    d = n - k that do not border M, B = [[M, U_d], [V_d^H, 0]], so
+    about half the digits: the width of the border M's frame needs."""
+    return s.size - int(np.count_nonzero(s > tol.cutoff(m) / math.sqrt(tol.rel)))
+
+
+def _svd_frame(m: np.ndarray, tol: Tolerance):
+    """The walk's frame (B^{-1}, det B) for M = U S V^H, real or complex,
+    from one full SVD. The k = n - d singular values that count
+    (``_border_width``) give M^{-1}'s part, and the d that do not border
+    M, B = [[M, U_d], [V_d^H, 0]], so
     - B^{-1} = [[V_k S_k^{-1} U_k^H, V_d], [U_d^H, -S_d]],
     - det B = det(U) det(V^H) prod_{i<=k} s_i (-1)^d,
     both in closed form, with det B formed from its sign and log where the
@@ -202,8 +265,8 @@ def _refresh(m: np.ndarray, tol: Tolerance):
     """
     u, s, vh = np.linalg.svd(m)
     uh, v = u.conj().T, vh.conj().T
-    k = int(np.count_nonzero(s > tol.cutoff(m) / math.sqrt(tol.rel)))
-    n, d = s.size, s.size - k
+    n, d = s.size, _border_width(s, m, tol)
+    k = n - d
     binv = np.zeros((n + d, n + d), dtype=m.dtype)
     binv[:n, :n] = (v[:, :k] / s[:k]) @ uh[:k]
     binv[:n, n:] = v[:, k:]
@@ -267,19 +330,22 @@ def _pivots(k: np.ndarray, levels: int, d: int):
             # diag(y)_j = sum over the leading half of L_ji U_ij for each
             # j of the trailing half
             terms.reshape(m, 2, h)[:, 1] += np.abs(np.diagonal(y, 0, 1, 2)[:, :h])
+            # the children side by side: the leading half with the border's
+            # rows and columns, then the trailing half's Schur complement
+            nxt = np.empty((m, 2, h + d, h + d), dtype=w.dtype)
+            lead = nxt[:, 0]
+            lead[:, :h, :h] = w[:, :h, :h]
             if d:
-                keep = np.r_[:h, 2 * h:2 * h + d]
-                lead = w[:, keep[:, None], keep]
-            else:
-                lead = w[:, :h, :h]
-            w[:, h:, h:] -= y
-            w = np.stack((lead, w[:, h:, h:]), axis=1).reshape(2 * m, h + d, h + d)
+                lead[:, :h, h:], lead[:, h:, :h] = w[:, :h, 2 * h:], w[:, 2 * h:, :h]
+                lead[:, h:, h:] = w[:, 2 * h:, 2 * h:]
+            np.subtract(w[:, h:, h:], y, out=nxt[:, 1])
+            w = nxt.reshape(2 * m, h + d, h + d)
         jm = np.empty((w.shape[0], leaf, 1 + d, 1 + d), dtype=w.dtype) if d else None
         # the last step needs no elimination, only its J_j with a border
         for j in range(leaf if d else leaf - 1):
             if d:
-                at = np.r_[j, leaf:leaf + d]
-                jm[:, j] = w[:, at[:, None], at]
+                jm[:, j, 0, 0], jm[:, j, 0, 1:] = w[:, j, j], w[:, j, leaf:]
+                jm[:, j, 1:, 0], jm[:, j, 1:, 1:] = w[:, leaf:, j], w[:, leaf:, leaf:]
             w[:, j + 1:, j] /= 1.0 + w[:, j, j, None]
             w[:, j + 1:, j + 1:] -= w[:, j + 1:, j, None] * w[:, j, None, j + 1:]
         # a leaf's sum_{i<j} |L_ji U_ij| is entry (j, j-1) of the running
@@ -349,8 +415,8 @@ def _capacitance(k: np.ndarray, tol: Tolerance, cut: float, fresh: bool,
 def _inverse_walk(a: np.ndarray, seq: UpdateSequence, tol: Tolerance,
                   frame, adjugate: bool = False):
     """Walk M_k = H + Delta_k from the start frame ``frame`` = (H^{-1},
-    det H) (None when H is singular at tolerance), yielding (s_k, t_k) for
-    k = 1..r.
+    det H) (when H is singular at tolerance, the Singular that refused
+    it, ``_base``), yielding (s_k, t_k) for k = 1..r.
 
     The frame is B^{-1} and det B for B = [[M, U_d], [V_d^H, 0]], d >= 0
     (``_refresh``). The steps go in blocks of up to n: X = B^{-1}[:, :n]
@@ -368,31 +434,39 @@ def _inverse_walk(a: np.ndarray, seq: UpdateSequence, tol: Tolerance,
     Without ``adjugate`` a singular M_{k-1} raises Singular in place of
     step k.
 
-    With ``adjugate`` a singular M, or |s_k| > 1 / sqrt(tol.rel) before
+    With ``adjugate`` a singular M takes a bordered frame instead
+    (``_refresh``). At the start, and at a block end whose
+    ``kernel.inverse`` refused M, a rank n - 1 M is bordered from the LU
+    inverse that refusal carries; any other rank, or an M the LU refused,
+    takes the frame from one SVD. So does |s_k| > 1 / sqrt(tol.rel) before
     t_k is formed (it says M_{k-1} is nearly singular along u_k and v_k,
-    where det B s_k would multiply det B's rounding by |s_k|), takes the
-    frame from one SVD instead. A bordered block always ends in a new SVD
-    frame, plain again once sigma_min(M) clears the floor.
+    where det B s_k would multiply det B's rounding by |s_k|). A bordered
+    block always ends in a new SVD frame, plain again once sigma_min(M)
+    clears the floor.
     """
     n, r = a.shape[0], len(seq)
     cut = math.sqrt(tol.rel) if adjugate else 0.0
     us = np.array([up.u for up in seq.updates]).reshape(r, n)
     vs = np.array([up.v for up in seq.updates]).reshape(r, n)
     current = a
-    fresh = frame is None
+    fresh = isinstance(frame, Singular)
     if fresh and r:
         if not adjugate:
             raise Singular("H is singular at tolerance")
-        frame = _refresh(a, tol)
+        frame = _refresh(a, tol, frame)
     k = 0
     while k < r:
         inv, det_b = frame
         d = inv.shape[0] - n
         ub, vb = us[k:k + n], vs[k:k + n]
         x = inv[:, :n] @ ub.T
-        g = vb @ x[:n]
         if d:
-            g = np.block([[g, vb @ inv[:n, n:]], [x[n:], inv[n:, n:]]])
+            b = len(ub)
+            g = np.empty((b + d, b + d), dtype=x.dtype)
+            g[:b, :b], g[:b, b:] = vb @ x[:n], vb @ inv[:n, n:]
+            g[b:, :b], g[b:, b:] = x[n:], inv[n:, n:]
+        else:
+            g = vb @ x
         s, dets, then = _capacitance(g, tol, cut, fresh, d)
         for sk, jk in zip(s, dets):
             # + 0.0: an exact zero term reads 0.0 whatever det B's sign
@@ -404,14 +478,16 @@ def _inverse_walk(a: np.ndarray, seq: UpdateSequence, tol: Tolerance,
             return
         current = current + ub[:e].T @ vb[:e]
         fresh = False
+        refused = None
         if not d and then != "refresh":
             try:
                 frame = (kernel.inverse(current, tol), det_b)
                 continue
-            except Singular:
+            except Singular as exc:
                 if not adjugate:
                     raise
-        frame, fresh = _refresh(current, tol), True
+                refused = exc
+        frame, fresh = _refresh(current, tol, refused), True
 
 
 def det_sequence(h, seq: UpdateSequence) -> DetTrace:

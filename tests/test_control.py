@@ -140,6 +140,22 @@ class TestInfoFilterTrace:
         assert len(info_filter_trace(p, vs).factors) == r
         assert inverses == [] and dets == []
 
+    @pytest.mark.parametrize("r", [3, 30])
+    def test_triangular_inverse_only_for_a_refactor(self, rng, monkeypatch, r):
+        # the first block's W = J L^T V is one product, with no solve: the
+        # inverse of L that carries the information matrix is formed once,
+        # and only when a later block refactors it
+        calls = count_linalg(monkeypatch, ("detdyn.control",), ("linalg.inv", "linalg.solve"))
+        n = 8
+        p, vs = stream_instance(rng, n, r, 1.0)
+        tr = info_filter_trace(p, vs)
+        if r <= n:
+            assert calls == []
+        else:
+            assert calls.count(("detdyn.control", "inv")) == 1
+        sign, log = np.linalg.slogdet(np.linalg.inv(p) + sum(np.outer(v, v) for v in vs))
+        assert sign == 1.0 and abs(tr.logdets[-1] + log) <= 1e-12 * abs(log) + 1e-12
+
     def test_monotone_and_bounded_random(self, rng):
         for _ in range(25):
             n = 4

@@ -28,7 +28,7 @@ from detdyn import (
     solve,
 )
 from detdyn.errors import IntermediateSingular, RootFindDivergence, Singular
-from detdyn.kernel import EPS, _det, _singular_values
+from detdyn.kernel import EPS, _det, _inverse, _singular_values
 
 from conftest import (
     cofactor_adjugate,
@@ -256,6 +256,44 @@ class TestCertifiedInverse:
                     inverse(a, tol)
             else:
                 assert np.array_equal(inverse(a, tol), np.linalg.inv(a), equal_nan=True)
+
+
+class TestRefusal:
+    """A refused inverse hands back what its decision formed, so a caller
+    that goes on from the singular matrix factorizes nothing twice."""
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_refusal_carries_the_lu_inverse_and_the_singular_values(self, complex_, rng):
+        n = 16
+        left = rng.standard_normal((n, n - 1))
+        if complex_:
+            left = left + 1j * rng.standard_normal((n, n - 1))
+        a = left @ rng.standard_normal((n - 1, n))
+        with pytest.raises(Singular) as exc:
+            inverse(a)
+        assert np.array_equal(exc.value.inverse, np.linalg.inv(a))
+        assert np.array_equal(exc.value.singular_values, _singular_values(a))
+
+    def test_refused_lu_carries_no_inverse(self):
+        # LAPACK's LU meets an exact zero pivot
+        with pytest.raises(Singular) as exc:
+            inverse(np.diag([1.0, 1.0, 1.0, 0.0]))
+        assert exc.value.inverse is None
+        assert exc.value.singular_values.tolist() == [1.0, 1.0, 1.0, 0.0]
+
+    def test_uncertified_inverse_refused_without_svd(self, monkeypatch):
+        # diag(1, 1e-15) is nonsingular at the default tolerance, but its
+        # residual bound does not clear the cutoff's margin: with svd
+        # False it is refused as it stands
+        a = np.diag([1.0, 1e-15])
+        svds = count_linalg(monkeypatch, ("detdyn.kernel",), ("linalg.svd",))
+        with pytest.raises(Singular) as exc:
+            _inverse(a, Tolerance(), svd=False)
+        assert svds == []
+        assert np.array_equal(exc.value.inverse, np.linalg.inv(a))
+        assert exc.value.singular_values is None
+        assert np.array_equal(_inverse(a, Tolerance()), np.linalg.inv(a))
+        assert len(svds) == 1
 
 
 class TestOutOfRange:

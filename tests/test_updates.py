@@ -19,6 +19,7 @@ from detdyn import (
     det_product,
     det_rank_one,
     det_sequence,
+    kernel,
     logdet_sequence,
     updates,
 )
@@ -30,20 +31,28 @@ TOL9 = Tolerance(rel=1e-9)
 
 
 def record_refreshes(monkeypatch) -> list:
-    """The frame each SVD refresh of the det_sequence walk picks, in order:
-    "plain", "bordered" (a border of width 1, rank n-1) or "bordered-d"
-    (width d > 1, rank n-d)."""
+    """The frame each refresh of the det_sequence walk picks, in order:
+    "lu-bordered" (a border of width 1 from the LU inverse that refused a
+    rank n-1 M), or from one SVD "plain", "bordered" (a border of width 1,
+    rank n-1) or "bordered-d" (width d > 1, rank n-d)."""
     frames = []
-    orig = updates._refresh
+    lu, svd = updates._lu_frame, updates._svd_frame
 
-    def recorded(m, tol):
-        frame = orig(m, tol)
+    def from_lu(m, tol, refused):
+        frame = lu(m, tol, refused)
+        if frame is not None:
+            frames.append("lu-bordered")
+        return frame
+
+    def from_svd(m, tol):
+        frame = svd(m, tol)
         d = frame[0].shape[0] - m.shape[0]
         frames.append("plain" if d == 0 else "bordered" if d == 1
                       else f"bordered-{d}")
         return frame
 
-    monkeypatch.setattr(updates, "_refresh", recorded)
+    monkeypatch.setattr(updates, "_lu_frame", from_lu)
+    monkeypatch.setattr(updates, "_svd_frame", from_svd)
     return frames
 
 
@@ -303,7 +312,8 @@ class TestSingularWalk:
     against 30-digit mpmath."""
 
     # a uniform scale c moves det(M_k) by c^n; at n = 64 and c = 1e6 or
-    # 1e-6 it leaves float range, so the scaled walks run at n = 32
+    # 1e-6 it leaves float range, so the scaled walks run at n = 32; the
+    # frame is bordered from the LU inverse that found M_0 singular
     @pytest.mark.parametrize("n, c", [(64, 1.0), (32, 1e-6), (32, 1e6)])
     def test_rank_deficient_base_turns_nonsingular(self, n, c, monkeypatch):
         frames = record_refreshes(monkeypatch)
@@ -311,12 +321,69 @@ class TestSingularWalk:
         h, seq = deficient_stream(np.random.default_rng(64), n, 1, n, k_fix, c)
         tr = det_sequence(h, seq)
         mats = running_matrices(h, seq)
-        assert frames == ["bordered"]
+        assert frames == ["lu-bordered"]
         for k in range(k_fix + 1):
             assert abs(tr.values[k]) <= 1e-9 * hadamard(mats[k])
         for k in (k_fix + 1, n):
             ref = mp_det(mats[k])
             assert abs(tr.values[k] - ref) <= 1e-9 * abs(ref)
+
+    # the scales of the test above, real and complex, at n = 32 and 64; at
+    # n = 64 they are 1e-4 and 1e4, which keep det(M_k) in float range, and
+    # only the final value, read off the same frame as M_{k_fix + 1}'s,
+    # goes to mpmath
+    @pytest.mark.parametrize("imag", [0.0, 1.0])
+    @pytest.mark.parametrize("n, c", [(32, 1e-6), (32, 1.0), (32, 1e6),
+                                      (64, 1e-4), (64, 1.0), (64, 1e4)])
+    def test_rank_n_minus_1_start_takes_the_lu_border(self, n, c, imag, monkeypatch):
+        frames = record_refreshes(monkeypatch)
+        k_fix = n // 2
+        h, seq = deficient_stream(np.random.default_rng(n + 1), n, 1, n, k_fix, c, imag)
+        tr = det_sequence(h, seq)
+        mats = running_matrices(h, seq)
+        assert frames == ["lu-bordered"]
+        assert tr.values[0] == 0.0
+        for k in range(k_fix + 1):
+            assert abs(tr.values[k]) <= 1e-9 * hadamard(mats[k])
+        for k in (k_fix + 1, n) if n < 64 else (n,):
+            ref = mp_det(mats[k])
+            assert abs(tr.values[k] - ref) <= 1e-9 * abs(ref)
+
+    def test_rank_n_minus_1_start_takes_no_full_svd(self, monkeypatch):
+        # the LU inverse and the singular values that find M_0 singular,
+        # then the LU inverse of the frame bordered from that inverse: the
+        # full SVD that formed the frame is gone, and M_0 is factorized
+        # once by each
+        n = 64
+        h, seq = deficient_stream(np.random.default_rng(64), n, 1, n, n // 2)
+        lapack = count_factorizations(monkeypatch)
+        det_sequence(h, seq)
+        assert lapack == [("detdyn.kernel", "inv"), ("detdyn.kernel", "svd"),
+                          ("detdyn.kernel", "inv")]
+
+    @pytest.mark.parametrize("case", ["zero-pivot", "rank-n-2", "uncertified"])
+    def test_svd_frame_where_the_lu_border_does_not_apply(self, case, monkeypatch):
+        # LAPACK refuses the LU of diag(1, 1, 1, 0) at its exact zero
+        # pivot; at rank n-2 the border is two wide; and a B whose residual
+        # does not certify its inverse is left alone: each frame comes
+        # from one SVD, as where the walk has no LU inverse
+        frames = record_refreshes(monkeypatch)
+        if case == "zero-pivot":
+            e = np.eye(4)
+            h = np.diag([1.0, 1.0, 1.0, 0.0])
+            seq = UpdateSequence.symmetric([e[3], e[0], e[1], e[2]] * 2)
+            expected = ["bordered", "plain"]
+        else:
+            n = 16
+            h, seq = restoring_stream(np.random.default_rng(n), n,
+                                      2 if case == "rank-n-2" else 1, n)
+            expected = ["bordered-2" if case == "rank-n-2" else "bordered"]
+        if case == "uncertified":
+            certified = kernel._certified
+            monkeypatch.setattr(kernel, "_certified", lambda a, x, tol: (
+                a.shape[0] != n + 1 and certified(a, x, tol)))
+        self.assert_walk_against_mpmath(h, seq)
+        assert frames == expected
 
     @pytest.mark.parametrize("imag", [0.0, 1.0])
     def test_out_of_range_frame_is_silent(self, imag):
@@ -388,9 +455,10 @@ class TestSingularWalk:
         assert abs(tr.final - (2.5 + 2j)) <= 1e-15
 
     # one complex walk per frame: plain (no refresh), a border of width 1
-    # at rank n-1 and of width 2 at rank n-2; each ends nonsingular
+    # at rank n-1, from the LU inverse, and of width 2 at rank n-2, from
+    # one SVD; each ends nonsingular
     @pytest.mark.parametrize("defect, k_fix, expected", [
-        (1, 6, []), (1, 2, ["bordered"]), (2, 0, ["bordered-2"])])
+        (1, 6, []), (1, 2, ["lu-bordered"]), (2, 0, ["bordered-2"])])
     def test_complex_walk_against_mpmath(self, defect, k_fix, expected, monkeypatch):
         frames = record_refreshes(monkeypatch)
         h, seq = deficient_stream(np.random.default_rng(8), 8, defect, 5, k_fix,
