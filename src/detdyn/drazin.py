@@ -80,7 +80,10 @@ def _core_chain(a: np.ndarray, tol: Tolerance):
     of H. A nonsingular H is its own core (k = 0), tested by the one rank
     test of its factorization; a later core is tested by
     ``kernel.inverse``, whose nonsingular decision may be certified from
-    the residual of the inverse it forms. Every level is judged on H's
+    the residual of the inverse it forms. A core it refuses is factored
+    at the rank given by the singular values its Singular carries
+    (``kernel._factors``), so a level reads one values-only SVD, and a
+    singular level one full SVD besides. Every level is judged on H's
     cutoff: a core's own would pass a rounding residue of the nilpotent
     part as a nonzero eigenvalue. Level i, the core after i products
     F C, adds i n eps max|H| to it, the rounding those products add.
@@ -96,8 +99,8 @@ def _core_chain(a: np.ndarray, tol: Tolerance):
         floor = Tolerance(rel=tol.rel, abs=cut + len(levels) * step)
         try:
             return levels, core, kernel.inverse(core, floor)
-        except Singular:
-            c, f = kernel.full_rank_factorization(core, floor)
+        except Singular as refused:
+            c, f = kernel._factors(core, refused.singular_values, floor)
     return levels, core, np.linalg.inv(core)
 
 

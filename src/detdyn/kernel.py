@@ -13,13 +13,16 @@ the decision off the inverse's residual: a bound on sigma_min that
 clears the cutoff with room for the SVD's own error proves what the SVD
 would decide, and only an inconclusive bound runs the SVD. The decision,
 and so ``det``'s exact 0.0, is the same either way, and a refusal hands
-back the inverse and the singular values it formed (``Singular``), from
-which the update walk borders a singular matrix. The adjugate is
-det(A) A^{-1} for A invertible at tolerance and the SVD form of G. W.
-Stewart ("On the adjugate matrix", LAA 283, 1998) otherwise, so it stays
-valid for singular input at any size. Faddeev-LeVerrier is kept only in
-``charpoly``, where its exactness on integer input is the point. Spectra
-come from ``eigvalsh`` for symmetric input and ``eigvals`` for the rest.
+back the inverse and the singular values it formed (``Singular``): the
+update walk borders a singular matrix from them, and the core-nilpotent
+chain factors a refused core at the rank they give through ``_factors``,
+the one reader of C and F, which ``full_rank_factorization`` also calls
+on its own values. The adjugate is det(A) A^{-1} for A invertible at
+tolerance and the SVD form of G. W. Stewart ("On the adjugate matrix",
+LAA 283, 1998) otherwise, so it stays valid for singular input at any
+size. Faddeev-LeVerrier is kept only in ``charpoly``, where its
+exactness on integer input is the point. Spectra come from ``eigvalsh``
+for symmetric input and ``eigvals`` for the rest.
 
 ``as_matrix`` keeps complex input complex, so ``det``, ``solve``,
 ``inverse``, ``adjugate``, ``rank`` and ``full_rank_factorization`` also
@@ -369,14 +372,11 @@ def eigenvalues(m, tol: Tolerance = DEFAULT_TOL) -> Spectrum:
 # ---------------------------------------------------------------------------
 # Rank and full-rank factorization from the singular values
 
-def _rank(a: np.ndarray, tol: Tolerance) -> int:
-    return int(np.count_nonzero(_singular_values(a) > tol.cutoff(a)))
-
-
 def rank(m, tol: Tolerance = DEFAULT_TOL) -> int:
     """Number of singular values above the cutoff. Accepts rectangular
     input."""
-    return _rank(as_matrix(m), tol)
+    a = as_matrix(m)
+    return int(np.count_nonzero(_singular_values(a) > tol.cutoff(a)))
 
 
 def full_rank_factorization(m, tol: Tolerance = DEFAULT_TOL):
@@ -386,9 +386,19 @@ def full_rank_factorization(m, tol: Tolerance = DEFAULT_TOL):
     test.
 
     r counts the singular values that ``inverse`` tests, not the full
-    SVD's (which can differ in the last bits): r = n means invertible."""
+    SVD's (which can differ in the last bits): r = n means invertible.
+    The factors are read by ``_factors``, which also serves a matrix that
+    ``inverse`` refused, from the singular values its Singular carries."""
     a = as_matrix(m, square=True)
-    r = _rank(a, tol)
+    return _factors(a, _singular_values(a), tol)
+
+
+def _factors(a: np.ndarray, s: np.ndarray, tol: Tolerance):
+    """C and F of a validated square ``a`` at the rank r that its
+    values-only singular values ``s`` give at ``tol``'s cutoff: a copy of
+    ``a`` and I for r = n, else the leading r columns of U S and rows of
+    V^T from one full SVD, whose own values do not decide r."""
+    r = int(np.count_nonzero(s > tol.cutoff(a)))
     if r == a.shape[0]:
         return a.copy(), np.eye(r)
     u, s, vh = np.linalg.svd(a)

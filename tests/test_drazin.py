@@ -333,6 +333,25 @@ class TestCoreChain:
         assert charpolys == []
         assert len(factorizations) == 1
 
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_one_values_only_svd_per_singular_level(self, k, monkeypatch):
+        # a core that kernel.inverse refuses is factored at the rank its
+        # refusal's singular values give, not tested by a second SVD: k
+        # values-only SVDs (levels 0..k-1) and k full ones (their factors)
+        svds = []
+        orig = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            svds.append(kwargs.get("compute_uv", True))
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        for seed in range(5):
+            h, _ = nilpotent_block(seed, k)
+            svds.clear()
+            assert pdet(h, TOL9).nullity == k
+            assert svds.count(False) == k and svds.count(True) == k
+
     def test_closed_form_beyond_float_range(self):
         # pdet(H) = 1e420 is inf and det(I + V^T H^D U) is 0: the product
         # inf * 0 read NaN, and so did the eps sweep's gap to it

@@ -91,6 +91,21 @@ def test_lemma_on_an_index_two_base():
 
 
 @pytest.mark.xfail(strict=True, raises=RuntimeWarning,
+                   reason="ROADMAP item 2: the charpoly route rescales a "
+                          "Faddeev-LeVerrier coefficient by s^q, which overflows")
+def test_charpoly_pdet_beyond_the_power_range():
+    # s^q = 1e7^45 overflows, and the coefficient c_45 of H/s is already
+    # wrong (its true value is subnormal), so rescaling the power alone
+    # would not mend it; the default route is within 2e-15 of 1e7 0.5^44
+    h = np.diag([1e7] + [0.5] * 44 + [0.0])
+    ref = 1e7 * 0.5 ** 44
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = pdet(h, method="charpoly").value
+    assert abs(value - ref) <= 1e-12 * ref
+
+
+@pytest.mark.xfail(strict=True, raises=RuntimeWarning,
                    reason="ROADMAP item 6: v^T adj(H) u sums +inf and -inf "
                           "entries of adj(1e6 I_64) to NaN")
 def test_rank_one_update_beyond_float_range():

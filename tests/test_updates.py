@@ -385,6 +385,19 @@ class TestSingularWalk:
         self.assert_walk_against_mpmath(h, seq)
         assert frames == expected
 
+    def test_svd_frame_where_the_lu_inverse_is_not_finite(self, monkeypatch):
+        # LAPACK's inverse of diag(1, 2, 3, 1e-320) holds inf, so no column
+        # of it is an inverse-iteration step: the frame comes from one SVD,
+        # and every value is exact
+        frames = record_refreshes(monkeypatch)
+        e = np.eye(4)
+        seq = UpdateSequence.symmetric([e[3], e[0], e[1], e[2]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tr = det_sequence(np.diag([1.0, 2.0, 3.0, 1e-320]), seq)
+        assert frames == ["bordered"]
+        assert tr.values == (0.0, 6.0, 12.0, 18.0, 24.0)
+
     @pytest.mark.parametrize("imag", [0.0, 1.0])
     def test_out_of_range_frame_is_silent(self, imag):
         # at n = 64 and c = 1e6 the bordered frame's det B is about 1e378:
