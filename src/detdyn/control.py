@@ -142,10 +142,14 @@ def _spd_stream(low, cols: np.ndarray, w: np.ndarray | None = None) -> np.ndarra
     only if a block is refactored.
 
     The factors det P_j / det P_{j-1} = 1 + x_j of a block of b <= n steps
-    are the pivots of its capacitance matrix C = I + W^T W, W = low^{-1} U
-    (the multiplicative form of the matrix determinant lemma). One
-    Householder QR of [I; W] gives C = R^T R, and x_j = |w_j|^2 - sum_{i<j}
-    R_ij^2, which keeps its relative accuracy when small. A block ends
+    are the pivots of its capacitance matrix C = I + G, G = W^T W and
+    W = low^{-1} U (the multiplicative form of the matrix determinant
+    lemma). One Cholesky C = L L^T gives x_j = |w_j|^2 - sum_{i<j} L_ji^2
+    (``kernel._spd_pivots``), which keeps its relative accuracy when
+    small. Where G is so large that C formed in floating point is no
+    longer positive definite and LAPACK refuses it, one Householder QR of
+    [I; W], which never forms C, gives C = R^T R and R_ij in place of
+    L_ji. A block ends
     before the first later step whose x_j cancels to below _CANCEL |w_j|^2
     (a negative x_j included); low is then refactored from one QR of the
     stacked [low^T; U^T] of the accepted steps, the backward-stable form
@@ -159,9 +163,13 @@ def _spd_stream(low, cols: np.ndarray, w: np.ndarray | None = None) -> np.ndarra
         b = u.shape[1]
         if s or w is None:
             w = np.linalg.solve(low, u)
-        c = np.linalg.qr(np.vstack((np.eye(b), w)), mode="r")
-        w2 = np.einsum("ij,ij->j", w, w)
-        xb = w2 - np.sum(np.triu(c, 1) ** 2, axis=0)
+        g = w.T @ w
+        w2 = g.diagonal()
+        try:
+            xb = kernel._spd_pivots(g)[0]
+        except np.linalg.LinAlgError:
+            c = np.linalg.qr(np.vstack((np.eye(b), w)), mode="r")
+            xb = w2 - np.sum(np.triu(c, 1) ** 2, axis=0)
         cut = np.flatnonzero(xb[1:] < _CANCEL * w2[1:])
         e = 1 + cut[0] if cut.size else b
         x[s:s + e] = xb[:e]
@@ -210,8 +218,8 @@ def covariance_trace(p, updates, tol: Tolerance = DEFAULT_TOL) -> CovarianceTrac
     growth, with the x/(1+x) <= log(1+x) <= x sandwich bounds.
 
     The quadratic forms come from _spd_stream, blocks of n updates at a
-    time, each one triangular solve and one QR of its capacitance matrix,
-    with the Cholesky factor of P refactored backward-stably between
+    time, each one triangular solve and one Cholesky of its capacitance
+    matrix, with the Cholesky factor of P refactored backward-stably between
     blocks, so the per-step residual does not grow with the number of
     updates. log det P is read off the factor, and the log dets are a
     compensated running sum (``_running_sum``) of the increments
@@ -241,8 +249,8 @@ def info_filter_trace(p, measurements, tol: Tolerance = DEFAULT_TOL) -> InfoFilt
     determinant sequence contracts monotonically, and log det(P_k) is the
     compensated running sum of -log1p(q_i). The quadratic forms
     v_i^T P_{i-1} v_i come from _spd_stream on the information matrix
-    P^{-1}, whose Cholesky factor is refactored between blocks of n
-    measurements.
+    P^{-1}, one Cholesky of the capacitance matrix per block of n
+    measurements, and its Cholesky factor is refactored between blocks.
 
     With P = L L^T and J the reversal, J L^{-T} J is the lower Cholesky
     factor of J P^{-1} J, so the information matrix is carried in reversed

@@ -22,7 +22,10 @@ tolerance and the SVD form of G. W. Stewart ("On the adjugate matrix",
 LAA 283, 1998) otherwise, so it stays valid for singular input at any
 size. Faddeev-LeVerrier is kept only in ``charpoly``, where its
 exactness on integer input is the point. Spectra come from ``eigvalsh``
-for symmetric input and ``eigvals`` for the rest.
+for symmetric input and ``eigvals`` for the rest. The pivots of a
+symmetric positive definite capacitance matrix I + G, which the update
+walk and the covariance streams read their factors from, come from one
+Cholesky (``_spd_pivots``).
 
 ``as_matrix`` keeps complex input complex, so ``det``, ``solve``,
 ``inverse``, ``adjugate``, ``rank`` and ``full_rank_factorization`` also
@@ -253,6 +256,22 @@ def _det(a: np.ndarray):
     det = ``_from_log``(sign, log|det|)."""
     sign, logdet = np.linalg.slogdet(a)
     return _from_log(sign, logdet).item(), sign.item(), float(logdet)
+
+
+def _spd_pivots(g: np.ndarray):
+    """(s, terms) for a real symmetric ``g`` with C = I + G positive
+    definite, from one Cholesky factorization C = L L^T: 1 + s_j is C's
+    j-th pivot L_jj^2, the j-th pivot of its unpivoted LU, read as
+    s_j = G_jj - terms_j with terms_j = sum_{i<j} L_ji^2, so a small s_j
+    keeps its digits where L_jj^2 - 1 would not. Only the lower triangle
+    of G is read; its backward error on C is that of the LU to first
+    order (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd
+    ed., ch. 10). LinAlgError where LAPACK refuses C as not positive
+    definite."""
+    low = np.linalg.cholesky(g + np.eye(g.shape[0]))
+    np.fill_diagonal(low, 0.0)
+    terms = np.einsum("ij,ij->i", low, low)
+    return g.diagonal() - terms, terms
 
 
 def det(m, tol: Tolerance = DEFAULT_TOL) -> float:

@@ -22,11 +22,16 @@ along an update; det H, its sign and log come from the kernel's one LU
 reader. The unpivoted LU is taken by halving: the pivots are those of
 the leading half and then those of its Schur complement, one batched
 solve and one batched GEMM per level, about log2(b / 4) levels for a
-block of b steps. With d > 0 the border rides along, and Jacobi's
-identity det M = det B det T, where T is the trailing d x d block of
-B^{-1}, reads v^T adj(M) u = det B det J off the same elimination for
-any border that makes B nonsingular, with no division by det M; with
-d = 0 that is det M v^T M^{-1} u.
+block of b steps. A block with no border on a real H equal to its
+transpose, where this and every earlier update has u = v, has a
+symmetric capacitance matrix, and where that is positive definite
+(every factor positive) one Cholesky gives the same pivots
+(``kernel._spd_pivots``); the halving runs only where LAPACK refuses
+it. With d > 0 the border rides along, and Jacobi's identity det M =
+det B det T, where T is the trailing d x d block of B^{-1}, reads v^T
+adj(M) u = det B det J off the same elimination for any border that
+makes B nonsingular, with no division by det M; with d = 0 that is
+det M v^T M^{-1} u.
 """
 
 from __future__ import annotations
@@ -358,8 +363,21 @@ def _pivots(k: np.ndarray, levels: int, d: int):
     return s, terms[:b], dets
 
 
+def _halved(k: np.ndarray, d: int):
+    """``_pivots`` at ceil(log2(b / _LEAF)) levels for a block of b > 2
+    _LEAF steps and none for a smaller one; an exactly singular leading
+    half makes the batched solve refuse the whole stack, and the block is
+    then one leaf."""
+    b = k.shape[0] - d
+    levels = 0 if b <= 2 * _LEAF else (-(-b // _LEAF) - 1).bit_length()
+    try:
+        return _pivots(k, levels, d)
+    except np.linalg.LinAlgError:
+        return _pivots(k, 0, d)
+
+
 def _capacitance(k: np.ndarray, tol: Tolerance, cut: float, fresh: bool,
-                 d: int = 0):
+                 d: int = 0, spd: bool = False):
     """(s, dets, then) for one block of updates from its capacitance
     matrix K = [[V_b^T P U_b, V_b^T Q], [R U_b, T]] on a frame with
     B^{-1} = [[P, Q], [R, T]] and a border of width d (K = G =
@@ -371,14 +389,15 @@ def _capacitance(k: np.ndarray, tol: Tolerance, cut: float, fresh: bool,
     lemma), so s_j = v_j^T P_{j-1} u_j is G_jj - sum_{i<j} L_ji U_ij. By
     Jacobi's identity det M_j = det B_j det T_j, so v_j^T adj(M_{j-1}) u_j
     = det M_j - det M_{j-1} is det B_{j-1} det J_j (``_pivots``), linear in
-    J_j's first row. ``_pivots`` reads them by halving C:
-    ceil(log2(b / _LEAF)) levels, one batched solve each, for a block of
-    b > 2 _LEAF steps, and none for a smaller one. An exactly singular
-    leading half makes the batched solve refuse the whole stack; the block
-    is then one leaf. The halving never forms a single product L_ji U_ij
-    with i outside j's leaf, only the sum over each leading half that step
-    j trails, diag(C_21 A^{-1} C_12)_j, so the terms that form s_j are
-    summed by level: 1 + |G_jj| + one |partial sum| per level + the leaf's
+    J_j's first row. With ``spd`` (d = 0, and u = v for this block's and
+    every earlier step on a real H equal to its transpose, so M and G are
+    symmetric up to rounding) one Cholesky of C reads them, s_j = G_jj -
+    sum_{i<j} L_ji^2 with that sum as the terms (``kernel._spd_pivots``);
+    where LAPACK refuses C as not positive definite, and for every other
+    block, ``_halved`` reads them by halving C. The halving never forms a
+    single product L_ji U_ij with i outside j's leaf, only the sum over
+    each leading half that step j trails, diag(C_21 A^{-1} C_12)_j, so the
+    terms that form s_j are summed by level: 1 + |G_jj| + one |partial sum| per level + the leaf's
     sum_{i<j} |L_ji U_ij|, by the triangle inequality at most the
     elementwise 1 + |G_jj| + sum_{i<j} |L_ji U_ij|. The block ends
     - before the first step with |s_j| cut > 1, never the first step of a
@@ -392,15 +411,17 @@ def _capacitance(k: np.ndarray, tol: Tolerance, cut: float, fresh: bool,
     The pivots past the end are dropped; past a failed guard they may
     divide by zero, so ``_pivots`` runs under np.errstate.
     """
-    b = k.shape[0] - d
-    levels = 0 if b <= 2 * _LEAF else (-(-b // _LEAF) - 1).bit_length()
-    try:
-        s, terms, dets = _pivots(k, levels, d)
-    except np.linalg.LinAlgError:
-        s, terms, dets = _pivots(k, 0, d)
+    if spd:
+        try:
+            s, terms = kernel._spd_pivots(k)
+            dets = s
+        except np.linalg.LinAlgError:
+            s, terms, dets = _halved(k, d)
+    else:
+        s, terms, dets = _halved(k, d)
     s, dets = s.tolist(), dets.tolist()
     hi = 1.0 / math.sqrt(tol.rel)
-    gd = np.abs(k.diagonal()[:b]).tolist()
+    gd = np.abs(k.diagonal()[:len(s)]).tolist()
     for j, (sj, gj, tj) in enumerate(zip(s, gd, terms.tolist())):
         f = abs(1.0 + sj)
         if abs(sj) * cut > 1.0 and (j or not fresh):
@@ -449,6 +470,7 @@ def _inverse_walk(a: np.ndarray, seq: UpdateSequence, tol: Tolerance,
     us = np.array([up.u for up in seq.updates]).reshape(r, n)
     vs = np.array([up.v for up in seq.updates]).reshape(r, n)
     current = a
+    symmetric = not np.iscomplexobj(a) and np.array_equal(a, a.T)
     fresh = isinstance(frame, Singular)
     if fresh and r:
         if not adjugate:
@@ -467,7 +489,8 @@ def _inverse_walk(a: np.ndarray, seq: UpdateSequence, tol: Tolerance,
             g[b:, :b], g[b:, b:] = x[n:], inv[n:, n:]
         else:
             g = vb @ x
-        s, dets, then = _capacitance(g, tol, cut, fresh, d)
+        spd = symmetric and not d and np.array_equal(ub, vb)
+        s, dets, then = _capacitance(g, tol, cut, fresh, d, spd)
         for sk, jk in zip(s, dets):
             # + 0.0: an exact zero term reads 0.0 whatever det B's sign
             yield sk, det_b * jk + 0.0
@@ -477,6 +500,7 @@ def _inverse_walk(a: np.ndarray, seq: UpdateSequence, tol: Tolerance,
         if k == r:
             return
         current = current + ub[:e].T @ vb[:e]
+        symmetric = symmetric and np.array_equal(ub[:e], vb[:e])
         fresh = False
         refused = None
         if not d and then != "refresh":

@@ -340,13 +340,15 @@ def test_adversarial_info_filter():
 
 @pytest.mark.parametrize("blocks", [1, 3])
 def test_benign_stream_qr_per_block(rng, monkeypatch, blocks):
-    # one QR of the capacitance per block of n updates and one refactoring
-    # QR between blocks, however long the stream
+    # one Cholesky of the capacitance per block of n updates (from the
+    # kernel), one refactoring QR between blocks and none of [I; W],
+    # however long the stream; the one Cholesky from control is P's own
     calls = count_lapack(monkeypatch)
     n = 8
     p, us = stream_instance(rng, n, blocks * n, 0.1)
     covariance_trace(p, us)
-    assert tally(calls) == {"qr": 2 * blocks - 1, "svd": 0, "eigh": 0}
+    assert capacitance_choleskys(calls) == blocks
+    assert tally(calls) == {"qr": blocks - 1, "svd": 0, "eigh": 0, "cholesky": 1 + blocks}
 
 
 def test_repeated_direction_trips_guard(monkeypatch):
@@ -361,8 +363,11 @@ def test_repeated_direction_trips_guard(monkeypatch):
         x1 = (mu.T * mpmath.lu_solve(mpmath.matrix(p.tolist()), mu))[0]
         want = [float(mpmath.log1p(x1 / (1 + (j - 1) * x1))) for j in range(1, k + 1)]
     cov = covariance_trace(p, [u] * k)
-    # k/n untripped blocks would take 2 k/n - 1 QRs
-    assert tally(calls)["qr"] > 2 * (k // n) - 1
+    # k/n untripped blocks would take k/n capacitance Choleskys; each block
+    # takes one, and one refactoring QR leads to the next
+    blocks = capacitance_choleskys(calls)
+    assert blocks > k // n
+    assert tally(calls)["qr"] == blocks - 1
     assert np.max(np.abs(np.array(cov.increments) / want - 1.0)) <= 1e-10
 
 
@@ -667,14 +672,22 @@ def test_growth_of_one_unit_direction_in_r64():
 
 
 def count_lapack(monkeypatch) -> list:
-    """Calls of np.linalg.qr, svd and eigh made from detdyn.control."""
-    return count_linalg(monkeypatch, ("detdyn.control",),
-                        ("linalg.qr", "linalg.svd", "linalg.eigh"))
+    """Calls of np.linalg.qr, svd, eigh and cholesky made from
+    detdyn.control or detdyn.kernel, whose ``_spd_pivots`` factors the
+    capacitance blocks."""
+    return count_linalg(monkeypatch, ("detdyn.control", "detdyn.kernel"),
+                        ("linalg.qr", "linalg.svd", "linalg.eigh", "linalg.cholesky"))
 
 
 def tally(calls) -> dict:
     """Calls per function name."""
-    return {name: sum(c == name for _, c in calls) for name in ("qr", "svd", "eigh")}
+    return {name: sum(c == name for _, c in calls)
+            for name in ("qr", "svd", "eigh", "cholesky")}
+
+
+def capacitance_choleskys(calls) -> int:
+    """The Choleskys of capacitance blocks: those made from the kernel."""
+    return calls.count(("detdyn.kernel", "cholesky"))
 
 
 @pytest.mark.parametrize("horizon", [1, 4, 12])
@@ -689,7 +702,7 @@ def test_growth_factorizations_per_block(monkeypatch, horizon):
     gramian_pdet_growth(g, tol=TOL9)
     blocks = -(-horizon // 4)
     assert ranks == []
-    assert tally(calls) == {"qr": blocks, "svd": 1 + blocks, "eigh": 0}
+    assert tally(calls) == {"qr": blocks, "svd": 1 + blocks, "eigh": 0, "cholesky": 0}
 
 
 # rank 5 with cond(W) of 2e9 and 3.9e9: the eigenvalue that the rank cutoff
@@ -914,7 +927,7 @@ def test_experiment_factorizations_do_not_grow_with_trials(monkeypatch):
     # one stacked pass, the nominal as its set 0, with one QR of the
     # directions and one between consecutive blocks, one SVD of the
     # directions and one per block
-    assert tally(calls) == one == {"qr": 3, "svd": 4, "eigh": 0}
+    assert tally(calls) == one == {"qr": 3, "svd": 4, "eigh": 0, "cholesky": 0}
 
 
 def test_experiment_chunks_match_one_pass(monkeypatch):
@@ -929,9 +942,9 @@ def test_experiment_chunks_match_one_pass(monkeypatch):
     assert chunks > 1
     calls = count_lapack(monkeypatch)
     chunked = perturbed_gramian_experiment(g, 0.1, trials=trials, seed=5, tol=TOL9)
-    assert tally(calls) == {"qr": chunks * 7, "svd": chunks * 8, "eigh": 0}
+    assert tally(calls) == {"qr": chunks * 7, "svd": chunks * 8, "eigh": 0, "cholesky": 0}
     monkeypatch.setattr(control, "_STACK_FLOATS", 1 << 40)
     calls.clear()
     whole = perturbed_gramian_experiment(g, 0.1, trials=trials, seed=5, tol=TOL9)
-    assert tally(calls) == {"qr": 7, "svd": 8, "eigh": 0}
+    assert tally(calls) == {"qr": 7, "svd": 8, "eigh": 0, "cholesky": 0}
     assert chunked == whole

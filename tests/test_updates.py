@@ -1,4 +1,6 @@
+import itertools
 import math
+import operator
 import warnings
 
 import mpmath
@@ -24,7 +26,7 @@ from detdyn import (
     updates,
 )
 
-from conftest import count_calls, count_linalg, mp_det, random_orthogonal
+from conftest import count_calls, count_linalg, mp_det, random_orthogonal, random_spd
 from test_kernel import RANK4
 
 TOL9 = Tolerance(rel=1e-9)
@@ -759,6 +761,98 @@ class TestCapacitanceBlocks:
         calls = count_linalg(monkeypatch, ("detdyn.updates",), ("linalg.solve",))
         det_product(h, seq)
         assert 1 <= len(calls) <= math.ceil(math.log2(n))
+
+
+def worst_relative(values, ref) -> float:
+    """max_k |values_k / ref_k - 1| against the mpmath dets ``ref``."""
+    with mpmath.workdps(40):
+        return max(float(abs(mpmath.mpmathify(v) / want - 1)) for v, want in zip(values, ref))
+
+
+def product_dets(lp) -> list:
+    """det(H + Delta_k), k = 0..r, as the running product of the factors."""
+    return list(itertools.accumulate(lp.factors, operator.mul, initial=lp.base_det))
+
+
+class TestSymmetricRoute:
+    """A plain-frame block of updates with u_k = v_k on a real H equal to
+    its transpose has a symmetric capacitance matrix C = I + G, read by
+    one Cholesky where C is positive definite; every other block is
+    halved. Keyed on u_k = v_k alone, a non-symmetric or complex H would
+    read its pivots off the lower triangle of a G that is not symmetric."""
+
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_non_symmetric_h(self, n):
+        # the halving reaches 2.6e-16 here, the Cholesky of the lower
+        # triangle 1.6e-2
+        rng = np.random.default_rng(n)
+        h = rng.standard_normal((n, n)) / np.sqrt(n) + 2.0 * np.eye(n)
+        pairs = [(u, u) for u in 0.3 * rng.standard_normal((2 * n, n))]
+        ref = mp_running_dets(h, pairs)
+        seq = UpdateSequence.from_pairs(pairs)
+        assert worst_relative(product_dets(det_product(h, seq)), ref) <= 1e-13
+        assert worst_relative(det_sequence(h, seq).values, ref) <= 1e-13
+
+    def test_complex_symmetric_h(self):
+        rng = np.random.default_rng(3)
+        n = 12
+        x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        h = (x + x.T) / (2.0 * np.sqrt(n)) + 2.0 * np.eye(n)
+        assert np.array_equal(h, h.T)
+        pairs = [(u, u) for u in 0.3 * rng.standard_normal((2 * n, n))]
+        ref = mp_running_dets(h, pairs)
+        values = det_sequence(h, UpdateSequence.from_pairs(pairs)).values
+        assert worst_relative(values, ref) <= 1e-13
+
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_symmetric_block_after_general_updates(self, n):
+        # H is SPD and the second block has u = v, but M = H + sum u v^T
+        # of the first block is not symmetric: that block is halved too
+        # (a Cholesky of the lower triangle of its G is off by 1.4e-2 and
+        # 1.9e-1 relative)
+        rng = np.random.default_rng(n + 1)
+        h = random_spd(rng, n) / n + np.eye(n)
+        h = 0.5 * (h + h.T)
+        first = 0.2 * rng.standard_normal((2, n, n))
+        pairs = list(zip(first[0], first[1]))
+        pairs += [(u, u) for u in 0.3 * rng.standard_normal((n, n))]
+        ref = mp_running_dets(h, pairs)
+        seq = UpdateSequence.from_pairs(pairs)
+        assert worst_relative(product_dets(det_product(h, seq)), ref) <= 1e-13
+        assert worst_relative(det_sequence(h, seq).values, ref) <= 1e-13
+
+    def test_indefinite_h_is_halved(self, monkeypatch):
+        # a negative factor: C = I + G is indefinite, LAPACK refuses its
+        # Cholesky, and the block's pivots come from the halving's
+        # batched solves
+        rng = np.random.default_rng(5)
+        n = 16
+        q = random_orthogonal(rng, n)
+        h = (q * np.linspace(-2.0, 2.0, n + 1)[np.arange(n + 1) != n // 2]) @ q.T
+        h = 0.5 * (h + h.T)
+        pairs = [(u, u) for u in rng.standard_normal((n, n))]
+        ref = mp_running_dets(h, pairs)
+        seq = UpdateSequence.from_pairs(pairs)
+        calls = count_linalg(monkeypatch, ("detdyn.updates", "detdyn.kernel"),
+                             ("linalg.cholesky", "linalg.solve"))
+        lp = det_product(h, seq)
+        assert min(lp.factors) < 0.0
+        assert calls[0] == ("detdyn.kernel", "cholesky")
+        assert ("detdyn.updates", "solve") in calls
+        assert worst_relative(product_dets(lp), ref) <= 1e-12
+        assert worst_relative(det_sequence(h, seq).values, ref) <= 1e-12
+
+    @pytest.mark.parametrize("route", [det_product, logdet_sequence, det_sequence])
+    def test_spd_stream_takes_one_cholesky_per_block(self, route, rng, monkeypatch):
+        # r = 3 n: three blocks, each one Cholesky and no halving solve
+        n = 16
+        h = random_spd(rng, n) / n
+        h = 0.5 * (h + h.T)
+        seq = UpdateSequence.symmetric(0.1 * rng.standard_normal((3 * n, n)))
+        calls = count_linalg(monkeypatch, ("detdyn.updates", "detdyn.kernel"),
+                             ("linalg.cholesky", "linalg.solve"))
+        route(h, seq)
+        assert calls == [("detdyn.kernel", "cholesky")] * 3
 
 
 class TestDetProduct:
