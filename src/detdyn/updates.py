@@ -22,16 +22,16 @@ along an update; det H, its sign and log come from the kernel's one LU
 reader. The unpivoted LU is taken by halving: the pivots are those of
 the leading half and then those of its Schur complement, one batched
 solve and one batched GEMM per level, about log2(b / 4) levels for a
-block of b steps. A block with no border on a real H equal to its
-transpose, where this and every earlier update has u = v, has a
-symmetric capacitance matrix, and where that is positive definite
-(every factor positive) one Cholesky gives the same pivots
-(``kernel._spd_pivots``); the halving runs only where LAPACK refuses
-it. With d > 0 the border rides along, and Jacobi's identity det M =
-det B det T, where T is the trailing d x d block of B^{-1}, reads v^T
-adj(M) u = det B det J off the same elimination for any border that
-makes B nonsingular, with no division by det M; with d = 0 that is
-det M v^T M^{-1} u.
+block of b steps. A block with no border whose G = V_b^T M^{-1} U_b is
+real and symmetric to rounding has a symmetric capacitance matrix, and
+where that is positive definite (every factor positive) one Cholesky
+gives the same pivots (``kernel._spd_pivots``); the halving runs only
+where LAPACK refuses it. The route is read off each block's G, never off
+the updates that came before. With d > 0 the border rides along, and
+Jacobi's identity det M = det B det T, where T is the trailing d x d
+block of B^{-1}, reads v^T adj(M) u = det B det J off the same
+elimination for any border that makes B nonsingular, with no division by
+det M; with d = 0 that is det M v^T M^{-1} u.
 """
 
 from __future__ import annotations
@@ -363,11 +363,34 @@ def _pivots(k: np.ndarray, levels: int, d: int):
     return s, terms[:b], dets
 
 
-def _halved(k: np.ndarray, d: int):
-    """``_pivots`` at ceil(log2(b / _LEAF)) levels for a block of b > 2
+def _block_pivots(k: np.ndarray, d: int):
+    """(s, terms, dets) for one block's capacitance matrix K, by a route
+    read off K alone. A block with no border (d = 0) whose G is real and
+    symmetric to rounding takes one Cholesky of C = I + G
+    (``kernel._spd_pivots``, dets = s), which reads only G's lower
+    triangle. Cholesky's backward error is componentwise, |dC_ij| up to
+    about b eps sqrt(|C_ii| |C_jj|) with eps = 2^-52 (Higham, *Accuracy
+    and Stability of Numerical Algorithms*, 2nd ed., ch. 10), so G counts
+    as symmetric where every |G_ij - G_ji| is within that bound: reading
+    G_ji for G_ij then adds nothing past it. A norm-wise rule would not
+    do, since one dominant entry of G would pass an O(1) pair that is not
+    symmetric. The rule is apart from the caller's singularity tolerance.
+    Every other block, and one whose C LAPACK refuses as not positive
+    definite, is halved:
+    ``_pivots`` at ceil(log2(b / _LEAF)) levels for a block of b > 2
     _LEAF steps and none for a smaller one; an exactly singular leading
     half makes the batched solve refuse the whole stack, and the block is
     then one leaf."""
+    if not d and np.isrealobj(k):
+        r = np.sqrt(np.abs(1.0 + k.diagonal()) * (k.shape[0] * 2.0 ** -52))
+        # the corner pair alone turns away a block with u != v cheaply
+        if abs(k[0, -1] - k[-1, 0]) <= r[0] * r[-1] and (
+                np.abs(k - k.T) <= np.outer(r, r)).all():
+            try:
+                s, terms = kernel._spd_pivots(k)
+                return s, terms, s
+            except np.linalg.LinAlgError:
+                pass
     b = k.shape[0] - d
     levels = 0 if b <= 2 * _LEAF else (-(-b // _LEAF) - 1).bit_length()
     try:
@@ -377,7 +400,7 @@ def _halved(k: np.ndarray, d: int):
 
 
 def _capacitance(k: np.ndarray, tol: Tolerance, cut: float, fresh: bool,
-                 d: int = 0, spd: bool = False):
+                 d: int = 0):
     """(s, dets, then) for one block of updates from its capacitance
     matrix K = [[V_b^T P U_b, V_b^T Q], [R U_b, T]] on a frame with
     B^{-1} = [[P, Q], [R, T]] and a border of width d (K = G =
@@ -389,15 +412,14 @@ def _capacitance(k: np.ndarray, tol: Tolerance, cut: float, fresh: bool,
     lemma), so s_j = v_j^T P_{j-1} u_j is G_jj - sum_{i<j} L_ji U_ij. By
     Jacobi's identity det M_j = det B_j det T_j, so v_j^T adj(M_{j-1}) u_j
     = det M_j - det M_{j-1} is det B_{j-1} det J_j (``_pivots``), linear in
-    J_j's first row. With ``spd`` (d = 0, and u = v for this block's and
-    every earlier step on a real H equal to its transpose, so M and G are
-    symmetric up to rounding) one Cholesky of C reads them, s_j = G_jj -
-    sum_{i<j} L_ji^2 with that sum as the terms (``kernel._spd_pivots``);
-    where LAPACK refuses C as not positive definite, and for every other
-    block, ``_halved`` reads them by halving C. The halving never forms a
-    single product L_ji U_ij with i outside j's leaf, only the sum over
-    each leading half that step j trails, diag(C_21 A^{-1} C_12)_j, so the
-    terms that form s_j are summed by level: 1 + |G_jj| + one |partial sum| per level + the leaf's
+    J_j's first row. ``_block_pivots`` reads them: where d = 0 and G is
+    real and symmetric to rounding, by one Cholesky of C, s_j = G_jj -
+    sum_{i<j} L_ji^2 with that sum as the terms; for every other block,
+    and where LAPACK refuses C as not positive definite, by halving C.
+    The halving never forms a single product L_ji U_ij with i outside j's
+    leaf, only the sum over each leading half that step j trails,
+    diag(C_21 A^{-1} C_12)_j, so the terms that form s_j are summed by
+    level: 1 + |G_jj| + one |partial sum| per level + the leaf's
     sum_{i<j} |L_ji U_ij|, by the triangle inequality at most the
     elementwise 1 + |G_jj| + sum_{i<j} |L_ji U_ij|. The block ends
     - before the first step with |s_j| cut > 1, never the first step of a
@@ -411,14 +433,7 @@ def _capacitance(k: np.ndarray, tol: Tolerance, cut: float, fresh: bool,
     The pivots past the end are dropped; past a failed guard they may
     divide by zero, so ``_pivots`` runs under np.errstate.
     """
-    if spd:
-        try:
-            s, terms = kernel._spd_pivots(k)
-            dets = s
-        except np.linalg.LinAlgError:
-            s, terms, dets = _halved(k, d)
-    else:
-        s, terms, dets = _halved(k, d)
+    s, terms, dets = _block_pivots(k, d)
     s, dets = s.tolist(), dets.tolist()
     hi = 1.0 / math.sqrt(tol.rel)
     gd = np.abs(k.diagonal()[:len(s)]).tolist()
@@ -443,10 +458,13 @@ def _inverse_walk(a: np.ndarray, seq: UpdateSequence, tol: Tolerance,
     (``_refresh``). The steps go in blocks of up to n: X = B^{-1}[:, :n]
     U_b^T and K = [[V_b X[:n], V_b Q], [X[n:], T]] by GEMMs, the block's
     pivots from K (``_capacitance``), and a new frame between blocks, so
-    no step costs O(n^2) in Python. Each step yields s_k, with 1 + s_k =
-    det B_k / det B_{k-1}, and t_k = v_k^T adj(M_{k-1}) u_k = det B_{k-1}
-    det J_k, which divides by no det M (on a plain frame, d = 0, det J_k
-    = s_k and det B = det M); det B goes on as det B + det B s_k.
+    no step costs O(n^2) in Python. Which factorization reads a block's
+    pivots depends on that block's K alone (``_block_pivots``); no state
+    carried between blocks decides it. Each step yields s_k, with
+    1 + s_k = det B_k / det B_{k-1}, and t_k = v_k^T adj(M_{k-1}) u_k =
+    det B_{k-1} det J_k, which divides by no det M (on a plain frame,
+    d = 0, det J_k = s_k and det B = det M); det B goes on as
+    det B + det B s_k.
 
     A block that ends on a plain frame, full or cut by a factor outside
     the guard tol.rel <= |1 + s| <= 1 / sqrt(tol.rel) or by one that
@@ -470,7 +488,6 @@ def _inverse_walk(a: np.ndarray, seq: UpdateSequence, tol: Tolerance,
     us = np.array([up.u for up in seq.updates]).reshape(r, n)
     vs = np.array([up.v for up in seq.updates]).reshape(r, n)
     current = a
-    symmetric = not np.iscomplexobj(a) and np.array_equal(a, a.T)
     fresh = isinstance(frame, Singular)
     if fresh and r:
         if not adjugate:
@@ -489,8 +506,7 @@ def _inverse_walk(a: np.ndarray, seq: UpdateSequence, tol: Tolerance,
             g[b:, :b], g[b:, b:] = x[n:], inv[n:, n:]
         else:
             g = vb @ x
-        spd = symmetric and not d and np.array_equal(ub, vb)
-        s, dets, then = _capacitance(g, tol, cut, fresh, d, spd)
+        s, dets, then = _capacitance(g, tol, cut, fresh, d)
         for sk, jk in zip(s, dets):
             # + 0.0: an exact zero term reads 0.0 whatever det B's sign
             yield sk, det_b * jk + 0.0
@@ -500,7 +516,6 @@ def _inverse_walk(a: np.ndarray, seq: UpdateSequence, tol: Tolerance,
         if k == r:
             return
         current = current + ub[:e].T @ vb[:e]
-        symmetric = symmetric and np.array_equal(ub[:e], vb[:e])
         fresh = False
         refused = None
         if not d and then != "refresh":

@@ -775,11 +775,11 @@ def product_dets(lp) -> list:
 
 
 class TestSymmetricRoute:
-    """A plain-frame block of updates with u_k = v_k on a real H equal to
-    its transpose has a symmetric capacitance matrix C = I + G, read by
-    one Cholesky where C is positive definite; every other block is
-    halved. Keyed on u_k = v_k alone, a non-symmetric or complex H would
-    read its pivots off the lower triangle of a G that is not symmetric."""
+    """A plain-frame block whose G is real and symmetric to rounding has a
+    symmetric capacitance matrix C = I + G, read by one Cholesky where C
+    is positive definite; every other block is halved. Keyed on u_k = v_k
+    alone, a non-symmetric or complex H would read its pivots off the
+    lower triangle of a G that is not symmetric."""
 
     @pytest.mark.parametrize("n", [8, 16])
     def test_non_symmetric_h(self, n):
@@ -822,9 +822,11 @@ class TestSymmetricRoute:
         assert worst_relative(det_sequence(h, seq).values, ref) <= 1e-13
 
     def test_indefinite_h_is_halved(self, monkeypatch):
-        # a negative factor: C = I + G is indefinite, LAPACK refuses its
-        # Cholesky, and the block's pivots come from the halving's
-        # batched solves
+        # a negative factor: C = I + G is indefinite, and the block's
+        # pivots come from the halving's batched solves. Formed from the LU
+        # inverse of M, G is off symmetric by 1.9 times Cholesky's own
+        # error scale b eps sqrt(|C_ii| |C_jj|) where C_ii is 0.71, so no
+        # Cholesky is tried
         rng = np.random.default_rng(5)
         n = 16
         q = random_orthogonal(rng, n)
@@ -837,10 +839,28 @@ class TestSymmetricRoute:
                              ("linalg.cholesky", "linalg.solve"))
         lp = det_product(h, seq)
         assert min(lp.factors) < 0.0
-        assert calls[0] == ("detdyn.kernel", "cholesky")
+        assert ("detdyn.kernel", "cholesky") not in calls
         assert ("detdyn.updates", "solve") in calls
         assert worst_relative(product_dets(lp), ref) <= 1e-12
         assert worst_relative(det_sequence(h, seq).values, ref) <= 1e-12
+
+    def test_indefinite_symmetric_g_is_refused_then_halved(self, monkeypatch):
+        # H = diag(+-2^k) and updates in eighths: every G is exact and so
+        # symmetric bit for bit, C = I + G is indefinite, LAPACK refuses its
+        # Cholesky, and the block is halved (two levels for 16 steps)
+        rng = np.random.default_rng(23)
+        n = 16
+        h = np.diag(rng.choice([-1.0, 1.0], n) * 2.0 ** rng.integers(-2, 3, n))
+        pairs = [(u, u) for u in np.round(8.0 * rng.standard_normal((n, n))) / 8.0]
+        ref = mp_running_dets(h, pairs)
+        seq = UpdateSequence.from_pairs(pairs)
+        calls = count_linalg(monkeypatch, ("detdyn.updates", "detdyn.kernel"),
+                             ("linalg.cholesky", "linalg.solve"))
+        lp = det_product(h, seq)
+        assert min(lp.factors) < 0.0
+        assert calls == [("detdyn.kernel", "cholesky")] + [("detdyn.updates", "solve")] * 2
+        assert worst_relative(product_dets(lp), ref) <= 1e-13
+        assert worst_relative(det_sequence(h, seq).values, ref) <= 1e-13
 
     @pytest.mark.parametrize("route", [det_product, logdet_sequence, det_sequence])
     def test_spd_stream_takes_one_cholesky_per_block(self, route, rng, monkeypatch):
@@ -853,6 +873,102 @@ class TestSymmetricRoute:
                              ("linalg.cholesky", "linalg.solve"))
         route(h, seq)
         assert calls == [("detdyn.kernel", "cholesky")] * 3
+
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_floating_point_spd_takes_one_cholesky_per_block(self, n, monkeypatch):
+        # Q diag(lambda) Q^T formed in floating point is SPD but not equal
+        # to its transpose bit for bit; its G is symmetric to rounding
+        rng = np.random.default_rng(n + 2)
+        q = random_orthogonal(rng, n)
+        h = (q * rng.uniform(1.0, 2.0, n)) @ q.T
+        assert (h != h.T).any()
+        us = 0.3 * rng.standard_normal((2 * n, n))
+        seq = UpdateSequence.symmetric(us)
+        calls = count_linalg(monkeypatch, ("detdyn.updates", "detdyn.kernel"),
+                             ("linalg.cholesky", "linalg.solve"))
+        final = logdet_sequence(h, seq).final_logdet
+        assert calls == [("detdyn.kernel", "cholesky")] * 2
+        det_product(h, seq)
+        assert calls == [("detdyn.kernel", "cholesky")] * 4
+        with mpmath.workdps(40):
+            x = mpmath.matrix(us.tolist())
+            ref = float(mpmath.log(mpmath.det(mpmath.matrix(h.tolist()) + x.T * x)))
+        assert abs(final - ref) <= 1e-13
+
+    def test_nearly_symmetric_g_is_halved(self, monkeypatch):
+        # a skew part of 1e-8 leaves G 2.8e-8 off symmetric, relative, far
+        # above rounding: a Cholesky of G's lower triangle reads the dets
+        # 7.4e-9 off, the halving 2.1e-15
+        rng = np.random.default_rng(17)
+        n = 16
+        k = rng.standard_normal((n, n))
+        h = random_spd(rng, n) / n + np.eye(n)
+        h = 0.5 * (h + h.T) + 1e-8 * (k - k.T)
+        pairs = [(u, u) for u in 0.3 * rng.standard_normal((2 * n, n))]
+        ref = mp_running_dets(h, pairs)
+        seq = UpdateSequence.from_pairs(pairs)
+        calls = count_linalg(monkeypatch, ("detdyn.updates", "detdyn.kernel"),
+                             ("linalg.cholesky", "linalg.solve"))
+        lp = det_product(h, seq)
+        assert ("detdyn.kernel", "cholesky") not in calls
+        assert ("detdyn.updates", "solve") in calls
+        assert worst_relative(product_dets(lp), ref) <= 1e-13
+
+    def test_dominant_entry_does_not_pass_an_asymmetric_block(self, monkeypatch):
+        # G_12 - G_21 = -2.7e-9 on G_11 = G_22 = 4/3, but the third update
+        # makes G_33 = 9e6: a norm-wise rule, max|G - G^T| <= b eps max|G|
+        # = 6e-9, would take the Cholesky and read the second pivot off
+        # G_21^2 for G_21 G_12, 3.6e-10 off from step 2 on
+        h = np.array([[1.0, 0.5 + 1e-9, 0.0], [0.5 - 1e-9, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        e = np.eye(3)
+        pairs = [(e[0], e[0]), (e[1], e[1]), (3000.0 * e[2], 3000.0 * e[2])]
+        ref = mp_running_dets(h, pairs)
+        spd = count_calls(monkeypatch, "_spd_pivots")
+        halved = []
+        pivots = updates._pivots
+
+        def recorded(k, levels, d):
+            halved.append(k.shape)
+            return pivots(k, levels, d)
+
+        monkeypatch.setattr(updates, "_pivots", recorded)
+        lp = det_product(h, UpdateSequence.from_pairs(pairs))
+        assert spd == [] and halved == [(3, 3)]
+        assert worst_relative(product_dets(lp), ref) <= 1e-13
+
+    @pytest.mark.parametrize("frame", ["lu", "svd"])
+    def test_bordered_block_is_halved(self, frame, monkeypatch):
+        # a symmetric H of rank n - 1, exact in floating point so that its
+        # det is 0 in the reference too. "lu": S diag(lambda, 0) S^T / n, S
+        # a signed Hadamard matrix (S S^T = n I), bordered from the LU
+        # inverse; "svd": a permuted diag(lambda, 0), whose exact zero
+        # pivot LAPACK's LU refuses, bordered by one SVD. Both first blocks'
+        # K are symmetric to rounding (for "lu" I + K is positive definite
+        # too), so only the border keeps them off the Cholesky: they are
+        # halved (two levels for 16 steps), and the plain block after them,
+        # on an SPD M, takes one Cholesky
+        rng = np.random.default_rng(19)
+        n = 16
+        lam = np.append(np.round(64.0 * rng.uniform(1.0, 2.0, n - 1)) / 64.0, 0.0)
+        if frame == "lu":
+            s = np.ones((1, 1))
+            while s.shape[0] < n:
+                s = np.block([[s, s], [s, -s]])
+            s = s[:, rng.permutation(n)] * rng.choice([-1.0, 1.0], n)
+            h = (s * lam) @ s.T / n
+        else:
+            p = rng.permutation(n)
+            h = np.diag(lam)[p][:, p]
+        pairs = [(u, u) for u in 0.3 * rng.standard_normal((2 * n, n))]
+        ref = mp_running_dets(h, pairs)
+        calls = count_linalg(monkeypatch, ("detdyn.updates", "detdyn.kernel"),
+                             ("linalg.cholesky", "linalg.solve"))
+        frames = record_refreshes(monkeypatch)
+        values = det_sequence(h, UpdateSequence.from_pairs(pairs)).values
+        assert frames[0] == ("lu-bordered" if frame == "lu" else "bordered")
+        assert calls == [("detdyn.updates", "solve")] * 2 + [("detdyn.kernel", "cholesky")]
+        assert values[0] == 0.0
+        assert worst_relative(values[1:], ref[1:]) <= 1e-13
 
 
 class TestDetProduct:
